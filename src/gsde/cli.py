@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .config import (
+    SEED_LIMIT,
     ConfigError,
     build_bounds,
     build_certificate,
@@ -77,6 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
+            raise ConfigError("--seed must lie in [0, 2^64)")
         cfg = load_config(args.config)
         out_dir = Path(
             args.out if args.out is not None else cfg.get("output.dir", ".")
@@ -131,7 +134,7 @@ def _cmd_certify(cfg, args, out_dir: Path) -> int:
             [
                 report.theorem,
                 "true" if report.granted else "false",
-                _fmt(report.bound) if report.granted else "",
+                _fmt(report.bound),
                 _fmt(report.lam),
                 _fmt(report.p),
                 "; ".join(report.caveats),
@@ -302,7 +305,7 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
                     param,
                     _fmt(v),
                     "true" if report.granted else "false",
-                    _fmt(report.bound) if report.granted else "",
+                    _fmt(report.bound),
                     _fmt(exponent) if exponent is not None else "",
                 ]
             )

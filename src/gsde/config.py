@@ -8,6 +8,7 @@ falling back to defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .expr import Expr, ParseError, free_variables, parse
@@ -25,6 +26,7 @@ from .scenario import ScenarioError, enumerate_family, parse_scenario
 __all__ = [
     "ConfigError",
     "KNOWN_KEYS",
+    "SEED_LIMIT",
     "Numerics",
     "parse_config_text",
     "load_config",
@@ -50,7 +52,6 @@ KNOWN_KEYS = frozenset(
         "sde.g",
         "sde.x0",
         "sde.t0",
-        "sde.lipschitz",
         "lyapunov.v",
         "certificate.theorem",
         "certificate.p",
@@ -185,13 +186,7 @@ def build_sde(cfg: dict) -> SdeSpec:
     x0 = _float(cfg, "sde.x0")
     if x0 is None:
         raise ConfigError("missing required key 'sde.x0'")
-    return SdeSpec(
-        f=f,
-        g=g,
-        x0=x0,
-        t0=_float(cfg, "sde.t0", 0.0),
-        lipschitz_estimate=_float(cfg, "sde.lipschitz"),
-    )
+    return SdeSpec(f=f, g=g, x0=x0, t0=_float(cfg, "sde.t0", 0.0))
 
 
 def build_lyapunov(cfg: dict) -> LyapunovFn | None:
@@ -275,6 +270,10 @@ def build_grid(cfg: dict, t0: float) -> CheckGrid:
         raise ConfigError(str(exc)) from exc
 
 
+# Philox keys hold the seed in one 64-bit word
+SEED_LIMIT = 1 << 64
+
+
 @dataclass(frozen=True)
 class Numerics:
     dt: float
@@ -292,8 +291,12 @@ def build_numerics(cfg: dict) -> Numerics:
         seed=_int(cfg, "numerics.seed", 0),
         method=cfg.get("numerics.method", "euler"),
     )
-    if num.dt <= 0 or num.horizon <= 0:
-        raise ConfigError("numerics.dt and numerics.horizon must be positive")
+    if not (0 < num.dt < math.inf and 0 < num.horizon < math.inf):
+        raise ConfigError(
+            "numerics.dt and numerics.horizon must be positive and finite"
+        )
+    if not 0 <= num.seed < SEED_LIMIT:
+        raise ConfigError("numerics.seed must lie in [0, 2^64)")
     if num.n_paths < 1:
         raise ConfigError("numerics.n_paths must be >= 1")
     if num.method not in METHODS:

@@ -38,8 +38,6 @@ __all__ = [
     "EXPLOSION_THRESHOLD",
     "integrate",
     "linear_closed_form",
-    "lipschitz_margin",
-    "check_lipschitz",
     "write_path_csv",
 ]
 
@@ -50,18 +48,12 @@ METHODS = ("euler", "milstein")
 
 @dataclass(frozen=True)
 class SdeSpec:
-    """Scalar SDE data: drift f(x,t), diffusion g(x,t), start (x0, t0).
-
-    lipschitz_estimate, when given, is the user's claimed bound K on the
-    state difference quotients of f and g; check_lipschitz verifies it on
-    a grid with relative headroom 1e-9.
-    """
+    """Scalar SDE data: drift f(x,t), diffusion g(x,t), start (x0, t0)."""
 
     f: Expr
     g: Expr
     x0: float
     t0: float = 0.0
-    lipschitz_estimate: float | None = None
 
 
 @dataclass
@@ -173,31 +165,6 @@ def linear_closed_form(
     return x0 * np.exp(
         -alpha * (grid - grid[0]) - 0.5 * beta * beta * bundle.qv + beta * mart
     )
-
-
-def lipschitz_margin(spec: SdeSpec, xs: np.ndarray, ts: np.ndarray) -> float:
-    """Largest sampled state difference quotient of f and g over the grid:
-    max over adjacent x pairs and times of |phi(x') - phi(x)| / |x' - x|."""
-    xs = np.sort(np.asarray(xs, dtype=float))
-    ts = np.asarray(ts, dtype=float)
-    if xs.size < 2:
-        raise ValueError("need at least two x points")
-    XX, TT = np.meshgrid(xs, ts, indexing="ij")
-    worst = 0.0
-    for phi in (spec.f, spec.g):
-        vals = np.asarray(evaluate(phi, XX, TT), dtype=float)
-        vals = np.broadcast_to(vals, XX.shape)
-        quot = np.abs(np.diff(vals, axis=0)) / np.diff(xs)[:, None]
-        worst = max(worst, float(quot.max()))
-    return worst
-
-
-def check_lipschitz(spec: SdeSpec, xs: np.ndarray, ts: np.ndarray) -> bool:
-    """True when the sampled quotients respect the declared estimate with
-    relative headroom 1e-9.  Vacuously true with no declared estimate."""
-    if spec.lipschitz_estimate is None:
-        return True
-    return lipschitz_margin(spec, xs, ts) <= spec.lipschitz_estimate * (1 + 1e-9)
 
 
 def write_path_csv(path, run: SimulationRun) -> None:

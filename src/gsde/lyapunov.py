@@ -1,16 +1,16 @@
 """Machine-checked stability and instability certificates.
 
 Given an energy function V(x,t) and SDE coefficients f, g over a
-volatility band, the three grid operators are
+volatility band, the grid operators are
 
-    op_L(V)       = V_t + f V_x + g^2 * g_upper(V_xx)   worst-case drift of V
-    op_H(V)       = g^2 * V_x^2                          noise intensity seen by V
-    op_L_lower(V) = V_t + f V_x + g^2 * g_lower(V_xx)   best-case drift of V
+    L(V)       = V_t + f V_x + g^2 * g_upper(V_xx)   worst-case drift of V
+    H(V)       = g^2 * V_x^2                          noise intensity seen by V
+    L_lower(V) = V_t + f V_x + g^2 * g_lower(V_xx)   best-case drift of V
 
-op_L dominates the drift of V under every admissible variance rate and
-op_L_lower is dominated by it, so pointwise inequalities on these
-operators certify pathwise decay (or growth) bounds that hold across the
-whole ambiguity band at once.
+L dominates the drift of V under every admissible variance rate and
+L_lower is dominated by it, so pointwise inequalities on these operators
+certify pathwise decay (or growth) bounds that hold across the whole
+ambiguity band at once.  All three come from one sample_operators pass.
 
 check_certificate machine-checks the hypothesis set of one of six
 certificate templates (ids T33..T38) on a deterministic grid and, when
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,21 +61,15 @@ __all__ = [
     "CertificateSpec",
     "HypothesisVerdict",
     "CertificateReport",
-    "GrowthReport",
     "CertificateError",
+    "OperatorSample",
     "THEOREMS",
-    "op_L",
-    "op_H",
-    "op_L_lower",
-    "check_local_growth",
-    "best_lambda_T33",
+    "sample_operators",
     "validate_certificate",
     "check_certificate",
     "write_certificate_csv",
     "verdict_line",
 ]
-
-THEOREMS = ("T33", "T34", "T35", "T36", "T37", "T38")
 
 REL_SLACK = 1e-9
 # Extrapolated limits get an absolute allowance instead; the pointwise
@@ -156,90 +151,44 @@ class CheckGrid:
 # ---------------------------------------------------------------------------
 # operators
 
-def op_L(lyap: LyapunovFn, spec: SdeSpec, b: AmbiguityBounds, x, t):
-    """Worst-case drift of V at (x, t) over the variance band."""
-    g_val = evaluate(spec.g, x, t)
-    return (
-        evaluate(lyap.V_t, x, t)
-        + evaluate(spec.f, x, t) * evaluate(lyap.V_x, x, t)
-        + g_val * g_val * g_upper(evaluate(lyap.V_xx, x, t), b)
-    )
-
-
-def op_H(lyap: LyapunovFn, spec: SdeSpec, x, t):
-    """Noise intensity seen by V: g^2 V_x^2."""
-    g_val = evaluate(spec.g, x, t)
-    vx = evaluate(lyap.V_x, x, t)
-    return g_val * g_val * vx * vx
-
-
-def op_L_lower(lyap: LyapunovFn, spec: SdeSpec, b: AmbiguityBounds, x, t):
-    """Best-case drift of V at (x, t) over the variance band."""
-    g_val = evaluate(spec.g, x, t)
-    return (
-        evaluate(lyap.V_t, x, t)
-        + evaluate(spec.f, x, t) * evaluate(lyap.V_x, x, t)
-        + g_val * g_val * g_lower(evaluate(lyap.V_xx, x, t), b)
-    )
-
-
-# ---------------------------------------------------------------------------
-# local growth (non-degeneracy of the coefficients near 0)
-
 @dataclass(frozen=True)
-class GrowthReport:
-    """Grid bound C_n with f^2 + g^2 <= C_n x^2 on 0 < |x| <= n.
+class OperatorSample:
+    """V and its operators at points (x, t) of one shape, from a single
+    evaluation of each input: V and H = g^2 V_x^2 broadcast to that shape,
+    and the parts that drift() combines into L or L_lower."""
 
-    certified is False when the coefficients do not vanish at x = 0 (the
-    ratio then diverges as x -> 0 and no finite C_n exists)."""
+    x: np.ndarray
+    t: np.ndarray
+    b: AmbiguityBounds
+    V: np.ndarray
+    H: np.ndarray
+    first_order: np.ndarray  # V_t + f V_x
+    g2: np.ndarray
+    V_xx: np.ndarray
 
-    n: float
-    bound: float
-    certified: bool
-    worst_x: float
-    worst_t: float
-    note: str = ""
+    def drift(self, envelope) -> np.ndarray:
+        """V_t + f V_x + g^2 envelope(V_xx): the worst-case drift L with
+        g_upper, the best-case drift L_lower with g_lower."""
+        L = self.first_order + self.g2 * envelope(self.V_xx, self.b)
+        return _full(L, self.x)
 
 
-def check_local_growth(spec: SdeSpec, n: float, grid: CheckGrid) -> GrowthReport:
-    """Bound (f^2 + g^2)/x^2 on the grid restricted to 0 < |x| <= n.
+def _full(val, like) -> np.ndarray:
+    return np.broadcast_to(np.asarray(val, dtype=float), np.shape(like))
 
-    Divergence at the origin is detected exactly for continuous
-    coefficients by probing x = 0: any nonzero value there makes the
-    ratio unbounded below every grid resolution.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    xs = grid.xs[np.abs(grid.xs) <= n]
-    if xs.size == 0:
-        raise ValueError(f"grid has no points with |x| <= {n}")
-    XX, TT = np.meshgrid(xs, grid.ts, indexing="ij")
-    fv = np.broadcast_to(np.asarray(evaluate(spec.f, XX, TT), dtype=float), XX.shape)
-    gv = np.broadcast_to(np.asarray(evaluate(spec.g, XX, TT), dtype=float), XX.shape)
-    ratio = (fv * fv + gv * gv) / (XX * XX)
-    k = int(np.argmax(ratio))
-    worst_x = float(XX.flat[k])
-    worst_t = float(TT.flat[k])
-    bound = float(ratio.flat[k])
 
-    try:
-        f0 = np.asarray(evaluate(spec.f, np.zeros_like(grid.ts), grid.ts))
-        g0 = np.asarray(evaluate(spec.g, np.zeros_like(grid.ts), grid.ts))
-        vanishes = bool(np.all(f0 == 0) and np.all(g0 == 0))
-        note = "" if vanishes else "coefficients do not vanish at x = 0"
-    except Exception as exc:  # undefined at 0 counts as non-vanishing
-        vanishes = False
-        note = f"coefficients undefined at x = 0 ({exc})"
-    if not np.isfinite(bound):
-        vanishes = False
-        note = note or "non-finite ratio on the grid"
-    return GrowthReport(
-        n=float(n),
-        bound=bound,
-        certified=vanishes and np.isfinite(bound),
-        worst_x=worst_x,
-        worst_t=worst_t,
-        note=note,
+def sample_operators(
+    lyap: LyapunovFn, spec: SdeSpec, b: AmbiguityBounds, x, t
+) -> OperatorSample:
+    """Evaluate V, g, V_t, f, V_x and V_xx once each, in that order, at the
+    points (x, t); the first domain violation raises."""
+    V, g, V_t, f, V_x, V_xx = (
+        evaluate(e, x, t)
+        for e in (lyap.V, spec.g, lyap.V_t, spec.f, lyap.V_x, lyap.V_xx)
+    )
+    g2 = g * g
+    return OperatorSample(
+        x, t, b, _full(V, x), _full(g2 * V_x * V_x, x), V_t + f * V_x, g2, V_xx
     )
 
 
@@ -251,9 +200,10 @@ class CertificateSpec:
     """Parameters of one certificate template.
 
     Which fields are required depends on the template: p always; lam for
-    every template except T33 (where it may be omitted and is then taken
-    from best_lambda_T33); rho/kappa/phi for T34 and T38; nu_coeffs for
-    T35; eta/q/beta_exp/phi for T36; eta/q/beta_exp/phi1/phi2 for T37.
+    every template except T33, where it may be omitted and the checker
+    then certifies the largest rate the grid allows (the infimum of
+    -LV/V); rho/kappa/phi for T34 and T38; nu_coeffs for T35;
+    eta/q/beta_exp/phi for T36; eta/q/beta_exp/phi1/phi2 for T37.
     phi, phi1, phi2 are deterministic time weights: expressions in t only.
     """
 
@@ -271,30 +221,16 @@ class CertificateSpec:
     nu_coeffs: tuple[float, ...] | None = None
 
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "T33": ("p",),
-    "T34": ("p", "lam", "rho", "kappa", "phi"),
-    "T35": ("p", "lam", "nu_coeffs"),
-    "T36": ("p", "lam", "eta", "q", "beta_exp", "phi"),
-    "T37": ("p", "lam", "eta", "q", "beta_exp", "phi1", "phi2"),
-    "T38": ("p", "lam", "rho", "kappa", "phi"),
-}
-
-
 def validate_certificate(cert: CertificateSpec, b: AmbiguityBounds) -> None:
     """Reject malformed certificate parameter sets: missing fields for the
     chosen template, out-of-range parameters, state-dependent time weights,
-    or a lambda on the wrong side of the band (T34/T38 standing
-    assumptions)."""
-    if cert.theorem not in THEOREMS:
+    or a lambda that breaks its template's rule."""
+    tpl = _TEMPLATES.get(cert.theorem)
+    if tpl is None:
         raise CertificateError(f"unknown certificate template {cert.theorem!r}")
-    missing = [
-        name for name in _REQUIRED[cert.theorem] if getattr(cert, name) is None
-    ]
+    missing = [n for n in ("p", *tpl.fields) if getattr(cert, n) is None]
     if missing:
-        raise CertificateError(
-            f"{cert.theorem} needs fields {', '.join(missing)}"
-        )
+        raise CertificateError(f"{cert.theorem} needs fields {', '.join(missing)}")
     if not cert.p > 0:
         raise CertificateError("p must be positive")
     for name in ("eta", "q"):
@@ -307,30 +243,21 @@ def validate_certificate(cert: CertificateSpec, b: AmbiguityBounds) -> None:
         raise CertificateError("kappa must be positive")
     if cert.beta_exp is not None and not (0 <= cert.beta_exp < 1):
         raise CertificateError("beta_exp must lie in [0, 1)")
-    if cert.theorem in ("T33", "T35", "T36", "T37") and cert.lam is not None:
-        if not cert.lam > 0:
-            raise CertificateError("lambda must be positive")
     for name in ("phi", "phi1", "phi2"):
         e = getattr(cert, name)
         if e is not None and "x" in free_variables(e):
             raise CertificateError(
                 f"{name} must be a deterministic time weight (t only)"
             )
-    if cert.theorem == "T35":
-        coeffs = cert.nu_coeffs
+    coeffs = cert.nu_coeffs
+    if coeffs is not None:
         if len(coeffs) < 2:
             raise CertificateError("nu must have degree >= 1")
         if any(not c > 0 for c in coeffs):
             raise CertificateError("nu coefficients must all be positive")
-    # standing assumptions that position lambda against the band
-    if cert.theorem == "T34" and not cert.lam < b.v_lower * cert.rho / 2:
-        raise CertificateError(
-            "T34 requires lambda < v_lower * rho / 2"
-        )
-    if cert.theorem == "T38" and not cert.lam > b.v_upper * cert.rho / 2:
-        raise CertificateError(
-            "T38 requires lambda > v_upper * rho / 2"
-        )
+    admissible, message = tpl.lam_rule
+    if not admissible(cert, b):
+        raise CertificateError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +280,8 @@ class HypothesisVerdict:
 
 @dataclass(frozen=True)
 class CertificateReport:
+    """Outcome of one check; bound is None unless granted."""
+
     theorem: str
     hypotheses: tuple[HypothesisVerdict, ...]
     granted: bool
@@ -368,10 +297,10 @@ class CertificateReport:
         raise KeyError(name)
 
 
-def _pointwise(name, lhs, rhs, XX, TT, note="") -> HypothesisVerdict:
-    """Check lhs <= rhs on the grid with relative slack."""
-    lhs = np.broadcast_to(np.asarray(lhs, dtype=float), XX.shape)
-    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), XX.shape)
+def _pointwise(m: OperatorSample, name, lhs, rhs) -> HypothesisVerdict:
+    """Check lhs <= rhs at the sample points with relative slack."""
+    lhs = _full(lhs, m.x)
+    rhs = _full(rhs, m.x)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     rel = (lhs - rhs) / scale
     k = int(np.argmax(rel))
@@ -380,9 +309,8 @@ def _pointwise(name, lhs, rhs, XX, TT, note="") -> HypothesisVerdict:
         name=name,
         passed=worst <= REL_SLACK,
         violation=worst,
-        worst_x=float(XX.flat[k]),
-        worst_t=float(TT.flat[k]),
-        note=note,
+        worst_x=float(m.x.flat[k]),
+        worst_t=float(m.t.flat[k]),
     )
 
 
@@ -455,45 +383,127 @@ def _loggrowth_cap(name, phi_vals, ts, cap) -> HypothesisVerdict:
 
 
 # ---------------------------------------------------------------------------
-# best decay rate for the plain template
+# the templates
+#
+# A template's hypotheses(m, c, ts) takes the operator sample m on the grid
+# mesh (times along axis 1), the certificate c and the grid times ts, and
+# returns the rate lambda in force with the verdicts after the envelope.
 
-def best_lambda_T33(
-    lyap: LyapunovFn,
-    spec: SdeSpec,
-    b: AmbiguityBounds,
-    grid: CheckGrid,
-    p: float,
-) -> float | None:
-    """Largest lambda with LV <= -lambda V on the grid: inf of -LV/V.
-
-    Returns None when the infimum is not positive (no decay certificate at
-    any rate).  Requires the envelope hypothesis |x|^p <= V to hold on the
-    grid.
-    """
-    XX, TT = grid.mesh()
-    Vv = np.broadcast_to(
-        np.asarray(evaluate(lyap.V, XX, TT), dtype=float), XX.shape
+def _t33(m, c, ts):
+    L = m.drift(g_upper)
+    if c.lam is not None:
+        return c.lam, [_pointwise(m, "decay", L, -c.lam * m.V)]
+    ratios = -L / m.V
+    k = int(np.argmin(ratios))
+    best = float(ratios.flat[k])
+    found = best > 0
+    note = (f"best decay rate lambda = {best:.12g}" if found
+            else f"no positive rate: inf(-LV/V) = {best:.12g}")
+    decay = HypothesisVerdict(
+        "decay", found, 0.0 if found else -best,
+        float(m.x.flat[k]), float(m.t.flat[k]), note=note,
     )
-    _require_positive_V(Vv, XX, TT)
-    env = _pointwise("envelope", np.abs(XX) ** p, Vv, XX, TT)
-    if not env.passed:
-        raise CertificateError(
-            f"|x|^p <= V fails on the grid (worst at x={env.worst_x:.6g}, "
-            f"t={env.worst_t:.6g})"
-        )
-    Lv = np.broadcast_to(np.asarray(op_L(lyap, spec, b, XX, TT), dtype=float), XX.shape)
-    lam = float(np.min(-Lv / Vv))
-    return lam if lam > 0 else None
+    return (best if found else None), [decay]
 
 
-def _require_positive_V(Vv, XX, TT) -> None:
-    bad = Vv <= 0
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise CertificateError(
-            f"V must be positive away from x = 0; V <= 0 at "
-            f"x={XX.flat[k]:.6g}, t={TT.flat[k]:.6g}"
-        )
+def _t34(m, c, ts):
+    phi = _time_weight(c.phi, ts)
+    w = phi[None, :]
+    return c.lam, [
+        _pointwise(m, "drift", m.drift(g_upper), c.lam * w * m.V),
+        _pointwise(m, "noise_floor", c.rho * w * m.V * m.V, m.H),
+        _cesaro_lower("time_average", phi, ts, c.kappa),
+    ]
+
+
+def _t35(m, c, ts):
+    nu = np.polynomial.polynomial.polyval(ts, np.asarray(c.nu_coeffs))
+    nu_decay = nu[None, :] * np.exp(-c.lam * ts)[None, :]
+    return c.lam, [
+        _pointwise(m, "drift", m.drift(g_upper), -c.lam * m.V + nu_decay),
+        _pointwise(m, "noise_ceiling", m.H, nu_decay * m.V),
+        _nu_dominates_t(c.nu_coeffs, nu, ts),
+    ]
+
+
+def _t36(m, c, ts):
+    phi = _time_weight(c.phi, ts)
+    weight = c.eta * (1.0 + m.t) ** (-c.q)
+    drift = m.drift(g_upper) + weight * m.H
+    return c.lam, [
+        _pointwise(m, "drift", drift, phi[None, :] * (1.0 + m.V**c.beta_exp)),
+        _loggrowth_cap("weight_growth", phi, ts, 0.0),
+    ]
+
+
+def _t37(m, c, ts):
+    phi1 = _time_weight(c.phi1, ts)
+    phi2 = _time_weight(c.phi2, ts)
+    weight = m.b.v_upper * c.eta * np.exp(-c.q * m.t)
+    drift = m.drift(g_upper) + weight * m.H
+    cap = phi1[None, :] + phi2[None, :] * m.V**c.beta_exp
+    return c.lam, [
+        _pointwise(m, "drift", drift, cap),
+        _loggrowth_cap("weight1_growth", phi1, ts, c.q),
+        _loggrowth_cap("weight2_growth", phi2, ts, c.q * (1.0 - c.beta_exp)),
+    ]
+
+
+def _t38(m, c, ts):
+    phi = _time_weight(c.phi, ts)
+    w = phi[None, :]
+    return c.lam, [
+        _pointwise(m, "drift", c.lam * w * m.V, m.drift(g_lower)),
+        _pointwise(m, "noise_ceiling", m.H, c.rho * w * m.V * m.V),
+        _cesaro_lower("time_average", phi, ts, c.kappa),
+    ]
+
+
+def _decay_bound(c, b, lam):
+    return -lam / c.p
+
+
+_POSITIVE = (lambda c, b: c.lam is None or c.lam > 0, "lambda must be positive")
+
+
+class _Template(NamedTuple):
+    fields: tuple[str, ...]  # required besides p
+    lam_rule: tuple  # (admissible(cert, bounds), message otherwise)
+    hypotheses: Callable  # (m, cert, ts) -> (lambda, verdicts)
+    bound: Callable  # (cert, bounds, lambda) -> granted rate bound
+    grows: bool = False  # envelope e^{lambda t} |x|^p <= V
+    unstable: bool = False  # envelope V <= |x|^p; the bound is a liminf
+
+
+_TEMPLATES = {
+    "T33": _Template((), _POSITIVE, _t33, _decay_bound),
+    "T34": _Template(
+        ("lam", "rho", "kappa", "phi"),
+        (lambda c, b: c.lam < b.v_lower * c.rho / 2,
+         "T34 requires lambda < v_lower * rho / 2"),
+        _t34,
+        lambda c, b, lam: -(c.kappa / c.p) * (b.v_lower * c.rho / 2 - lam),
+    ),
+    "T35": _Template(("lam", "nu_coeffs"), _POSITIVE, _t35, _decay_bound),
+    "T36": _Template(
+        ("lam", "eta", "q", "beta_exp", "phi"), _POSITIVE, _t36,
+        _decay_bound, grows=True,
+    ),
+    "T37": _Template(
+        ("lam", "eta", "q", "beta_exp", "phi1", "phi2"), _POSITIVE, _t37,
+        lambda c, b, lam: -(lam - c.q) / c.p, grows=True,
+    ),
+    "T38": _Template(
+        ("lam", "rho", "kappa", "phi"),
+        (lambda c, b: c.lam > b.v_upper * c.rho / 2,
+         "T38 requires lambda > v_upper * rho / 2"),
+        _t38,
+        lambda c, b, lam: (c.kappa / c.p) * (lam - b.v_upper * c.rho / 2),
+        unstable=True,
+    ),
+}
+
+THEOREMS = tuple(_TEMPLATES)
 
 
 # ---------------------------------------------------------------------------
@@ -511,158 +521,38 @@ def check_certificate(
     if grid is None:
         grid = CheckGrid.default(t0=spec.t0)
     validate_certificate(cert, b)
+    tpl = _TEMPLATES[cert.theorem]
     XX, TT = grid.mesh()
-    ts = grid.ts
-
-    Vv = np.broadcast_to(np.asarray(evaluate(lyap.V, XX, TT), dtype=float), XX.shape)
-    _require_positive_V(Vv, XX, TT)
-    Lv = np.broadcast_to(np.asarray(op_L(lyap, spec, b, XX, TT), dtype=float), XX.shape)
-    Hv = np.broadcast_to(np.asarray(op_H(lyap, spec, XX, TT), dtype=float), XX.shape)
-
-    caveats = []
-    for name, e in (
-        ("V", lyap.V),
-        ("f", spec.f),
-        ("g", spec.g),
-    ):
-        if contains_nonsmooth(e):
-            caveats.append(
-                f"{name} uses abs/sign: derivatives are formal and do not "
-                f"exist at the kink (x = 0 caveat)"
-            )
-
-    hyps: list[HypothesisVerdict] = []
-    lam = cert.lam
-    theorem = cert.theorem
-
-    if theorem == "T33":
-        if lam is None:
-            XXr = XX
-            ratios = -Lv / Vv
-            lam_best = float(np.min(ratios))
-            if lam_best > 0:
-                lam = lam_best
-                k = int(np.argmin(ratios))
-                hyps.append(
-                    HypothesisVerdict(
-                        name="decay",
-                        passed=True,
-                        violation=0.0,
-                        worst_x=float(XXr.flat[k]),
-                        worst_t=float(TT.flat[k]),
-                        note=f"best decay rate lambda = {lam:.12g}",
-                    )
-                )
-            else:
-                k = int(np.argmin(ratios))
-                hyps.append(
-                    HypothesisVerdict(
-                        name="decay",
-                        passed=False,
-                        violation=-lam_best,
-                        worst_x=float(XXr.flat[k]),
-                        worst_t=float(TT.flat[k]),
-                        note=f"no positive rate: inf(-LV/V) = {lam_best:.12g}",
-                    )
-                )
-        else:
-            hyps.append(_pointwise("decay", Lv, -lam * Vv, XX, TT))
-        hyps.insert(0, _pointwise("envelope", np.abs(XX) ** cert.p, Vv, XX, TT))
-        bound = None if lam is None else -lam / cert.p
-
-    elif theorem == "T34":
-        phi_grid = _time_weight(cert.phi, ts)
-        phi_mesh = phi_grid[None, :]
-        hyps.append(_pointwise("envelope", np.abs(XX) ** cert.p, Vv, XX, TT))
-        hyps.append(_pointwise("drift", Lv, lam * phi_mesh * Vv, XX, TT))
-        hyps.append(
-            _pointwise("noise_floor", cert.rho * phi_mesh * Vv * Vv, Hv, XX, TT)
+    m = sample_operators(lyap, spec, b, XX, TT)
+    bad = m.V <= 0
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise CertificateError(
+            f"V must be positive away from x = 0; V <= 0 at "
+            f"x={XX.flat[k]:.6g}, t={TT.flat[k]:.6g}"
         )
-        hyps.append(_cesaro_lower("time_average", phi_grid, ts, cert.kappa))
-        bound = -(cert.kappa / cert.p) * (b.v_lower * cert.rho / 2 - lam)
+    caveats = tuple(
+        f"{name} uses abs/sign: derivatives are formal and do not "
+        f"exist at the kink (x = 0 caveat)"
+        for name, e in (("V", lyap.V), ("f", spec.f), ("g", spec.g))
+        if contains_nonsmooth(e)
+    )
 
-    elif theorem == "T35":
-        nu_grid = np.polynomial.polynomial.polyval(ts, np.asarray(cert.nu_coeffs))
-        nu_mesh = nu_grid[None, :]
-        decay_mesh = np.exp(-lam * ts)[None, :]
-        hyps.append(_pointwise("envelope", np.abs(XX) ** cert.p, Vv, XX, TT))
-        hyps.append(
-            _pointwise("drift", Lv, -lam * Vv + nu_mesh * decay_mesh, XX, TT)
-        )
-        hyps.append(
-            _pointwise("noise_ceiling", Hv, nu_mesh * decay_mesh * Vv, XX, TT)
-        )
-        hyps.append(_nu_dominates_t(cert.nu_coeffs, nu_grid, ts))
-        bound = -lam / cert.p
-
-    elif theorem == "T36":
-        phi_grid = _time_weight(cert.phi, ts)
-        phi_mesh = phi_grid[None, :]
-        growth = np.exp(lam * TT)
-        weight = cert.eta * (1.0 + TT) ** (-cert.q)
-        hyps.append(
-            _pointwise("envelope", growth * np.abs(XX) ** cert.p, Vv, XX, TT)
-        )
-        hyps.append(
-            _pointwise(
-                "drift",
-                Lv + weight * Hv,
-                phi_mesh * (1.0 + Vv**cert.beta_exp),
-                XX,
-                TT,
-            )
-        )
-        hyps.append(_loggrowth_cap("weight_growth", phi_grid, ts, 0.0))
-        bound = -lam / cert.p
-
-    elif theorem == "T37":
-        phi1_grid = _time_weight(cert.phi1, ts)
-        phi2_grid = _time_weight(cert.phi2, ts)
-        growth = np.exp(lam * TT)
-        weight = b.v_upper * cert.eta * np.exp(-cert.q * TT)
-        hyps.append(
-            _pointwise("envelope", growth * np.abs(XX) ** cert.p, Vv, XX, TT)
-        )
-        hyps.append(
-            _pointwise(
-                "drift",
-                Lv + weight * Hv,
-                phi1_grid[None, :] + phi2_grid[None, :] * Vv**cert.beta_exp,
-                XX,
-                TT,
-            )
-        )
-        hyps.append(_loggrowth_cap("weight1_growth", phi1_grid, ts, cert.q))
-        hyps.append(
-            _loggrowth_cap(
-                "weight2_growth", phi2_grid, ts, cert.q * (1.0 - cert.beta_exp)
-            )
-        )
-        bound = -(lam - cert.q) / cert.p
-
-    else:  # T38, instability
-        phi_grid = _time_weight(cert.phi, ts)
-        phi_mesh = phi_grid[None, :]
-        Llow = np.broadcast_to(
-            np.asarray(op_L_lower(lyap, spec, b, XX, TT), dtype=float), XX.shape
-        )
-        hyps.append(_pointwise("envelope", Vv, np.abs(XX) ** cert.p, XX, TT))
-        hyps.append(_pointwise("drift", lam * phi_mesh * Vv, Llow, XX, TT))
-        hyps.append(
-            _pointwise("noise_ceiling", Hv, cert.rho * phi_mesh * Vv * Vv, XX, TT)
-        )
-        hyps.append(_cesaro_lower("time_average", phi_grid, ts, cert.kappa))
-        bound = (cert.kappa / cert.p) * (lam - b.v_upper * cert.rho / 2)
-
+    xp = np.abs(XX) ** cert.p
+    if tpl.grows:
+        xp = np.exp(cert.lam * TT) * xp
+    envelope = (m.V, xp) if tpl.unstable else (xp, m.V)
+    lam, rest = tpl.hypotheses(m, cert, grid.ts)
+    hyps = (_pointwise(m, "envelope", *envelope), *rest)
     granted = all(h.passed for h in hyps)
     return CertificateReport(
-        theorem=theorem,
-        hypotheses=tuple(hyps),
+        theorem=cert.theorem,
+        hypotheses=hyps,
         granted=granted,
-        bound=bound if granted else (bound if lam is not None else None),
+        bound=tpl.bound(cert, b, lam) if granted else None,
         lam=lam,
         p=cert.p,
-        caveats=tuple(caveats),
+        caveats=caveats,
     )
 
 
@@ -731,7 +621,8 @@ def write_certificate_csv(path, report: CertificateReport) -> None:
 
 def verdict_line(report: CertificateReport) -> str:
     if report.granted:
-        side = "liminf rate >=" if report.theorem == "T38" else "limsup rate <="
+        unstable = _TEMPLATES[report.theorem].unstable
+        side = "liminf rate >=" if unstable else "limsup rate <="
         return (
             f"{report.theorem}: granted ({side} {format(report.bound, '.17g')})"
         )

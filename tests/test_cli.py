@@ -83,6 +83,35 @@ class TestExitCodes:
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_lipschitz_key_is_unknown(self, tmp_path, capsys):
+        cfg = write(tmp_path, CERT_GRANT + "sde.lipschitz = 1e-4\n")
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "unknown key 'sde.lipschitz'" in capsys.readouterr().err
+
+    def test_infinite_dt_is_config_error(self, tmp_path):
+        cfg = write(
+            tmp_path, EXPONENT.replace("numerics.dt = 0.01", "numerics.dt = 0.5e400")
+        )
+        assert main(["exponent", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_nan_horizon_is_config_error(self, tmp_path):
+        cfg = write(
+            tmp_path,
+            EXPONENT.replace("numerics.horizon = 20", "numerics.horizon = nan"),
+        )
+        assert main(["exponent", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_config_seed_out_of_range(self, tmp_path, seed):
+        cfg = write(tmp_path, EXPONENT + f"numerics.seed = {seed}\n")
+        assert main(["exponent", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_flag_out_of_range(self, tmp_path, seed):
+        cfg = write(tmp_path, EXPONENT)
+        argv = ["exponent", "--config", cfg, "--seed", str(seed)]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+
 
 class TestCertify:
     def test_granted(self, tmp_path, capsys):

@@ -82,7 +82,6 @@ class TestBuilders:
         spec = build_sde(parse_config_text(BASE))
         assert spec.x0 == 1.0
         assert spec.t0 == 0.0
-        assert spec.lipschitz_estimate is None
 
     def test_sde_missing_field(self):
         with pytest.raises(ConfigError, match="sde.x0"):

@@ -1,5 +1,5 @@
 """Path integration: deterministic limits, closed-form agreement, scheme
-order sanity, explosion flagging, Lipschitz reporting, CSV output."""
+order sanity, explosion flagging, CSV output."""
 
 import csv
 
@@ -11,10 +11,8 @@ from gsde.gcalc import AmbiguityBounds
 from gsde.integrator import (
     EXPLOSION_THRESHOLD,
     SdeSpec,
-    check_lipschitz,
     integrate,
     linear_closed_form,
-    lipschitz_margin,
     write_path_csv,
 )
 from gsde.scenario import Constant, sample_path, uniform_grid
@@ -128,31 +126,6 @@ class TestExplosion:
         grid = uniform_grid(1.0, 1.0, 0.1)
         with pytest.raises(ValueError, match="t0"):
             integrate(spec, Constant(1.0), B1, grid, seed=0)
-
-
-class TestLipschitz:
-    def test_margin_of_linear_coefficients(self):
-        spec = linear_spec(2.0, 1.0)
-        xs = np.linspace(-5, 5, 50)
-        ts = np.linspace(0, 1, 5)
-        margin = lipschitz_margin(spec, xs, ts)
-        assert margin == pytest.approx(2.0, rel=1e-9)
-
-    def test_check_against_estimate(self):
-        xs = np.linspace(-5, 5, 50)
-        ts = np.linspace(0, 1, 5)
-        ok = SdeSpec(
-            f=parse("-2*x"), g=parse("x"), x0=1.0, lipschitz_estimate=2.5
-        )
-        bad = SdeSpec(
-            f=parse("-2*x"), g=parse("x"), x0=1.0, lipschitz_estimate=1.5
-        )
-        assert check_lipschitz(ok, xs, ts)
-        assert not check_lipschitz(bad, xs, ts)
-
-    def test_no_estimate_passes(self):
-        spec = linear_spec(2.0, 1.0)
-        assert check_lipschitz(spec, np.linspace(-1, 1, 10), np.zeros(1))
 
 
 class TestPathCsv:

@@ -1,5 +1,5 @@
 """Certificate machinery: operators, templates T33..T38, validation,
-local growth, report serialization.
+report serialization.
 
 The granted cases below are hand-constructed so every hypothesis reduces
 to an exact algebraic identity or a wide-margin inequality; the expected
@@ -11,20 +11,17 @@ import csv
 import numpy as np
 import pytest
 
+from gsde import lyapunov
 from gsde.expr import parse
-from gsde.gcalc import AmbiguityBounds
+from gsde.gcalc import AmbiguityBounds, g_lower, g_upper
 from gsde.integrator import SdeSpec
 from gsde.lyapunov import (
     CertificateError,
     CertificateSpec,
     CheckGrid,
     LyapunovFn,
-    best_lambda_T33,
     check_certificate,
-    check_local_growth,
-    op_H,
-    op_L,
-    op_L_lower,
+    sample_operators,
     validate_certificate,
     verdict_line,
     write_certificate_csv,
@@ -70,10 +67,9 @@ class TestOperators:
         t = np.zeros(3)
         expected_hi = (-2 * alpha + beta**2 * B.v_upper) * x * x
         expected_lo = (-2 * alpha + beta**2 * B.v_lower) * x * x
-        np.testing.assert_allclose(op_L(V2, spec, B, x, t), expected_hi, rtol=1e-12)
-        np.testing.assert_allclose(
-            op_L_lower(V2, spec, B, x, t), expected_lo, rtol=1e-12
-        )
+        ops = sample_operators(V2, spec, B, x, t)
+        np.testing.assert_allclose(ops.drift(g_upper), expected_hi, rtol=1e-12)
+        np.testing.assert_allclose(ops.drift(g_lower), expected_lo, rtol=1e-12)
 
     def test_negative_curvature_charges_band_floor(self):
         lyap = LyapunovFn.from_expr(parse("0 - x^2"))
@@ -82,26 +78,31 @@ class TestOperators:
         t = np.zeros(2)
         # V_xx = -2: g_upper(-2) = -v_lower
         expected = 2.0 * x * x - B.v_lower * x * x
-        np.testing.assert_allclose(op_L(lyap, spec, B, x, t), expected, rtol=1e-12)
+        np.testing.assert_allclose(
+            sample_operators(lyap, spec, B, x, t).drift(g_upper),
+            expected,
+            rtol=1e-12,
+        )
 
     def test_noise_operator(self):
         spec = linear_spec(1.0, 0.7)
         x = np.array([0.5, 2.0])
         t = np.zeros(2)
         np.testing.assert_allclose(
-            op_H(V2, spec, x, t), 4 * 0.49 * x**4, rtol=1e-12
+            sample_operators(V2, spec, B, x, t).H, 4 * 0.49 * x**4, rtol=1e-12
         )
 
     def test_sandwich_over_band(self):
-        """op_L_lower <= V_t + f V_x + (v/2) g^2 V_xx <= op_L for every v
-        in the band, including mixed-sign curvature."""
+        """L_lower <= V_t + f V_x + (v/2) g^2 V_xx <= L for every v in the
+        band, including mixed-sign curvature."""
         lyap = LyapunovFn.from_expr(parse("sin(x) + 2"))
         spec = SdeSpec(f=parse("-x + sin(t)"), g=parse("x + 0.3"), x0=1.0)
         xs = np.linspace(-3, 3, 41)
         ts = np.linspace(0, 5, 7)
         XX, TT = np.meshgrid(xs, ts, indexing="ij")
-        lo = op_L_lower(lyap, spec, B, XX, TT)
-        hi = op_L(lyap, spec, B, XX, TT)
+        ops = sample_operators(lyap, spec, B, XX, TT)
+        lo = ops.drift(g_lower)
+        hi = ops.drift(g_upper)
         from gsde.expr import evaluate
 
         vt = evaluate(lyap.V_t, XX, TT)
@@ -118,9 +119,28 @@ class TestOperators:
         spec = linear_spec(1.0, 1.0)
         x = np.linspace(-5, 5, 21)
         t = np.zeros(21)
-        np.testing.assert_array_equal(
-            op_L(V2, spec, B1, x, t), op_L_lower(V2, spec, B1, x, t)
-        )
+        ops = sample_operators(V2, spec, B1, x, t)
+        np.testing.assert_array_equal(ops.drift(g_upper), ops.drift(g_lower))
+
+    def test_each_input_evaluated_once(self, monkeypatch):
+        """One checked evaluation per V, g, V_t, f, V_x, V_xx, in that
+        order, plus one per time weight."""
+        calls = []
+        real = lyapunov.evaluate
+
+        def counting(e, x, t):
+            calls.append(e)
+            return real(e, x, t)
+
+        monkeypatch.setattr(lyapunov, "evaluate", counting)
+        spec = linear_spec(1.0, 1.0)
+        check_certificate(V2, spec, B1, CertificateSpec("T33", 2.0), GRID)
+        order = [V2.V, spec.g, V2.V_t, spec.f, V2.V_x, V2.V_xx]
+        assert [id(e) for e in calls] == [id(e) for e in order]
+        calls.clear()
+        check_certificate(V2, TestT38.SPEC, B, TestT38.CERT, GRID)
+        assert len(calls) == 7
+        assert calls[-1] is TestT38.CERT.phi
 
 
 class TestValidation:
@@ -233,23 +253,35 @@ class TestT33:
         decay = rep.hypothesis("decay")
         assert "-0.8" in decay.note
 
+    @staticmethod
+    def best_lambda(spec, band, p=2.0):
+        cert = CertificateSpec(theorem="T33", p=p)
+        return check_certificate(V2, spec, band, cert, GRID).lam
+
     def test_best_lambda_values(self):
-        assert best_lambda_T33(V2, linear_spec(1.0, 1.0), B1, GRID, 2.0) == (
+        assert self.best_lambda(linear_spec(1.0, 1.0), B1) == (
             pytest.approx(1.0, rel=1e-9)
         )
-        assert best_lambda_T33(V2, linear_spec(2.0, 1.0), B, GRID, 2.0) == (
+        assert self.best_lambda(linear_spec(2.0, 1.0), B) == (
             pytest.approx(3.0, rel=1e-9)
         )
-        assert best_lambda_T33(V2, linear_spec(0.1, 1.0), B1, GRID, 2.0) is None
+        assert self.best_lambda(linear_spec(0.1, 1.0), B1) is None
 
     def test_best_lambda_needs_envelope(self):
-        with pytest.raises(CertificateError, match="x\\|\\^p"):
-            best_lambda_T33(V2, linear_spec(1.0, 1.0), B1, GRID, 4.0)
+        # |x|^4 <= x^2 fails for |x| > 1, so the inferred rate grants nothing
+        rep = check_certificate(
+            V2, linear_spec(1.0, 1.0), B1,
+            CertificateSpec(theorem="T33", p=4.0), GRID,
+        )
+        assert not rep.granted
+        assert rep.bound is None
+        failed = [h.name for h in rep.hypotheses if not h.passed]
+        assert failed == ["envelope"]
 
     def test_wider_band_weakens_certificate(self):
         wide = AmbiguityBounds(1.0, 2.0)
-        lam_narrow = best_lambda_T33(V2, linear_spec(3.0, 1.0), B1, GRID, 2.0)
-        lam_wide = best_lambda_T33(V2, linear_spec(3.0, 1.0), wide, GRID, 2.0)
+        lam_narrow = self.best_lambda(linear_spec(3.0, 1.0), B1)
+        lam_wide = self.best_lambda(linear_spec(3.0, 1.0), wide)
         assert lam_narrow == pytest.approx(5.0, rel=1e-9)
         assert lam_wide == pytest.approx(2.0, rel=1e-9)
 
@@ -309,6 +341,7 @@ class TestT34:
         rep = check_certificate(V2, linear_spec(1.0, 1.0), B, cert, GRID)
         assert not rep.granted
         assert not rep.hypothesis("noise_floor").passed
+        assert rep.bound is None
 
 
 class TestT35:
@@ -443,25 +476,6 @@ class TestT38:
         )
         rep = check_certificate(lyap, self.SPEC, B, cert, GRID)
         assert not rep.hypothesis("envelope").passed
-
-
-class TestLocalGrowth:
-    def test_linear_coefficients(self):
-        rep = check_local_growth(linear_spec(2.0, 1.0), 5.0, GRID)
-        assert rep.certified
-        assert rep.bound == pytest.approx(5.0, rel=1e-9)  # alpha^2 + beta^2
-
-    def test_nonvanishing_drift_not_certified(self):
-        spec = SdeSpec(f=parse("1"), g=parse("x"), x0=1.0)
-        rep = check_local_growth(spec, 5.0, GRID)
-        assert not rep.certified
-        assert "vanish" in rep.note
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            check_local_growth(linear_spec(1.0, 1.0), -1.0, GRID)
-        with pytest.raises(ValueError):
-            check_local_growth(linear_spec(1.0, 1.0), 1e-4, GRID)
 
 
 class TestReports:

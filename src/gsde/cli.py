@@ -312,3 +312,7 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
     n_granted = sum(1 for _, r, _ in rows if r.granted)
     print(f"sweep over {param}: {n_granted}/{len(rows)} granted")
     return 0
+
+
+if __name__ == "__main__":
+    entry()

@@ -10,6 +10,17 @@ the exponential martingale inequality used by the pathwise arguments.
 All paths of all scenarios reuse the same per-path Wiener streams, so
 scenario comparisons are common-random-number comparisons and enlarging
 the family can only raise the estimated supremum.
+
+One lane engine, _run_lanes, serves every entry point: it advances all
+(scenario, path) pairs of a call as one scenario-major array of lanes,
+so a family of k scenarios on n paths steps k*n lanes at once.  A call
+holds at most 4000 lanes (larger families run in scenario groups, one
+scenario at least per group), and Wiener normals come in lane-major
+Philox blocks of 256 steps, so a block stays within 8 MB unless a single
+scenario has more than 4000 paths.  While no lane is flagged a step
+checks for explosions with a single max of |X|, and masks appear only
+after the first flag.  A family run gives each scenario exactly the
+numbers a run of that scenario alone gives.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ import numpy as np
 
 from .expr import Expr, compile_fn, differentiate, free_variables
 from .gcalc import AmbiguityBounds
-from .integrator import EXPLOSION_THRESHOLD, METHODS, SdeSpec
+from .integrator import EXPLOSION_THRESHOLD, METHODS, SdeSpec, _explain_or_flag
 from .scenario import (
     BangBangInTime,
     VolatilityScenario,
@@ -47,7 +58,11 @@ __all__ = [
     "martingale_bound_check",
 ]
 
-_BLOCK_STEPS = 2048
+# steps per Philox block: long enough that a standard_normal call's fixed
+# cost is small against its draws
+_BLOCK_STEPS = 256
+# lanes per engine call, so one block holds at most 256 * 4000 doubles
+_MAX_LANES = 4000
 _LOG_FLOOR = 1e-300
 # fraction of the horizon treated as the asymptotic tail
 _TAIL_FRACTION = 0.8
@@ -233,64 +248,77 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# batch engine
+# lane engine
 
 class _ExponentObserver:
-    """Per-path running max of (log|X(t)| - log|x0|) / (t - t0) over the
-    tail window, plus least-squares accumulators for the drift of the
-    cross-path mean of log|X|."""
+    """Per-lane running max of (log|X(t)| - log|x0|) / (t - t0) over the
+    tail window, plus per-scenario least-squares accumulators for the
+    drift of the cross-path mean of log|X|."""
 
-    def __init__(self, x0: float, t0: float, horizon: float, n_paths: int):
+    def __init__(self, x0, t0, horizon, n_scenarios, n_paths):
         self.t0 = t0
         self.window_start = t0 + _TAIL_FRACTION * horizon
         self.log_x0 = math.log(abs(x0))
-        self.acc = np.full(n_paths, -np.inf)
-        self.n = 0
-        self.st = 0.0
-        self.stt = 0.0
-        self.sy = 0.0
-        self.sty = 0.0
+        self.k = n_scenarios
+        self.acc = np.full(n_scenarios * n_paths, -np.inf)
+        self.n = np.zeros(n_scenarios, dtype=np.int64)
+        self.st = np.zeros(n_scenarios)
+        self.stt = np.zeros(n_scenarios)
+        self.sy = np.zeros(n_scenarios)
+        self.sty = np.zeros(n_scenarios)
 
     def pre_step(self, i, t, X, v, dW, dB, dtau, alive):
         pass
 
     def post_step(self, i, t_next, X, alive):
-        if t_next < self.window_start or not alive.any():
+        if t_next < self.window_start:
             return
         elapsed = t_next - self.t0
         logs = np.log(np.maximum(np.abs(X), _LOG_FLOOR)) - self.log_x0
-        self.acc = np.where(alive, np.maximum(self.acc, logs / elapsed), self.acc)
-        y = float(np.mean(logs[alive]))
-        self.n += 1
-        self.st += elapsed
-        self.stt += elapsed * elapsed
-        self.sy += y
-        self.sty += elapsed * y
+        np.maximum(self.acc, logs / elapsed, out=self.acc, where=alive)
+        rows = logs.reshape(self.k, -1)
+        if alive is True:
+            live = slice(None)
+            y = rows.mean(axis=1)
+        else:
+            ok = alive.reshape(self.k, -1)
+            live = ok.any(axis=1)
+            y = np.array([np.mean(r[m]) for r, m in zip(rows, ok) if m.any()])
+        self.n[live] += 1
+        self.st[live] += elapsed
+        self.stt[live] += elapsed * elapsed
+        self.sy[live] += y
+        self.sty[live] += elapsed * y
 
-    def slope(self) -> float:
-        denom = self.n * self.stt - self.st * self.st
-        if self.n < 2 or denom == 0:
-            return float("nan")
-        return (self.n * self.sty - self.st * self.sy) / denom
+    def slopes(self) -> list[float]:
+        out = []
+        for n, st, stt, sy, sty in zip(
+            self.n.tolist(), self.st.tolist(), self.stt.tolist(),
+            self.sy.tolist(), self.sty.tolist(),
+        ):
+            denom = n * stt - st * st
+            if n < 2 or denom == 0:
+                out.append(float("nan"))
+            else:
+                out.append((n * sty - st * sy) / denom)
+        return out
 
 
 class _FunctionalObserver:
     """Running max of |X|, accumulated driver B = sum dB, and accumulated
     quadratic variation QV = sum v dtau, all frozen once a path is flagged."""
 
-    def __init__(self, x0: float, n_paths: int):
-        self.runmax = np.full(n_paths, abs(x0))
-        self.B = np.zeros(n_paths)
-        self.QV = np.zeros(n_paths)
+    def __init__(self, x0: float, lanes: int):
+        self.runmax = np.full(lanes, abs(x0))
+        self.B = np.zeros(lanes)
+        self.QV = np.zeros(lanes)
 
     def pre_step(self, i, t, X, v, dW, dB, dtau, alive):
-        self.B[alive] += dB[alive]
-        self.QV[alive] += v[alive] * dtau
+        np.add(self.B, dB, out=self.B, where=alive)
+        np.add(self.QV, v * dtau, out=self.QV, where=alive)
 
     def post_step(self, i, t_next, X, alive):
-        self.runmax = np.where(
-            alive, np.maximum(self.runmax, np.abs(X)), self.runmax
-        )
+        np.maximum(self.runmax, np.abs(X), out=self.runmax, where=alive)
 
 
 class _MartingaleObserver:
@@ -298,28 +326,24 @@ class _MartingaleObserver:
     N - (gamma/2) Q per distinct gamma, and snapshots those maxima at the
     checkpoint times."""
 
-    def __init__(self, eta_fn, gammas, snap_steps, n_paths):
+    def __init__(self, eta_fn, gammas, snap_steps, lanes):
         self.eta_fn = eta_fn
-        self.N = np.zeros(n_paths)
-        self.Q = np.zeros(n_paths)
+        self.N = np.zeros(lanes)
+        self.Q = np.zeros(lanes)
         self.distinct = sorted(set(float(g) for g in gammas))
-        self.runmax = {g: np.zeros(n_paths) for g in self.distinct}
+        self.runmax = {g: np.zeros(lanes) for g in self.distinct}
         self.gammas = np.asarray(gammas, dtype=float)
         # snap_steps[j] = step index after which checkpoint j is reached
         self.snap_steps = snap_steps
-        self.M = np.full((len(gammas), n_paths), np.nan)
+        self.M = np.full((len(gammas), lanes), np.nan)
 
     def pre_step(self, i, t, X, v, dW, dB, dtau, alive):
-        eta = np.broadcast_to(
-            np.asarray(self.eta_fn(X, t), dtype=float), X.shape
-        )
-        self.N[alive] += (eta * dB)[alive]
-        self.Q[alive] += (eta * eta * v)[alive] * dtau
+        eta = self.eta_fn(X, t)
+        np.add(self.N, eta * dB, out=self.N, where=alive)
+        np.add(self.Q, eta * eta * v * dtau, out=self.Q, where=alive)
         for g in self.distinct:
             stat = self.N - 0.5 * g * self.Q
-            self.runmax[g] = np.where(
-                alive, np.maximum(self.runmax[g], stat), self.runmax[g]
-            )
+            np.maximum(self.runmax[g], stat, out=self.runmax[g], where=alive)
 
     def post_step(self, i, t_next, X, alive):
         for j in np.nonzero(self.snap_steps == i)[0]:
@@ -327,45 +351,77 @@ class _MartingaleObserver:
 
 
 @dataclass
-class _BatchResult:
+class _LaneResult:
+    """Final state and flags of every lane, scenario-major."""
+
     X: np.ndarray
     flagged: np.ndarray
+    n_scenarios: int
 
-    @property
-    def n_flagged(self) -> int:
-        return int(self.flagged.sum())
+    def per_scenario(self, values: np.ndarray) -> np.ndarray:
+        """Reshape a lane vector to (scenario, path) rows."""
+        return values.reshape(self.n_scenarios, -1)
+
+    def n_flagged(self) -> list[int]:
+        return self.per_scenario(self.flagged).sum(axis=1).tolist()
 
 
-def _run_batch(
+def _run_lanes(
     spec: SdeSpec,
-    scenario: VolatilityScenario,
+    scenarios,
     b: AmbiguityBounds,
     grid: np.ndarray,
     seed: int,
     n_paths: int,
     method: str,
     observers,
-) -> _BatchResult:
-    """Advance n_paths together, one vectorized step at a time.
+) -> _LaneResult:
+    """Advance n_paths paths under every scenario together, one vectorized
+    step over all (scenario, path) lanes at a time.
 
-    Path p consumes the same Wiener stream it has in sample_path, drawn in
-    blocks; a path whose state leaves [-threshold, threshold] or turns
-    non-finite is flagged, frozen at NaN, and ignored by the observers
-    from then on.
+    Lanes are scenario-major: scenario q owns lanes q*n_paths to
+    (q+1)*n_paths - 1, and its variance policy is called once per step on
+    that slice of X.  Lane (q, p) draws path p's Wiener stream from its own
+    Philox generator, as integrate does, so a family run equals its
+    scenarios run one by one, bit for bit.  Normals come in lane-major
+    blocks of _BLOCK_STEPS steps; step j of a block reads column j.
+
+    alive is True until the first flag and ~flagged after it; observers
+    pass it as `where=` to their updates.  While it is True the only
+    explosion check is one max of |X|.  A lane whose state leaves
+    [-threshold, threshold] or turns non-finite is flagged and frozen at
+    NaN.  A non-finite lane is first re-evaluated at its pre-step state
+    with the checked evaluator, so a domain violation raises
+    EvalDomainError naming the node; overflow, in the step or inside f or
+    g, only flags the lane.  The re-check runs lane by lane, since one
+    lane's overflow must not hide another's domain violation; a lane is
+    re-checked at most once, as it is flagged afterwards.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+    k = len(scenarios)
+    lanes = k * n_paths
     n_steps = grid.size - 1
     f_fn = compile_fn(spec.f)
     g_fn = compile_fn(spec.g)
     gx_fn = compile_fn(differentiate(spec.g, "x")) if method == "milstein" else None
-    var_fn = variance_stream(scenario, b, grid, seed, np.arange(n_paths))
-    gens = [stream_generator(seed, WIENER_STREAM, p) for p in range(n_paths)]
+    paths = np.arange(n_paths)
+    policies = [
+        (slice(q * n_paths, (q + 1) * n_paths),
+         variance_stream(s, b, grid, seed, paths))
+        for q, s in enumerate(scenarios)
+    ]
+    gens = [
+        stream_generator(seed, WIENER_STREAM, p)
+        for _ in range(k)
+        for p in range(n_paths)
+    ]
+    block = np.empty((lanes, min(_BLOCK_STEPS, n_steps)))
 
-    X = np.full(n_paths, float(spec.x0))
-    alive = np.ones(n_paths, dtype=bool)
-    flagged = np.zeros(n_paths, dtype=bool)
-    block = np.empty((n_paths, 0))
+    X = np.full(lanes, float(spec.x0))
+    v = np.empty(lanes)
+    alive = True
+    flagged = np.zeros(lanes, dtype=bool)
     sqrt_dtau = np.sqrt(np.diff(grid))
 
     with np.errstate(all="ignore"):
@@ -373,32 +429,38 @@ def _run_batch(
             j = i % _BLOCK_STEPS
             if j == 0:
                 width = min(_BLOCK_STEPS, n_steps - i)
-                tmp = np.empty((n_paths, width))
-                for p, gen in enumerate(gens):
-                    tmp[p] = gen.standard_normal(width)
-                block = np.ascontiguousarray(tmp.T)
+                for row, gen in zip(block, gens):
+                    gen.standard_normal(out=row[:width])
             t = grid[i]
             dtau = grid[i + 1] - grid[i]
-            dW = block[j] * sqrt_dtau[i]
-            v = np.broadcast_to(
-                np.asarray(var_fn(i, t, X), dtype=float), X.shape
-            )
+            dW = block[:, j] * sqrt_dtau[i]
+            for lane_slice, var_fn in policies:
+                v[lane_slice] = var_fn(i, t, X[lane_slice])
             dB = np.sqrt(v) * dW
             for obs in observers:
                 obs.pre_step(i, t, X, v, dW, dB, dtau, alive)
             Xn = X + f_fn(X, t) * dtau + g_fn(X, t) * dB
             if gx_fn is not None:
-                Xn = Xn + 0.5 * g_fn(X, t) * np.broadcast_to(
-                    np.asarray(gx_fn(X, t), dtype=float), X.shape
-                ) * v * (dW * dW - dtau)
-            bad = alive & ~(np.abs(Xn) <= EXPLOSION_THRESHOLD)
-            if bad.any():
+                Xn = Xn + 0.5 * g_fn(X, t) * gx_fn(X, t) * v * (dW * dW - dtau)
+            if alive is True and np.abs(Xn).max() <= EXPLOSION_THRESHOLD:
+                X = Xn
+            else:
+                bad = alive & ~(np.abs(Xn) <= EXPLOSION_THRESHOLD)
+                for x in X[bad & ~np.isfinite(Xn)].tolist():
+                    _explain_or_flag(spec, x, float(t))
                 flagged |= bad
-                alive &= ~bad
-            X = np.where(alive, Xn, np.nan)
+                alive = ~flagged
+                X = np.where(alive, Xn, np.nan)
             for obs in observers:
                 obs.post_step(i, grid[i + 1], X, alive)
-    return _BatchResult(X=X, flagged=flagged)
+    return _LaneResult(X=X, flagged=flagged, n_scenarios=k)
+
+
+def _scenario_groups(scenarios, n_paths: int) -> list:
+    """Split a family into engine calls of at most _MAX_LANES lanes, at
+    least one scenario each."""
+    size = max(1, _MAX_LANES // n_paths)
+    return [scenarios[q:q + size] for q in range(0, len(scenarios), size)]
 
 
 def _validate_run(spec, horizon, dt, n_paths):
@@ -415,32 +477,45 @@ def _validate_run(spec, horizon, dt, n_paths):
 # ---------------------------------------------------------------------------
 # exponent estimation
 
-def _scenario_exponent(
-    spec, scenario, b, grid, seed, n_paths, method, horizon
-) -> ScenarioExponent:
-    obs = _ExponentObserver(spec.x0, spec.t0, horizon, n_paths)
-    res = _run_batch(spec, scenario, b, grid, seed, n_paths, method, [obs])
-    ok = ~res.flagged
-    if not ok.any():
-        return ScenarioExponent(
-            label=scenario.label(),
-            mean=float("nan"),
-            max=float("nan"),
-            stderr=float("nan"),
-            slope=float("nan"),
-            n_paths=n_paths,
-            n_flagged=n_paths,
-        )
-    vals = obs.acc[ok]
-    return ScenarioExponent(
-        label=scenario.label(),
-        mean=_centered_mean(vals),
-        max=float(np.max(vals)),
-        stderr=_stderr(vals),
-        slope=obs.slope(),
-        n_paths=n_paths,
-        n_flagged=res.n_flagged,
-    )
+def _scenario_exponents(
+    spec, scenarios, b, grid, seed, n_paths, method, horizon
+) -> list[ScenarioExponent]:
+    """Exponent statistics of each scenario, one lane-engine run per
+    scenario group."""
+    out = []
+    for group in _scenario_groups(scenarios, n_paths):
+        obs = _ExponentObserver(spec.x0, spec.t0, horizon, len(group), n_paths)
+        res = _run_lanes(spec, group, b, grid, seed, n_paths, method, [obs])
+        for s, acc, flagged, n_flagged, slope in zip(
+            group,
+            res.per_scenario(obs.acc),
+            res.per_scenario(res.flagged),
+            res.n_flagged(),
+            obs.slopes(),
+        ):
+            ok = ~flagged
+            if not ok.any():
+                out.append(ScenarioExponent(
+                    label=s.label(),
+                    mean=float("nan"),
+                    max=float("nan"),
+                    stderr=float("nan"),
+                    slope=float("nan"),
+                    n_paths=n_paths,
+                    n_flagged=n_paths,
+                ))
+                continue
+            vals = acc[ok]
+            out.append(ScenarioExponent(
+                label=s.label(),
+                mean=_centered_mean(vals),
+                max=float(np.max(vals)),
+                stderr=_stderr(vals),
+                slope=slope,
+                n_paths=n_paths,
+                n_flagged=n_flagged,
+            ))
+    return out
 
 
 def estimate_exponent(
@@ -466,10 +541,9 @@ def estimate_exponent(
     if not scenarios:
         raise EstimationError("need at least one scenario")
     grid = uniform_grid(spec.t0, horizon, dt)
-    per = [
-        _scenario_exponent(spec, s, b, grid, seed, n_paths, method, horizon)
-        for s in scenarios
-    ]
+    per = _scenario_exponents(
+        spec, scenarios, b, grid, seed, n_paths, method, horizon
+    )
     means = [s.mean for s in per if not math.isnan(s.mean)]
     maxes = [s.max for s in per if not math.isnan(s.max)]
     if not means:
@@ -489,7 +563,7 @@ def estimate_exponent(
 # ---------------------------------------------------------------------------
 # sublinear expectation of path functionals
 
-def _functional_values(name, p, res: _BatchResult, obs: _FunctionalObserver):
+def _functional_values(name, p, res: _LaneResult, obs: _FunctionalObserver):
     if name == "terminal_abs_pow":
         return np.abs(res.X) ** p
     if name == "running_max_abs":
@@ -547,15 +621,18 @@ def estimate_sublinear_expectation(
     grid = uniform_grid(spec.t0, horizon, dt)
     means = []
     stderrs = []
-    flagged = []
-    for s in scenarios:
-        obs = _FunctionalObserver(spec.x0, n_paths)
-        res = _run_batch(spec, s, b, grid, seed, n_paths, method, [obs])
-        ok = ~res.flagged
-        vals = _functional_values(functional, p, res, obs)[ok]
-        means.append(_centered_mean(vals))
-        stderrs.append(_stderr(vals))
-        flagged.append(res.n_flagged)
+    n_flagged = []
+    for group in _scenario_groups(scenarios, n_paths):
+        obs = _FunctionalObserver(spec.x0, len(group) * n_paths)
+        res = _run_lanes(spec, group, b, grid, seed, n_paths, method, [obs])
+        for row, flagged in zip(
+            res.per_scenario(_functional_values(functional, p, res, obs)),
+            res.per_scenario(res.flagged),
+        ):
+            vals = row[~flagged]
+            means.append(_centered_mean(vals))
+            stderrs.append(_stderr(vals))
+        n_flagged += res.n_flagged()
     finite = [m for m in means if not math.isnan(m)]
     if not finite:
         raise EstimationError("every scenario was fully flagged")
@@ -568,7 +645,7 @@ def estimate_sublinear_expectation(
         labels=labels,
         means=tuple(means),
         stderrs=tuple(stderrs),
-        n_flagged=tuple(flagged),
+        n_flagged=tuple(n_flagged),
         n_paths=n_paths,
     )
 
@@ -606,20 +683,22 @@ def adversarial_search(
     _validate_run(spec, horizon, dt, n_paths)
     grid = uniform_grid(spec.t0, horizon, dt)
 
+    def objectives(cands) -> list[float]:
+        return [
+            float("inf") if est.n_flagged > 0 else est.mean
+            for est in _scenario_exponents(
+                spec, cands, b, grid, seed, n_paths, method, horizon
+            )
+        ]
+
     def objective(s) -> float:
-        est = _scenario_exponent(spec, s, b, grid, seed, n_paths, method, horizon)
-        if est.n_flagged > 0:
-            return float("inf")
-        return est.mean
+        return objectives([s])[0]
 
     family = enumerate_family(b, richness)
-    evaluations = 0
+    phase_one = family[:budget]
+    evaluations = len(phase_one)
     best: tuple[float, VolatilityScenario] | None = None
-    for s in family:
-        if evaluations >= budget:
-            break
-        val = objective(s)
-        evaluations += 1
+    for s, val in zip(phase_one, objectives(phase_one)):
         if best is None or val > best[0]:
             best = (val, s)
     baseline_complete = evaluations >= len(family)
@@ -721,7 +800,7 @@ def martingale_bound_check(
     )
     eta_fn = compile_fn(mspec.eta)
     obs = _MartingaleObserver(eta_fn, gammas, snap_steps, n_paths)
-    res = _run_batch(spec, scenario, b, grid, seed, n_paths, method, [obs])
+    res = _run_lanes(spec, [scenario], b, grid, seed, n_paths, method, [obs])
 
     bounds = (mspec.theta / gammas) * np.log(mspec.growth_values())
     ok = obs.M <= bounds[:, None]
@@ -741,6 +820,6 @@ def martingale_bound_check(
         violation_fraction=violation,
         bounds=bounds,
         n_paths=n_paths,
-        n_flagged=res.n_flagged,
+        n_flagged=res.n_flagged()[0],
         scenario_label=scenario.label(),
     )

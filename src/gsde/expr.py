@@ -39,6 +39,7 @@ __all__ = [
     "ExprError",
     "ParseError",
     "EvalDomainError",
+    "EvalOverflowError",
     "parse",
     "evaluate",
     "differentiate",
@@ -81,6 +82,12 @@ class EvalDomainError(ExprError):
         loc = f" at offset {off}" if off is not None else ""
         super().__init__(f"{message} in '{where}'{loc}")
         self.node = node
+
+
+class EvalOverflowError(EvalDomainError):
+    """A finite argument gave a non-finite result (arithmetic overflow,
+    such as exp of a large state) rather than leaving a function's
+    domain."""
 
 
 @dataclass(frozen=True)
@@ -329,7 +336,7 @@ def to_source(e: Expr) -> str:
 
 def _check_finite(val, node: Expr):
     if not np.all(np.isfinite(val)):
-        raise EvalDomainError("non-finite result", node)
+        raise EvalOverflowError("non-finite result", node)
     return val
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, compile_fn, differentiate, evaluate
+from .expr import EvalOverflowError, Expr, compile_fn, differentiate, evaluate
 from .gcalc import AmbiguityBounds
 from .scenario import (
     PathBundle,
@@ -69,9 +69,13 @@ class SimulationRun:
 def _explain_or_flag(spec: SdeSpec, x: float, t: float) -> None:
     """Re-evaluate the step's coefficients with the checked evaluator; a
     domain violation raises EvalDomainError with the offending node, while
-    plain arithmetic overflow returns and the caller flags the run."""
-    evaluate(spec.f, x, t)
-    evaluate(spec.g, x, t)
+    plain arithmetic overflow, in the step or inside f or g, returns and
+    the caller flags the run."""
+    for coeff in (spec.f, spec.g):
+        try:
+            evaluate(coeff, x, t)
+        except EvalOverflowError:
+            pass
 
 
 def integrate(

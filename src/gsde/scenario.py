@@ -45,7 +45,6 @@ __all__ = [
     "variance_stream",
 ]
 
-_MASK64 = (1 << 64) - 1
 WIENER_STREAM = 0
 LEVEL_STREAM = 1
 
@@ -59,11 +58,14 @@ def _fmt(v: float) -> str:
 
 
 def stream_generator(seed: int, stream: int, path_index: int) -> np.random.Generator:
-    """Philox generator keyed by (seed, stream id, path index)."""
+    """Philox generator keyed by (seed, stream id, path index); the seed
+    must lie in [0, 2^64)."""
+    if not 0 <= seed < (1 << 64):
+        raise ValueError("seed must lie in [0, 2^64)")
     if path_index < 0 or path_index >= (1 << 56):
         raise ValueError("path_index out of range")
     key = np.array(
-        [seed & _MASK64, ((stream & 0xFF) << 56) | path_index],
+        [seed, ((stream & 0xFF) << 56) | path_index],
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))

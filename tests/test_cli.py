@@ -1,7 +1,13 @@
 """End-to-end CLI checks driven through main()."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import gsde
 from gsde.cli import main
 
 CERT_GRANT = """
@@ -112,6 +118,43 @@ class TestExitCodes:
         argv = ["exponent", "--config", cfg, "--seed", str(seed)]
         assert main(argv + ["--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "drift, x0",
+        [
+            # a few paths cross x = -1.5, the rest stay in the domain
+            ("-x+0.001*log(x+1.5)", "1.0"),
+            # nearly every path steps below 0
+            ("log(x)", "0.01"),
+        ],
+    )
+    def test_estimator_domain_error_is_3(self, tmp_path, capsys, drift, x0):
+        cfg = write(
+            tmp_path,
+            EXPONENT.replace("sde.f = -x", f"sde.f = {drift}")
+            .replace("sde.g = x", "sde.g = 0.8")
+            .replace("sde.x0 = 1.0", f"sde.x0 = {x0}")
+            .replace("scenarios.richness = 1", "scenarios.list = constant:1")
+            .replace("numerics.horizon = 20", "numerics.horizon = 5")
+            .replace("numerics.n_paths = 20", "numerics.n_paths = 200"),
+        )
+        assert main(["exponent", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "log(" in capsys.readouterr().err
+
+    def test_module_entry_point_exit_code(self, tmp_path):
+        """`python -m gsde.cli` runs main() and exits with its code."""
+        cfg = write(tmp_path, "nonsense.key = 1\n")
+        src = str(Path(gsde.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "gsde.cli", "exponent", "--config", cfg],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+
 
 class TestCertify:
     def test_granted(self, tmp_path, capsys):
@@ -149,6 +192,23 @@ class TestExponent:
         assert "family_sup_max" in labels
         assert len(labels) == 3 + 2  # richness 1 family plus two summary rows
         assert "worst scenario" in capsys.readouterr().out
+
+    def test_overflowing_drift_flags_paths(self, tmp_path):
+        """exp(x) overflowing on an escaping path is an explosion, not a
+        domain error: the path is flagged and the run still succeeds."""
+        cfg = write(
+            tmp_path,
+            EXPONENT.replace("sde.f = -x", "sde.f = -x+0.1*exp(x)")
+            .replace("sde.g = x", "sde.g = 1.5")
+            .replace("scenarios.richness = 1", "scenarios.list = constant:1")
+            .replace("numerics.horizon = 20", "numerics.horizon = 5")
+            .replace("numerics.n_paths = 20", "numerics.n_paths = 200"),
+        )
+        out = tmp_path / "out"
+        assert main(["exponent", "--config", cfg, "--out", str(out)]) == 0
+        row = (out / "exponent.csv").read_text().splitlines()[1].split(",")
+        assert row[0] == "constant:1"
+        assert row[5:7] == ["200", "17"]  # n_paths, n_flagged
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = write(tmp_path, EXPONENT)

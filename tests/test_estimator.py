@@ -5,11 +5,13 @@ Light configurations throughout (short horizons, modest path counts);
 the statistical assertions use generous multiples of the standard error.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from gsde import estimator
 from gsde.estimator import (
     EstimationError,
     MartingaleCheckSpec,
@@ -21,7 +23,15 @@ from gsde.estimator import (
 from gsde.expr import parse
 from gsde.gcalc import AmbiguityBounds
 from gsde.integrator import SdeSpec, integrate
-from gsde.scenario import BangBangInTime, Constant, enumerate_family, uniform_grid
+from gsde.scenario import (
+    BangBangInTime,
+    BangBangInX,
+    Constant,
+    FeedbackSignVxx,
+    PiecewiseRandom,
+    enumerate_family,
+    uniform_grid,
+)
 
 B1 = AmbiguityBounds(1.0, 1.0)
 B = AmbiguityBounds(0.5, 1.0)
@@ -169,6 +179,96 @@ class TestExponent:
             seed=2, method="milstein",
         )
         assert est.scenarios[0].n_flagged == 0
+
+
+def _same(a, b):
+    """Field-by-field equality in which NaN equals NaN."""
+    return all(
+        x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y))
+        for x, y in zip(a, b)
+    )
+
+
+class TestFamilyEqualsSingles:
+    """One lane-engine run over a family must give each scenario exactly
+    what a run of that scenario alone gives, including with flagged lanes:
+    dX = 2X dt + 2X dB explodes at the band floor v = 0.0625 (every path),
+    partly under the floor-then-top schedule and the random levels, and
+    not at all elsewhere.  dX = -X dt + X dB flags no path, so its family
+    run never leaves the unmasked path."""
+
+    SPEC = SdeSpec(f=parse("2*x"), g=parse("2*x"), x0=1.0)
+    BAND = AmbiguityBounds(0.25, 1.0)
+    FAMILY = (
+        Constant(0.0625),
+        BangBangInTime((14.0, 25.0), (0.0625, 1.0)),
+        BangBangInX(1e4, 0.0625, 1.0),
+        FeedbackSignVxx(parse("x^2+x^4")),
+        PiecewiseRandom(2.0),
+        Constant(1.0),
+    )
+    RUN = dict(horizon=25.0, dt=0.01, n_paths=8, seed=0)
+
+    @pytest.fixture(autouse=True, params=[4000, 16], ids=["one_call", "pairs"])
+    def engine_sizes(self, request, monkeypatch):
+        # 23-step normal blocks, which do not divide the 2500 steps; with 16
+        # lanes per call the 8-path family runs as three pairs of scenarios
+        monkeypatch.setattr(estimator, "_BLOCK_STEPS", 23)
+        monkeypatch.setattr(estimator, "_MAX_LANES", request.param)
+
+    def check_exponent(self, spec, method, run):
+        est = estimate_exponent(spec, self.FAMILY, self.BAND, method=method, **run)
+        for s, got in zip(self.FAMILY, est.scenarios):
+            if got.n_flagged == got.n_paths:
+                with pytest.raises(EstimationError, match="flagged"):
+                    estimate_exponent(spec, [s], self.BAND, method=method, **run)
+                assert math.isnan(got.mean) and math.isnan(got.slope)
+                continue
+            alone = estimate_exponent(
+                spec, [s], self.BAND, method=method, **run
+            ).scenarios[0]
+            assert _same(dataclasses.astuple(got), dataclasses.astuple(alone))
+        return [s.n_flagged for s in est.scenarios]
+
+    @pytest.mark.parametrize("method", ["euler", "milstein"])
+    @pytest.mark.parametrize("overflowing", [True, False])
+    def test_exponent(self, method, overflowing):
+        spec = self.SPEC if overflowing else linear_spec(1.0, 1.0)
+        flagged = self.check_exponent(spec, method, self.RUN)
+        if overflowing:
+            assert flagged[0] == 8 and 0 < flagged[1] < 8 and flagged[-1] == 0
+        else:
+            assert not any(flagged)
+
+    def test_exponent_long_rows(self):
+        """With 136 paths the per-scenario means sum rows longer than 128,
+        where numpy switches to pairwise summation.  Over 16 time units
+        the band floor flags paths, so the family run is masked, while
+        v = 1 flags none and runs unmasked alone; the two must agree."""
+        flagged = self.check_exponent(
+            self.SPEC, "euler", dict(self.RUN, horizon=16.0, n_paths=136)
+        )
+        assert flagged[0] > 0 and flagged[-1] == 0
+
+    @pytest.mark.parametrize("method", ["euler", "milstein"])
+    @pytest.mark.parametrize("functional", ["running_max_abs", "terminal_b_plus_qv"])
+    def test_sublinear(self, method, functional):
+        est = estimate_sublinear_expectation(
+            functional, self.SPEC, self.FAMILY, self.BAND, method=method,
+            **self.RUN,
+        )
+        for q, s in enumerate(self.FAMILY):
+            if est.n_flagged[q] == self.RUN["n_paths"]:
+                assert math.isnan(est.means[q])
+                continue
+            alone = estimate_sublinear_expectation(
+                functional, self.SPEC, [s], self.BAND, method=method,
+                **self.RUN,
+            )
+            assert _same(
+                (est.means[q], est.stderrs[q], est.n_flagged[q]),
+                (alone.means[0], alone.stderrs[0], alone.n_flagged[0]),
+            )
 
 
 class TestSublinearExpectation:

@@ -115,6 +115,15 @@ class TestExplosion:
         head = run.bundle.X[:i]
         assert np.all(np.abs(head[np.isfinite(head)]) <= EXPLOSION_THRESHOLD)
 
+    def test_overflow_inside_drift_flags(self):
+        """exp(x) overflows once the state escapes; that is an explosion,
+        not a domain error, so the run is flagged instead of raising."""
+        spec = SdeSpec(f=parse("exp(x)"), g=parse("0"), x0=1.0)
+        grid = uniform_grid(0.0, 1.0, 0.1)
+        run = integrate(spec, Constant(1.0), B1, grid, seed=0)
+        assert run.exploded
+        assert np.all(np.isnan(run.bundle.X[run.first_bad_index:]))
+
     def test_domain_error_surfaces_with_location(self):
         spec = SdeSpec(f=parse("-x"), g=parse("sqrt(x)"), x0=1.0)
         grid = uniform_grid(0.0, 5.0, 0.01)

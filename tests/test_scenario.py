@@ -104,6 +104,17 @@ class TestReproducibility:
                                 + [gen.standard_normal(1000 - 3 * 256)])
         np.testing.assert_array_equal(z_all, chunks)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected(self, seed):
+        """Seeds outside [0, 2^64) must not wrap onto a valid key."""
+        with pytest.raises(ValueError, match="seed"):
+            standard_increments(seed, 0, 4)
+
+    def test_largest_seed_accepted(self):
+        z = standard_increments(2**64 - 1, 0, 4)
+        assert np.all(np.isfinite(z))
+        assert not np.array_equal(z, standard_increments(0, 0, 4))
+
     def test_increment_moments(self):
         grid = uniform_grid(0.0, 1.0, 0.5)
         zs = np.array(

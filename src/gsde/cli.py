@@ -15,7 +15,6 @@ the same config and seed writes byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .config import (
     build_sde,
     load_config,
 )
+from .csvio import write_csv
 from .estimator import EstimationError, estimate_exponent
 from .expr import EvalDomainError
 from .integrator import integrate, write_path_csv
@@ -43,12 +43,6 @@ from .lyapunov import (
 from .scenario import ScenarioError, uniform_grid
 
 __all__ = ["main", "entry"]
-
-
-def _fmt(v) -> str:
-    if v is None or v == "":
-        return ""
-    return format(float(v), ".17g")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,42 +98,57 @@ def entry() -> None:
     sys.exit(main())
 
 
-def _resolve_seed(cfg, args) -> int:
-    num = build_numerics(cfg)
-    return num.seed if args.seed is None else args.seed
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _require_lyapunov(cfg):
+def _check(cfg):
+    """Check the configured certificate and return its report."""
+    bounds = build_bounds(cfg)
+    sde = build_sde(cfg)
     lyap = build_lyapunov(cfg)
     if lyap is None:
         raise ConfigError("lyapunov.v is required for this command")
-    return lyap
+    cert = build_certificate(cfg, bounds)
+    grid = build_grid(cfg, sde.t0)
+    return check_certificate(lyap, sde, bounds, cert, grid)
+
+
+def _scenarios(cfg, bounds):
+    """The configured family; feedback_vxx reads the energy function."""
+    lyap = build_lyapunov(cfg)
+    return build_scenarios(
+        cfg, bounds, lyapunov=lyap.V if lyap is not None else None
+    )
+
+
+def _estimate(cfg, args):
+    """Estimate the configured family's rates; --seed overrides the
+    config's seed."""
+    bounds = build_bounds(cfg)
+    sde = build_sde(cfg)
+    scenarios = _scenarios(cfg, bounds)
+    num = build_numerics(cfg)
+    return estimate_exponent(
+        sde,
+        scenarios,
+        bounds,
+        horizon=num.horizon,
+        dt=num.dt,
+        n_paths=num.n_paths,
+        seed=num.seed if args.seed is None else args.seed,
+        method=num.method,
+    )
 
 
 def _cmd_certify(cfg, args, out_dir: Path) -> int:
-    bounds = build_bounds(cfg)
-    sde = build_sde(cfg)
-    lyap = _require_lyapunov(cfg)
-    cert = build_certificate(cfg, bounds)
-    grid = build_grid(cfg, sde.t0)
-    report = check_certificate(lyap, sde, bounds, cert, grid)
+    report = _check(cfg)
     write_certificate_csv(out_dir / "certificate.csv", report)
-    with open(out_dir / "verdict.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theorem", "granted", "bound", "lambda", "p", "caveats"])
-        writer.writerow(
-            [
-                report.theorem,
-                "true" if report.granted else "false",
-                _fmt(report.bound),
-                _fmt(report.lam),
-                _fmt(report.p),
-                "; ".join(report.caveats),
-            ]
-        )
+    write_csv(
+        out_dir / "verdict.csv",
+        ("theorem", "granted", "bound", "lambda", "p", "caveats"),
+        [(report.theorem, report.granted, report.bound, report.lam, report.p,
+          "; ".join(report.caveats))],
+    )
     print(verdict_line(report))
     for caveat in report.caveats:
         print(f"caveat: {caveat}")
@@ -147,59 +156,22 @@ def _cmd_certify(cfg, args, out_dir: Path) -> int:
 
 
 def _cmd_exponent(cfg, args, out_dir: Path) -> int:
-    bounds = build_bounds(cfg)
-    sde = build_sde(cfg)
-    lyap = build_lyapunov(cfg)
-    scenarios = build_scenarios(
-        cfg, bounds, lyapunov=lyap.V if lyap is not None else None
+    est = _estimate(cfg, args)
+    rows = [
+        (s.label, s.mean, s.max, s.stderr, s.slope, s.n_paths, s.n_flagged,
+         est.horizon)
+        for s in est.scenarios
+    ]
+    rows.append(("family_sup_mean", est.family_sup_mean, None, None, None,
+                 est.n_paths, None, est.horizon))
+    rows.append(("family_sup_max", None, est.family_sup, None, None,
+                 est.n_paths, None, est.horizon))
+    write_csv(
+        out_dir / "exponent.csv",
+        ("scenario", "mean_exponent", "max_exponent", "stderr", "slope",
+         "n_paths", "n_flagged", "horizon"),
+        rows,
     )
-    num = build_numerics(cfg)
-    seed = _resolve_seed(cfg, args)
-    est = estimate_exponent(
-        sde,
-        scenarios,
-        bounds,
-        horizon=num.horizon,
-        dt=num.dt,
-        n_paths=num.n_paths,
-        seed=seed,
-        method=num.method,
-    )
-    with open(out_dir / "exponent.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "scenario",
-                "mean_exponent",
-                "max_exponent",
-                "stderr",
-                "slope",
-                "n_paths",
-                "n_flagged",
-                "horizon",
-            ]
-        )
-        for s in est.scenarios:
-            writer.writerow(
-                [
-                    s.label,
-                    _fmt(s.mean),
-                    _fmt(s.max),
-                    _fmt(s.stderr),
-                    _fmt(s.slope),
-                    s.n_paths,
-                    s.n_flagged,
-                    _fmt(est.horizon),
-                ]
-            )
-        writer.writerow(
-            ["family_sup_mean", _fmt(est.family_sup_mean), "", "", "",
-             est.n_paths, "", _fmt(est.horizon)]
-        )
-        writer.writerow(
-            ["family_sup_max", "", _fmt(est.family_sup), "", "",
-             est.n_paths, "", _fmt(est.horizon)]
-        )
     print(
         f"family sup of mean rates {est.family_sup_mean:.6g} "
         f"(worst scenario {est.argmax_label}); "
@@ -211,16 +183,13 @@ def _cmd_exponent(cfg, args, out_dir: Path) -> int:
 def _cmd_simulate(cfg, args, out_dir: Path) -> int:
     bounds = build_bounds(cfg)
     sde = build_sde(cfg)
-    lyap = build_lyapunov(cfg)
-    scenarios = build_scenarios(
-        cfg, bounds, lyapunov=lyap.V if lyap is not None else None
-    )
+    scenarios = _scenarios(cfg, bounds)
     if len(scenarios) != 1:
         raise ConfigError(
             f"simulate needs exactly one scenario, got {len(scenarios)}"
         )
     num = build_numerics(cfg)
-    seed = _resolve_seed(cfg, args)
+    seed = num.seed if args.seed is None else args.seed
     grid = uniform_grid(sde.t0, num.horizon, num.dt)
     n_exploded = 0
     for p in range(num.n_paths):
@@ -261,31 +230,9 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
             k: (val if k.startswith("sweep.") else val.replace(placeholder, repr(v)))
             for k, val in cfg.items()
         }
-        bounds = build_bounds(sub)
-        sde = build_sde(sub)
-        lyap = build_lyapunov(sub)
-        if lyap is None:
-            raise ConfigError("lyapunov.v is required for sweep")
-        cert = build_certificate(sub, bounds)
-        grid = build_grid(sub, sde.t0)
-        report = check_certificate(lyap, sde, bounds, cert, grid)
-        exponent = None
-        if with_estimate:
-            scenarios = build_scenarios(sub, bounds, lyapunov=lyap.V)
-            num = build_numerics(sub)
-            seed = _resolve_seed(sub, args)
-            est = estimate_exponent(
-                sde,
-                scenarios,
-                bounds,
-                horizon=num.horizon,
-                dt=num.dt,
-                n_paths=num.n_paths,
-                seed=seed,
-                method=num.method,
-            )
-            exponent = est.family_sup_mean
-        rows.append((v, report, exponent))
+        report = _check(sub)
+        exponent = _estimate(sub, args).family_sup_mean if with_estimate else None
+        rows.append((param, v, report.granted, report.bound, exponent))
         print(
             f"{param}={v:g}: "
             + (
@@ -296,20 +243,12 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
             + (f", estimated rate {exponent:.6g}" if exponent is not None else "")
         )
 
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "value", "granted", "bound", "exponent"])
-        for v, report, exponent in rows:
-            writer.writerow(
-                [
-                    param,
-                    _fmt(v),
-                    "true" if report.granted else "false",
-                    _fmt(report.bound),
-                    _fmt(exponent) if exponent is not None else "",
-                ]
-            )
-    n_granted = sum(1 for _, r, _ in rows if r.granted)
+    write_csv(
+        out_dir / "sweep.csv",
+        ("parameter", "value", "granted", "bound", "exponent"),
+        rows,
+    )
+    n_granted = sum(granted for _, _, granted, _, _ in rows)
     print(f"sweep over {param}: {n_granted}/{len(rows)} granted")
     return 0
 

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, compile_fn, differentiate, free_variables
+from .expr import Expr, check_domain, compile_fn, differentiate, free_variables
 from .gcalc import AmbiguityBounds
-from .integrator import EXPLOSION_THRESHOLD, METHODS, SdeSpec, _explain_or_flag
+from .integrator import EXPLOSION_THRESHOLD, METHODS, SdeSpec
 from .scenario import (
     BangBangInTime,
     VolatilityScenario,
@@ -447,7 +447,7 @@ def _run_lanes(
             else:
                 bad = alive & ~(np.abs(Xn) <= EXPLOSION_THRESHOLD)
                 for x in X[bad & ~np.isfinite(Xn)].tolist():
-                    _explain_or_flag(spec, x, float(t))
+                    check_domain((spec.f, spec.g), x, float(t))
                 flagged |= bad
                 alive = ~flagged
                 X = np.where(alive, Xn, np.nan)

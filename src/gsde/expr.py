@@ -42,6 +42,7 @@ __all__ = [
     "EvalOverflowError",
     "parse",
     "evaluate",
+    "check_domain",
     "differentiate",
     "to_source",
     "compile_fn",
@@ -407,6 +408,19 @@ def evaluate(e: Expr, x, t):
     raise EvalDomainError instead of propagating nan/inf.
     """
     return _eval(e, x, t)
+
+
+def check_domain(exprs, x, t) -> None:
+    """Re-evaluate exprs at one point whose compiled result was non-finite.
+
+    A domain violation raises EvalDomainError naming the offending node;
+    plain overflow (EvalOverflowError) returns, so the caller can treat
+    it as an explosion."""
+    for e in exprs:
+        try:
+            evaluate(e, x, t)
+        except EvalOverflowError:
+            pass
 
 
 # ---------------------------------------------------------------------------

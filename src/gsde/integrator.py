@@ -16,13 +16,13 @@ instead.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalOverflowError, Expr, compile_fn, differentiate, evaluate
+from .csvio import write_csv
+from .expr import Expr, check_domain, compile_fn, differentiate
 from .gcalc import AmbiguityBounds
 from .scenario import (
     PathBundle,
@@ -58,24 +58,9 @@ class SdeSpec:
 
 @dataclass
 class SimulationRun:
-    spec: SdeSpec
-    scenario: VolatilityScenario
     bundle: PathBundle
-    method: str
     exploded: bool = False
     first_bad_index: int | None = None
-
-
-def _explain_or_flag(spec: SdeSpec, x: float, t: float) -> None:
-    """Re-evaluate the step's coefficients with the checked evaluator; a
-    domain violation raises EvalDomainError with the offending node, while
-    plain arithmetic overflow, in the step or inside f or g, returns and
-    the caller flags the run."""
-    for coeff in (spec.f, spec.g):
-        try:
-            evaluate(coeff, x, t)
-        except EvalOverflowError:
-            pass
 
 
 def integrate(
@@ -132,7 +117,7 @@ def integrate(
                 )
             if not math.isfinite(x_new) or abs(x_new) > EXPLOSION_THRESHOLD:
                 if not math.isfinite(x_new):
-                    _explain_or_flag(spec, x, ti)
+                    check_domain((spec.f, spec.g), x, ti)
                 exploded = True
                 first_bad = i + 1
                 X[i + 1] = x_new if math.isfinite(x_new) else math.nan
@@ -145,14 +130,7 @@ def integrate(
     dqv = v * dtau
     qv = np.concatenate([[0.0], np.cumsum(dqv)])
     bundle = PathBundle(grid=grid, dW=dW, v=v, dB=dB, dqv=dqv, qv=qv, X=X)
-    return SimulationRun(
-        spec=spec,
-        scenario=s,
-        bundle=bundle,
-        method=method,
-        exploded=exploded,
-        first_bad_index=first_bad,
-    )
+    return SimulationRun(bundle=bundle, exploded=exploded, first_bad_index=first_bad)
 
 
 def linear_closed_form(
@@ -181,25 +159,14 @@ def write_path_csv(path, run: SimulationRun) -> None:
     """
     bundle = run.bundle
     n = bundle.dW.size
-    W = np.concatenate([[0.0], np.cumsum(bundle.dW)])
-    B = np.concatenate([[0.0], np.cumsum(bundle.dB)])
-    v_rows = np.concatenate([bundle.v, bundle.v[-1:]])
-    X = bundle.X if bundle.X is not None else np.full(n + 1, np.nan)
-
-    def fmt(val: float) -> str:
-        return format(float(val), ".17g")
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "W", "v", "B", "qv", "X"])
-        for k in range(n + 1):
-            writer.writerow(
-                [
-                    fmt(bundle.grid[k]),
-                    fmt(W[k]),
-                    fmt(v_rows[k]),
-                    fmt(B[k]),
-                    fmt(bundle.qv[k]),
-                    fmt(X[k]),
-                ]
-            )
+    columns = (
+        bundle.grid,
+        np.concatenate([[0.0], np.cumsum(bundle.dW)]),
+        np.concatenate([bundle.v, bundle.v[-1:]]),
+        np.concatenate([[0.0], np.cumsum(bundle.dB)]),
+        bundle.qv,
+        bundle.X if bundle.X is not None else np.full(n + 1, np.nan),
+    )
+    write_csv(
+        path, ("t", "W", "v", "B", "qv", "X"), zip(*(c.tolist() for c in columns))
+    )

@@ -38,12 +38,12 @@ of grid time and their verdicts carry horizon_limited = True.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .csvio import fmt, write_csv
 from .expr import (
     Expr,
     contains_nonsmooth,
@@ -593,38 +593,22 @@ def _nu_dominates_t(coeffs, nu_grid, ts) -> HypothesisVerdict:
 def write_certificate_csv(path, report: CertificateReport) -> None:
     """One row per hypothesis: name, passed, violation, worst point,
     horizon flag, note."""
-
-    def fmt(val) -> str:
-        if val is None:
-            return ""
-        return format(float(val), ".17g")
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["hypothesis", "passed", "violation", "worst_x", "worst_t",
-             "horizon_limited", "note"]
-        )
-        for h in report.hypotheses:
-            writer.writerow(
-                [
-                    h.name,
-                    "true" if h.passed else "false",
-                    fmt(h.violation),
-                    fmt(h.worst_x),
-                    fmt(h.worst_t),
-                    "true" if h.horizon_limited else "false",
-                    h.note,
-                ]
-            )
+    write_csv(
+        path,
+        ("hypothesis", "passed", "violation", "worst_x", "worst_t",
+         "horizon_limited", "note"),
+        [
+            (h.name, h.passed, h.violation, h.worst_x, h.worst_t,
+             h.horizon_limited, h.note)
+            for h in report.hypotheses
+        ],
+    )
 
 
 def verdict_line(report: CertificateReport) -> str:
     if report.granted:
         unstable = _TEMPLATES[report.theorem].unstable
         side = "liminf rate >=" if unstable else "limsup rate <="
-        return (
-            f"{report.theorem}: granted ({side} {format(report.bound, '.17g')})"
-        )
+        return f"{report.theorem}: granted ({side} {fmt(report.bound)})"
     failed = ", ".join(h.name for h in report.hypotheses if not h.passed)
     return f"{report.theorem}: withheld (failed: {failed})"

@@ -24,7 +24,8 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .expr import Expr, compile_fn, differentiate
+from .csvio import fmt
+from .expr import Expr, check_domain, compile_fn, differentiate
 from .gcalc import AmbiguityBounds
 
 __all__ = [
@@ -51,10 +52,6 @@ LEVEL_STREAM = 1
 
 class ScenarioError(Exception):
     pass
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def stream_generator(seed: int, stream: int, path_index: int) -> np.random.Generator:
@@ -106,7 +103,7 @@ class Constant(VolatilityScenario):
     v: float
 
     def label(self) -> str:
-        return f"constant:{_fmt(self.v)}"
+        return f"constant:{fmt(self.v)}"
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,7 @@ class BangBangInTime(VolatilityScenario):
 
     def label(self) -> str:
         pairs = ",".join(
-            f"{_fmt(v)}@{_fmt(t)}" for v, t in zip(self.levels, self.times)
+            f"{fmt(v)}@{fmt(t)}" for v, t in zip(self.levels, self.times)
         )
         return f"bangbang_t:{pairs}"
 
@@ -149,7 +146,7 @@ class BangBangInX(VolatilityScenario):
 
     def label(self) -> str:
         return (
-            f"bangbang_x:{_fmt(self.x_star)},{_fmt(self.v_below)},{_fmt(self.v_above)}"
+            f"bangbang_x:{fmt(self.x_star)},{fmt(self.v_below)},{fmt(self.v_above)}"
         )
 
 
@@ -182,7 +179,7 @@ class PiecewiseRandom(VolatilityScenario):
             raise ValueError("dwell must be positive")
 
     def label(self) -> str:
-        return f"piecewise_random:dwell={_fmt(self.dwell)}"
+        return f"piecewise_random:dwell={fmt(self.dwell)}"
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +213,20 @@ def variance_stream(
         x_star = s.x_star
         return lambda i, t, x: np.where(x < x_star, below, above)
     if isinstance(s, FeedbackSignVxx):
-        vxx_fn = compile_fn(s.vxx())
-        return lambda i, t, x: np.where(vxx_fn(x, t) > 0, hi, lo)
+        vxx = s.vxx()
+        vxx_fn = compile_fn(vxx)
+
+        def feedback(i, t, x):
+            c = vxx_fn(x, t)
+            if not np.isfinite(c).all():
+                # re-check each live lane alone: one lane's overflow must
+                # not hide another's domain violation
+                xs, cs = np.broadcast_arrays(x, c)
+                for xj in xs[~np.isfinite(cs) & np.isfinite(xs)].tolist():
+                    check_domain((vxx,), xj, t)
+            return np.where(c > 0, hi, lo)
+
+        return feedback
     if isinstance(s, PiecewiseRandom):
         t0 = float(grid[0])
         n_levels = int(math.floor((float(grid[-1]) - t0) / s.dwell)) + 1

@@ -1,5 +1,6 @@
 """End-to-end CLI checks driven through main()."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -138,6 +139,21 @@ class TestExitCodes:
             .replace("numerics.n_paths = 20", "numerics.n_paths = 200"),
         )
         assert main(["exponent", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "log(" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["exponent", "simulate"])
+    def test_feedback_vxx_domain_error_is_3(self, tmp_path, capsys, command):
+        """V_xx = 2 log(x) + 3 leaves its domain once a path reaches
+        x <= 0: the curvature policy must not pick a band edge from nan."""
+        cfg = write(
+            tmp_path,
+            EXPONENT.replace("sde.g = x", "sde.g = 1")
+            .replace("sde.x0 = 1.0", "sde.x0 = 0.5\nlyapunov.v = x^2*log(x)")
+            .replace("scenarios.richness = 1", "scenarios.list = feedback_vxx")
+            .replace("numerics.horizon = 20", "numerics.horizon = 5")
+            .replace("numerics.n_paths = 20", "numerics.n_paths = 3"),
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "log(" in capsys.readouterr().err
 
     def test_module_entry_point_exit_code(self, tmp_path):
@@ -287,3 +303,129 @@ class TestSweep:
             ),
         )
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+# Byte pin: one small config per subcommand, with the sha256 of every CSV
+# it writes.  The digests were recorded before the CSV writers were merged
+# into one module; a change here means the output format changed.
+PIN_CERTIFY_CAVEAT = """
+ambiguity.sigma_lower = 0.5
+ambiguity.sigma_upper = 1.0
+sde.f = -1.5*x
+sde.g = abs(x)
+sde.x0 = 1.0
+lyapunov.v = x^2
+certificate.theorem = T33
+certificate.p = 2
+grid.x_points = 40
+grid.t_points = 20
+"""
+
+PIN_T34_WITHHELD = """
+ambiguity.sigma_lower = 0.5
+ambiguity.sigma_upper = 1.0
+sde.f = -x
+sde.g = x
+sde.x0 = 1.0
+lyapunov.v = x^2
+certificate.theorem = T34
+certificate.p = 2
+certificate.lambda = -1
+certificate.rho = 5
+certificate.kappa = 1
+certificate.phi = 1
+grid.x_points = 40
+grid.t_points = 20
+"""
+
+# constant:1 flags 3 of 4 paths, so its stderr cell is nan
+PIN_EXPONENT_FLAGGED = """
+ambiguity.sigma_lower = 0.5
+ambiguity.sigma_upper = 1.0
+sde.f = -x+0.1*exp(x)
+sde.g = 10
+sde.x0 = 1.0
+scenarios.list = constant:1; constant:0.25; bangbang_t:1@1,0.25@3
+numerics.dt = 0.01
+numerics.horizon = 5
+numerics.n_paths = 4
+"""
+
+PIN_SWEEP_ESTIMATE = """
+ambiguity.sigma_lower = 0.5
+ambiguity.sigma_upper = 1.0
+sde.f = -{alpha}*x
+sde.g = x
+sde.x0 = 1.0
+lyapunov.v = x^2
+certificate.theorem = T33
+certificate.p = 2
+scenarios.richness = 1
+numerics.dt = 0.01
+numerics.horizon = 2
+numerics.n_paths = 10
+grid.x_points = 40
+grid.t_points = 20
+sweep.parameter = alpha
+sweep.values = 0.3, 0.7
+sweep.estimate = true
+"""
+
+# path 2 overflows in exp(x) and is flagged
+PIN_SIMULATE_MILSTEIN = """
+ambiguity.sigma_lower = 0.5
+ambiguity.sigma_upper = 1.0
+sde.f = -x+0.1*exp(x)
+sde.g = 1.5+0.2*x
+sde.x0 = 1.0
+scenarios.list = bangbang_t:1@2,0.25@5
+numerics.dt = 0.01
+numerics.horizon = 5
+numerics.n_paths = 3
+numerics.method = milstein
+"""
+
+BYTE_PINS = {
+    "certify_caveat": ("certify", PIN_CERTIFY_CAVEAT, 0, {
+        "certificate.csv":
+            "4e60ff2e9f689881cfb5cef2e8c07674a758d705d31e15be79c291b7eb21cb07",
+        "verdict.csv":
+            "22737e17e839dc4be7f79a94ff7a1abf820b52f888ad42042ee4e8148b6abffa",
+    }),
+    "certify_t34_withheld": ("certify", PIN_T34_WITHHELD, 1, {
+        "certificate.csv":
+            "201108161ffc3f9bc8c20f462e19f3f6bed503eac919e459a502d8cb31ff258f",
+        "verdict.csv":
+            "a34d5b32f396989aca038849bd26e389539bb49a414642de5e340a2254f2fb00",
+    }),
+    "exponent_flagged": ("exponent", PIN_EXPONENT_FLAGGED, 0, {
+        "exponent.csv":
+            "f3d6f897b7d85e6cf2ca19d3a172695966917ec3f25ea5ef4e58cf04859b3c00",
+    }),
+    "sweep_estimate": ("sweep", PIN_SWEEP_ESTIMATE, 0, {
+        "sweep.csv":
+            "40fa56d62b66a8f2665e6d006f4f2c1ddfd853dc27847e27170c27032412550a",
+    }),
+    "simulate_milstein": ("simulate", PIN_SIMULATE_MILSTEIN, 0, {
+        "path_000.csv":
+            "7c37ccd04df5c1ca6f9d702203874bbed592119169120999f65525a86f2892ce",
+        "path_001.csv":
+            "bfbce03d84bb898040ad1f6ff685984e3cfd2d250456c9ea6c8da0311b83b152",
+        "path_002.csv":
+            "bbbaab6f748d54f09c24c90c2dd877d05b8a43b519546deea912a376eec66fa8",
+    }),
+}
+
+
+class TestBytePin:
+    @pytest.mark.parametrize("name", sorted(BYTE_PINS))
+    def test_csv_digests(self, tmp_path, name):
+        command, text, code, digests = BYTE_PINS[name]
+        cfg = write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        got = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()
+        }
+        assert got == digests

@@ -4,7 +4,7 @@ deterministic family recipe, textual round trips."""
 import numpy as np
 import pytest
 
-from gsde.expr import parse
+from gsde.expr import EvalDomainError, parse
 from gsde.gcalc import AmbiguityBounds
 from gsde.scenario import (
     BangBangInTime,
@@ -179,6 +179,40 @@ class TestScenarioKinds:
         np.testing.assert_array_equal(
             fn(0, 0.0, np.array([-1.0, 1.0])), [1.0, 1.0]
         )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan from log(x < 0)
+    def test_curvature_feedback_rechecks_only_nonfinite_states(self, monkeypatch):
+        """V_xx = 2 log(x) + 3: a live state outside the domain raises,
+        while an overflowing V_xx, a flagged (nan) lane and a finite step
+        pass, the last without any checked evaluation."""
+        import gsde.scenario as sc
+
+        grid = uniform_grid(0.0, 1.0, 0.5)
+        log_fn = variance_stream(
+            FeedbackSignVxx(parse("x^2*log(x)")), B, grid, seed=0,
+            paths=np.arange(3),
+        )
+        with pytest.raises(EvalDomainError, match="log"):
+            log_fn(0, 0.0, np.array([1.0, -0.5, np.nan]))
+        with pytest.raises(EvalDomainError, match="log"):
+            log_fn(0, 0.0, -0.5)
+        exp_fn = variance_stream(
+            FeedbackSignVxx(parse("exp(100*x^2)")), B, grid, seed=0,
+            paths=np.arange(3),
+        )
+        np.testing.assert_array_equal(
+            exp_fn(0, 0.0, np.array([0.1, 3.0, np.nan])), [1.0, 1.0, 0.25]
+        )
+        calls = []
+        monkeypatch.setattr(sc, "check_domain", lambda *a: calls.append(a))
+        np.testing.assert_array_equal(
+            log_fn(0, 0.0, np.array([0.1, 1.0, np.nan])), [0.25, 1.0, 0.25]
+        )
+        assert calls == []
+        np.testing.assert_array_equal(
+            log_fn(0, 0.0, np.array([2.0, 3.0])), [1.0, 1.0]
+        )
+        assert calls == []
 
 
 class TestFamily:

@@ -439,9 +439,10 @@ def _run_lanes(
             dB = np.sqrt(v) * dW
             for obs in observers:
                 obs.pre_step(i, t, X, v, dW, dB, dtau, alive)
-            Xn = X + f_fn(X, t) * dtau + g_fn(X, t) * dB
+            g = g_fn(X, t)
+            Xn = X + f_fn(X, t) * dtau + g * dB
             if gx_fn is not None:
-                Xn = Xn + 0.5 * g_fn(X, t) * gx_fn(X, t) * v * (dW * dW - dtau)
+                Xn = Xn + 0.5 * g * gx_fn(X, t) * v * (dW * dW - dtau)
             if alive is True and np.abs(Xn).max() <= EXPLOSION_THRESHOLD:
                 X = Xn
             else:

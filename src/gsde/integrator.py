@@ -104,17 +104,15 @@ def integrate(
             dt_i = float(dtau[i])
             vi = float(np.asarray(var_fn(i, ti, x)).reshape(()))
             v[i] = vi
-            dB_i = math.sqrt(vi) * float(dW[i])
+            dW_i = float(dW[i])
+            dB_i = math.sqrt(vi) * dW_i
             dB[i] = dB_i
-            x_new = x + float(f_fn(x, ti)) * dt_i + float(g_fn(x, ti)) * dB_i
+            gi = float(g_fn(x, ti))
+            x_new = x + float(f_fn(x, ti)) * dt_i + gi * dB_i
             if gx_fn is not None:
-                x_new += (
-                    0.5
-                    * float(g_fn(x, ti))
-                    * float(gx_fn(x, ti))
-                    * vi
-                    * (float(dW[i]) ** 2 - dt_i)
-                )
+                # dW_i * dW_i, not ** 2: libm pow can differ from the
+                # lane engine's product in the last bit
+                x_new += 0.5 * gi * float(gx_fn(x, ti)) * vi * (dW_i * dW_i - dt_i)
             if not math.isfinite(x_new) or abs(x_new) > EXPLOSION_THRESHOLD:
                 if not math.isfinite(x_new):
                     check_domain((spec.f, spec.g), x, ti)

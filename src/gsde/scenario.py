@@ -303,8 +303,7 @@ def sample_path(
     dW = z * np.sqrt(dtau)
     var_fn = variance_stream(s, b, grid, seed, path_index)
     v = np.empty(n)
-    for i in range(n):
-        v[i] = var_fn(i, grid[i], None)
+    v[:] = var_fn(np.arange(n), grid[:-1], None)
     dB = np.sqrt(v) * dW
     dqv = v * dtau
     qv = np.concatenate([[0.0], np.cumsum(dqv)])

@@ -256,6 +256,39 @@ class TestSimulate:
         assert header == "t,W,v,B,qv,X"
         assert "3 path" in capsys.readouterr().out
 
+    @staticmethod
+    def _edge_config(tmp_path, x0, f, g, horizon):
+        return write(
+            tmp_path,
+            SIMULATE.replace("sde.x0 = 1.0", f"sde.x0 = {x0}")
+            .replace("sde.f = -x", f"sde.f = {f}")
+            .replace("sde.g = x", f"sde.g = {g}")
+            .replace("bangbang_t:1@5,0.25@10", "constant:1")
+            .replace("numerics.horizon = 2", f"numerics.horizon = {horizon}"),
+        )
+
+    @pytest.mark.parametrize(
+        "x0, f, g, message",
+        [
+            ("0", "1/x", "x", "'1.0/x'"),
+            ("-1", "-x", "x^0.5", "negative base under a fractional power"),
+        ],
+    )
+    def test_domain_error_is_3(self, tmp_path, capsys, x0, f, g, message):
+        """A kernel leaving its domain on integrate's scalar state is a
+        domain error (exit 3), not a Python exception from the kernel."""
+        cfg = self._edge_config(tmp_path, x0, f, g, 5)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_overflowing_power_flags_paths(self, tmp_path, capsys):
+        """x^201 overflowing at x = 100 is an explosion: every path is
+        flagged and the run succeeds."""
+        cfg = self._edge_config(tmp_path, "100", "-x^201", "x", 1)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert "(3 flagged)" in capsys.readouterr().out
+
     def test_requires_single_scenario(self, tmp_path):
         cfg = write(
             tmp_path,

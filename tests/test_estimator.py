@@ -41,6 +41,21 @@ def linear_spec(alpha, beta, x0=1.0):
     return SdeSpec(f=parse(f"-{alpha}*x"), g=parse(f"{beta}*x"), x0=x0)
 
 
+class _PathRecorder:
+    """Lane-engine observer keeping every lane's state after each step."""
+
+    def __init__(self, x0):
+        self.x0 = x0
+        self.rows = []
+
+    def pre_step(self, i, t, X, v, dW, dB, dtau, alive):
+        if i == 0:
+            self.rows.append(np.full(X.shape, self.x0))
+
+    def post_step(self, i, t_next, X, alive):
+        self.rows.append(X.copy())
+
+
 class TestExponent:
     def test_noise_free_rate_matches_euler_logarithm(self):
         """beta = 0 collapses all paths onto the deterministic Euler orbit
@@ -112,7 +127,29 @@ class TestExponent:
 
     def test_batch_matches_single_path_integrator(self):
         """The vectorized engine must reproduce integrate() path by path:
-        same streams, same step arithmetic."""
+        same streams, same step arithmetic.  The second input has a
+        fractional power in g, whose compiled kernel must give the same
+        bits on integrate's Python floats as on the engine's lane arrays;
+        the third squares dW in the Milstein correction where Python's
+        ** 2 and a product differ in the last bit."""
+        cases = [
+            (linear_spec(1.0, 1.0), Constant(0.25), 2.0, 0.01, 13, 4, "euler"),
+            (SdeSpec(f=parse("-0.01*x"), g=parse("0.01*x^1.5"), x0=100.0),
+             Constant(0.5), 5.0, 1e-3, 3, 8, "euler"),
+            (SdeSpec(f=parse("-0.5*x"), g=parse("x^1.5"), x0=1.0),
+             Constant(1.0), 2.0, 0.01, 22, 1, "milstein"),
+        ]
+        for spec, s, horizon, dt, seed, n_paths, method in cases:
+            grid = uniform_grid(0.0, horizon, dt)
+            singles = np.array([
+                integrate(spec, s, B, grid, seed=seed, method=method, path_index=p)
+                .bundle.X
+                for p in range(n_paths)
+            ])
+            rec = _PathRecorder(spec.x0)
+            estimator._run_lanes(spec, [s], B, grid, seed, n_paths, method, [rec])
+            np.testing.assert_array_equal(np.array(rec.rows).T, singles)
+
         spec = linear_spec(1.0, 1.0)
         grid = uniform_grid(0.0, 2.0, 0.01)
         singles = [

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsde.expr import (
@@ -283,3 +283,61 @@ def test_print_parse_round_trip(e):
                 continue
             v2 = evaluate(e2, x, t)
             assert v1 == v2 or (math.isnan(v1) and math.isnan(v2))
+
+
+@st.composite
+def any_exprs(draw, depth=0):
+    """Random trees over every operator, domain-restricted ones included
+    (div, log, sqrt, fractional and negative powers)."""
+    if depth >= 3 or draw(st.booleans()):
+        leaf = draw(st.sampled_from(["x", "t", "const"]))
+        if leaf == "const":
+            return Const(draw(st.floats(-3.0, 3.0, allow_nan=False)))
+        return Var(leaf, 0)
+    op = draw(st.sampled_from(
+        ["neg", "abs", "sign", "exp", "log", "sin", "cos", "sqrt",
+         "add", "sub", "mul", "div", "pow"]
+    ))
+    if op == "pow":
+        c = draw(st.one_of(
+            st.integers(-3, 4).map(float),
+            st.sampled_from([0.5, 1.5, -0.5]),
+            st.floats(-3.0, 3.0, allow_nan=False),
+        ))
+        return Binary("pow", draw(any_exprs(depth=depth + 1)), Const(c), 0)
+    if op in ("add", "sub", "mul", "div"):
+        return Binary(
+            op, draw(any_exprs(depth=depth + 1)), draw(any_exprs(depth=depth + 1)), 0
+        )
+    return Unary(op, draw(any_exprs(depth=depth + 1)), 0)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+@given(
+    e=any_exprs(),
+    xs=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5),
+    ts=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=5),
+)
+@example(e=parse("x^3"), xs=[0.664], ts=[0.0])
+@settings(max_examples=300, deadline=None)
+def test_compile_matches_evaluate_bitwise(e, xs, ts):
+    """Wherever the checked evaluator succeeds, the compiled kernel gives
+    the same bits, on Python floats (as integrate calls it) and on arrays
+    (as the lane engine does)."""
+    fn = compile_fn(e)
+    n = min(len(xs), len(ts))
+    for x, t in zip(xs[:n], ts[:n]):
+        try:
+            expected = evaluate(e, x, t)
+        except EvalDomainError:
+            continue
+        assert _bits(fn(x, t)) == _bits(expected), (to_source(e), x, t)
+    x, t = np.array(xs[:n]), np.array(ts[:n])
+    try:
+        expected = evaluate(e, x, t)
+    except EvalDomainError:
+        return
+    assert _bits(fn(x, t)) == _bits(expected), to_source(e)

@@ -52,7 +52,8 @@ class TestQuadraticVariation:
 
     def test_per_step_sandwich_is_exact(self):
         """Every dqv increment sits in [v_lower*dtau, v_upper*dtau] with no
-        tolerance: rounding of v*dtau is monotone in v at fixed dtau > 0."""
+        tolerance: rounding of v*dtau is monotone in v at fixed dtau > 0.
+        The rates equal the policy called one step at a time."""
         grid = uniform_grid(0.0, 10.0, 0.01)
         dtau = np.diff(grid)
         for s in (
@@ -61,6 +62,10 @@ class TestQuadraticVariation:
             PiecewiseRandom(0.5),
         ):
             pb = sample_path(s, B, grid, seed=42)
+            policy = variance_stream(s, B, grid, 42, 0)
+            np.testing.assert_array_equal(
+                pb.v, [policy(i, grid[i], None) for i in range(dtau.size)]
+            )
             assert np.all(pb.dqv >= B.v_lower * dtau)
             assert np.all(pb.dqv <= B.v_upper * dtau)
 

@@ -391,20 +391,23 @@ def _run_lanes(
     explosion check is one max of |X|.  A lane whose state leaves
     [-threshold, threshold] or turns non-finite is flagged and frozen at
     NaN.  A non-finite lane is first re-evaluated at its pre-step state
-    with the checked evaluator, so a domain violation raises
-    EvalDomainError naming the node; overflow, in the step or inside f or
-    g, only flags the lane.  The re-check runs lane by lane, since one
-    lane's overflow must not hide another's domain violation; a lane is
-    re-checked at most once, as it is flagged afterwards.
+    with the checked evaluator (f, g and Milstein's g_x), so a domain
+    violation raises EvalDomainError naming the node; overflow only flags
+    the lane.  The re-check runs lane by lane, since one lane's overflow
+    must not hide another's domain violation; a lane is re-checked at
+    most once, as it is flagged afterwards.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     k = len(scenarios)
     lanes = k * n_paths
     n_steps = grid.size - 1
-    f_fn = compile_fn(spec.f)
-    g_fn = compile_fn(spec.g)
-    gx_fn = compile_fn(differentiate(spec.g, "x")) if method == "milstein" else None
+    # Milstein adds g_x, which a non-finite step re-checks with f and g
+    exprs = (spec.f, spec.g) + (
+        (differentiate(spec.g, "x"),) if method == "milstein" else ()
+    )
+    f_fn, g_fn, *gx = map(compile_fn, exprs)
+    gx_fn = gx[0] if gx else None
     paths = np.arange(n_paths)
     policies = [
         (slice(q * n_paths, (q + 1) * n_paths),
@@ -448,7 +451,7 @@ def _run_lanes(
             else:
                 bad = alive & ~(np.abs(Xn) <= EXPLOSION_THRESHOLD)
                 for x in X[bad & ~np.isfinite(Xn)].tolist():
-                    check_domain((spec.f, spec.g), x, float(t))
+                    check_domain(exprs, x, float(t))
                 flagged |= bad
                 alive = ~flagged
                 X = np.where(alive, Xn, np.nan)

@@ -87,9 +87,12 @@ def integrate(
     z = standard_increments(seed, path_index, n)
     dW = z * np.sqrt(dtau)
     var_fn = variance_stream(s, b, grid, seed, path_index)
-    f_fn = compile_fn(spec.f)
-    g_fn = compile_fn(spec.g)
-    gx_fn = compile_fn(differentiate(spec.g, "x")) if method == "milstein" else None
+    # Milstein adds g_x, which a non-finite step re-checks with f and g
+    exprs = (spec.f, spec.g) + (
+        (differentiate(spec.g, "x"),) if method == "milstein" else ()
+    )
+    f_fn, g_fn, *gx = map(compile_fn, exprs)
+    gx_fn = gx[0] if gx else None
 
     v = np.empty(n)
     dB = np.empty(n)
@@ -115,7 +118,7 @@ def integrate(
                 x_new += 0.5 * gi * float(gx_fn(x, ti)) * vi * (dW_i * dW_i - dt_i)
             if not math.isfinite(x_new) or abs(x_new) > EXPLOSION_THRESHOLD:
                 if not math.isfinite(x_new):
-                    check_domain((spec.f, spec.g), x, ti)
+                    check_domain(exprs, x, ti)
                 exploded = True
                 first_bad = i + 1
                 X[i + 1] = x_new if math.isfinite(x_new) else math.nan

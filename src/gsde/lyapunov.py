@@ -144,18 +144,15 @@ class CheckGrid:
             ts=np.linspace(t0, t0 + t_span, t_points),
         )
 
-    def mesh(self):
-        return np.meshgrid(self.xs, self.ts, indexing="ij")
-
 
 # ---------------------------------------------------------------------------
 # operators
 
 @dataclass(frozen=True)
 class OperatorSample:
-    """V and its operators at points (x, t) of one shape, from a single
-    evaluation of each input: V and H = g^2 V_x^2 broadcast to that shape,
-    and the parts that drift() combines into L or L_lower."""
+    """V and its operators at the broadcast points (x, t), from a single
+    evaluation of each input: V and H = g^2 V_x^2 at the full shape, and
+    the parts that drift() combines into L or L_lower."""
 
     x: np.ndarray
     t: np.ndarray
@@ -181,11 +178,14 @@ def sample_operators(
     lyap: LyapunovFn, spec: SdeSpec, b: AmbiguityBounds, x, t
 ) -> OperatorSample:
     """Evaluate V, g, V_t, f, V_x and V_xx once each, in that order, at the
-    points (x, t); the first domain violation raises."""
+    points (x, t); the first domain violation raises.  On grid axes (a
+    column of states, a row of times) a subtree is evaluated at the shape
+    of its own variables, and only subtrees mixing x and t are full-size."""
     V, g, V_t, f, V_x, V_xx = (
         evaluate(e, x, t)
         for e in (lyap.V, spec.g, lyap.V_t, spec.f, lyap.V_x, lyap.V_xx)
     )
+    x, t = np.broadcast_arrays(x, t)
     g2 = g * g
     return OperatorSample(
         x, t, b, _full(V, x), _full(g2 * V_x * V_x, x), V_t + f * V_x, g2, V_xx
@@ -386,8 +386,8 @@ def _loggrowth_cap(name, phi_vals, ts, cap) -> HypothesisVerdict:
 # the templates
 #
 # A template's hypotheses(m, c, ts) takes the operator sample m on the grid
-# mesh (times along axis 1), the certificate c and the grid times ts, and
-# returns the rate lambda in force with the verdicts after the envelope.
+# (times along axis 1), the certificate c and the grid times ts, and returns
+# the rate lambda in force with the verdicts after the envelope.
 
 def _t33(m, c, ts):
     L = m.drift(g_upper)
@@ -428,7 +428,7 @@ def _t35(m, c, ts):
 
 def _t36(m, c, ts):
     phi = _time_weight(c.phi, ts)
-    weight = c.eta * (1.0 + m.t) ** (-c.q)
+    weight = c.eta * (1.0 + ts[None, :]) ** (-c.q)
     drift = m.drift(g_upper) + weight * m.H
     return c.lam, [
         _pointwise(m, "drift", drift, phi[None, :] * (1.0 + m.V**c.beta_exp)),
@@ -439,7 +439,7 @@ def _t36(m, c, ts):
 def _t37(m, c, ts):
     phi1 = _time_weight(c.phi1, ts)
     phi2 = _time_weight(c.phi2, ts)
-    weight = m.b.v_upper * c.eta * np.exp(-c.q * m.t)
+    weight = m.b.v_upper * c.eta * np.exp(-c.q * ts[None, :])
     drift = m.drift(g_upper) + weight * m.H
     cap = phi1[None, :] + phi2[None, :] * m.V**c.beta_exp
     return c.lam, [
@@ -522,14 +522,14 @@ def check_certificate(
         grid = CheckGrid.default(t0=spec.t0)
     validate_certificate(cert, b)
     tpl = _TEMPLATES[cert.theorem]
-    XX, TT = grid.mesh()
-    m = sample_operators(lyap, spec, b, XX, TT)
+    xs, ts = grid.xs[:, None], grid.ts[None, :]
+    m = sample_operators(lyap, spec, b, xs, ts)
     bad = m.V <= 0
     if np.any(bad):
         k = int(np.argmax(bad))
         raise CertificateError(
             f"V must be positive away from x = 0; V <= 0 at "
-            f"x={XX.flat[k]:.6g}, t={TT.flat[k]:.6g}"
+            f"x={m.x.flat[k]:.6g}, t={m.t.flat[k]:.6g}"
         )
     caveats = tuple(
         f"{name} uses abs/sign: derivatives are formal and do not "
@@ -538,9 +538,9 @@ def check_certificate(
         if contains_nonsmooth(e)
     )
 
-    xp = np.abs(XX) ** cert.p
+    xp = np.abs(xs) ** cert.p
     if tpl.grows:
-        xp = np.exp(cert.lam * TT) * xp
+        xp = np.exp(cert.lam * ts) * xp
     envelope = (m.V, xp) if tpl.unstable else (xp, m.V)
     lam, rest = tpl.hypotheses(m, cert, grid.ts)
     hyps = (_pointwise(m, "envelope", *envelope), *rest)
@@ -557,9 +557,7 @@ def check_certificate(
 
 
 def _time_weight(e: Expr, ts: np.ndarray) -> np.ndarray:
-    vals = np.broadcast_to(
-        np.asarray(evaluate(e, np.zeros_like(ts), ts), dtype=float), ts.shape
-    ).copy()
+    vals = _full(evaluate(e, 0.0, ts), ts)
     if np.any(vals < 0):
         raise CertificateError(
             f"time weight {to_source(e)!r} must be nonnegative on the grid"

@@ -257,14 +257,15 @@ class TestSimulate:
         assert "3 path" in capsys.readouterr().out
 
     @staticmethod
-    def _edge_config(tmp_path, x0, f, g, horizon):
+    def _edge_config(tmp_path, x0, f, g, horizon, extra=""):
         return write(
             tmp_path,
             SIMULATE.replace("sde.x0 = 1.0", f"sde.x0 = {x0}")
             .replace("sde.f = -x", f"sde.f = {f}")
             .replace("sde.g = x", f"sde.g = {g}")
             .replace("bangbang_t:1@5,0.25@10", "constant:1")
-            .replace("numerics.horizon = 2", f"numerics.horizon = {horizon}"),
+            .replace("numerics.horizon = 2", f"numerics.horizon = {horizon}")
+            + extra,
         )
 
     @pytest.mark.parametrize(
@@ -280,6 +281,16 @@ class TestSimulate:
         cfg = self._edge_config(tmp_path, x0, f, g, 5)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert message in capsys.readouterr().err
+
+    def test_milstein_gx_domain_error_is_3(self, tmp_path, capsys):
+        """Milstein's g_x = 2x/(2 sqrt(x^2)) is 0/0 at x0 = 0 although f
+        and g are finite there: the non-finite step must be traced to the
+        division, not flagged as an explosion."""
+        cfg = self._edge_config(
+            tmp_path, "0", "-x", "sqrt(x^2)", 2, "numerics.method = milstein\n"
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "division by zero in" in capsys.readouterr().err
 
     def test_overflowing_power_flags_paths(self, tmp_path, capsys):
         """x^201 overflowing at x = 100 is an explosion: every path is
@@ -371,6 +382,75 @@ grid.x_points = 40
 grid.t_points = 20
 """
 
+# T35-T38 at the granted values of the benchmark's certify_templates
+# workload; T36 also below its flip, so the worst point of a failing
+# hypothesis that mixes x and t is pinned.  Their digests were recorded
+# while the checker still evaluated every subtree on the full x-t mesh.
+PIN_GRID = "grid.x_points = 40\ngrid.t_points = 20\n"
+
+PIN_T35 = """
+ambiguity.sigma_lower = 1
+ambiguity.sigma_upper = 1
+sde.f = -x
+sde.g = exp(-t)*x
+sde.x0 = 1
+lyapunov.v = x^2
+certificate.theorem = T35
+certificate.p = 2
+certificate.lambda = 1
+certificate.nu_coeffs = 400,1.0
+""" + PIN_GRID
+
+PIN_T36 = """
+ambiguity.sigma_lower = 1
+ambiguity.sigma_upper = 1
+sde.f = -0.5*x
+sde.g = exp(-t)*x
+sde.x0 = 1
+lyapunov.v = exp(t)*x^2
+certificate.theorem = T36
+certificate.p = 2
+certificate.lambda = 1
+certificate.eta = 1
+certificate.q = 1
+certificate.beta_exp = 0
+certificate.phi = 20050.0
+""" + PIN_GRID
+
+PIN_T36_WITHHELD = PIN_T36.replace("phi = 20050.0", "phi = 15000")
+
+PIN_T37 = """
+ambiguity.sigma_lower = 1
+ambiguity.sigma_upper = 1
+sde.f = -x
+sde.g = exp(-t)*x
+sde.x0 = 1
+lyapunov.v = exp(2*t)*x^2
+certificate.theorem = T37
+certificate.p = 2
+certificate.lambda = 2
+certificate.eta = 1
+certificate.q = 1.5
+certificate.beta_exp = 0
+certificate.phi1 = 40100.0*exp(0.5*t)
+certificate.phi2 = 0
+""" + PIN_GRID
+
+PIN_T38 = """
+ambiguity.sigma_lower = 0.5
+ambiguity.sigma_upper = 1.0
+sde.f = x
+sde.g = 0.5*x
+sde.x0 = 1
+lyapunov.v = x^2
+certificate.theorem = T38
+certificate.p = 2
+certificate.lambda = 2.0625
+certificate.rho = 1
+certificate.kappa = 1
+certificate.phi = 1
+""" + PIN_GRID
+
 # constant:1 flags 3 of 4 paths, so its stderr cell is nan
 PIN_EXPONENT_FLAGGED = """
 ambiguity.sigma_lower = 0.5
@@ -430,6 +510,36 @@ BYTE_PINS = {
             "201108161ffc3f9bc8c20f462e19f3f6bed503eac919e459a502d8cb31ff258f",
         "verdict.csv":
             "a34d5b32f396989aca038849bd26e389539bb49a414642de5e340a2254f2fb00",
+    }),
+    "certify_t35": ("certify", PIN_T35, 0, {
+        "certificate.csv":
+            "5450c2eab4d4f7d9daf8675ceb8d05acd431d1e9eb275aec74afa352665d85cf",
+        "verdict.csv":
+            "d53a834af1c3f2110eed9fa0e88995b855eebdec40215577e9a6deaf02a86d58",
+    }),
+    "certify_t36": ("certify", PIN_T36, 0, {
+        "certificate.csv":
+            "aedcd4891f557ac36f2af153b5913488b7db93832ea71defc4b826538900cc2e",
+        "verdict.csv":
+            "2084e032a02fbd680effa6e3df962e8ea848d0d43dd61b69c8cd200678a636c1",
+    }),
+    "certify_t36_withheld": ("certify", PIN_T36_WITHHELD, 1, {
+        "certificate.csv":
+            "dfb8a0adfdabf962cddf6194e6b47cec544219de9619c5d3aad5a4a944d14d81",
+        "verdict.csv":
+            "3661a0ce2e7d21feb2916fbe6ed1420dd1f121c7460bc94e50a7200a2a97795a",
+    }),
+    "certify_t37": ("certify", PIN_T37, 0, {
+        "certificate.csv":
+            "de5a6f19e87cd4c68c4528737aa735d1510291653df748def6348a3a09d0ff68",
+        "verdict.csv":
+            "df317f060c1eb486c848123625a2db57504aff3567a6695478137fd023e91f4e",
+    }),
+    "certify_t38": ("certify", PIN_T38, 0, {
+        "certificate.csv":
+            "b1e9e3ac9f6e5aaf150165333bff9ab80e0ade7e176df5bf26693dc4998c501f",
+        "verdict.csv":
+            "a64633bbb056475395911d3b6bc0ac9218ba28b91e43f415a4c813a7d0290af8",
     }),
     "exponent_flagged": ("exponent", PIN_EXPONENT_FLAGGED, 0, {
         "exponent.csv":

@@ -20,7 +20,7 @@ from gsde.estimator import (
     estimate_sublinear_expectation,
     martingale_bound_check,
 )
-from gsde.expr import parse
+from gsde.expr import EvalDomainError, parse
 from gsde.gcalc import AmbiguityBounds
 from gsde.integrator import SdeSpec, integrate
 from gsde.scenario import (
@@ -184,6 +184,18 @@ class TestExponent:
         assert math.isnan(floor.mean)
         assert top.n_flagged == 0
         assert est.family_sup_mean == top.mean
+
+    def test_milstein_gx_domain_error_raises(self):
+        """f = -2x with dt = 0.5 and g = 0 * sqrt(x^2) puts every lane at
+        exactly x = 0 after one step, where Milstein's g_x divides 0 by 0
+        while f and g stay finite: the lane engine must name the division
+        instead of flagging every path."""
+        spec = SdeSpec(f=parse("-2*x"), g=parse("0*sqrt(x^2)"), x0=1.0)
+        with pytest.raises(EvalDomainError, match="division by zero in"):
+            estimate_exponent(
+                spec, [Constant(1.0)], B1, horizon=2.0, dt=0.5, n_paths=2,
+                seed=0, method="milstein",
+            )
 
     def test_all_flagged_raises(self):
         spec = SdeSpec(f=parse("x^3"), g=parse("0"), x0=10.0)

@@ -341,3 +341,34 @@ def test_compile_matches_evaluate_bitwise(e, xs, ts):
     except EvalDomainError:
         return
     assert _bits(fn(x, t)) == _bits(expected), to_source(e)
+
+
+# A sign-symmetric grid like the certifier's, with axis lengths that are not
+# multiples of a SIMD width, so vector loops run their tails.
+_AXIS_MAGS = np.geomspace(1e-3, 10.0, 9)
+AXIS_XS = np.concatenate([-_AXIS_MAGS[::-1], _AXIS_MAGS])
+AXIS_TS = np.linspace(0.0, 20.0, 7)
+
+
+def _outcome(e, x, t):
+    try:
+        return np.broadcast_to(evaluate(e, x, t), (AXIS_XS.size, AXIS_TS.size))
+    except EvalDomainError as exc:
+        return type(exc), str(exc)
+
+
+@given(e=any_exprs())
+@example(e=parse("sin(x*t)+log(1+exp(-t))*x^1.5"))
+@example(e=parse("exp(x*t)"))
+@settings(max_examples=300, deadline=None)
+def test_axes_evaluation_matches_mesh_bitwise(e):
+    """Evaluating on a column of states and a row of times, then
+    broadcasting, gives the bits of evaluating on the full mesh, and a
+    domain violation raises the same error with the same message."""
+    XX, TT = np.meshgrid(AXIS_XS, AXIS_TS, indexing="ij")
+    on_axes = _outcome(e, AXIS_XS[:, None], AXIS_TS[None, :])
+    on_mesh = _outcome(e, XX, TT)
+    if isinstance(on_mesh, tuple) or isinstance(on_axes, tuple):
+        assert on_axes == on_mesh, to_source(e)
+    else:
+        assert _bits(on_axes) == _bits(on_mesh), to_source(e)

@@ -186,7 +186,10 @@ def build_sde(cfg: dict) -> SdeSpec:
     x0 = _float(cfg, "sde.x0")
     if x0 is None:
         raise ConfigError("missing required key 'sde.x0'")
-    return SdeSpec(f=f, g=g, x0=x0, t0=_float(cfg, "sde.t0", 0.0))
+    t0 = _float(cfg, "sde.t0", 0.0)
+    if not (math.isfinite(x0) and math.isfinite(t0)):
+        raise ConfigError("sde.x0 and sde.t0 must be finite")
+    return SdeSpec(f=f, g=g, x0=x0, t0=t0)
 
 
 def build_lyapunov(cfg: dict) -> LyapunovFn | None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import write_float_columns
 from .expr import Expr, check_domain, compile_fn, differentiate
 from .gcalc import AmbiguityBounds
 from .scenario import (
@@ -94,22 +94,22 @@ def integrate(
     f_fn, g_fn, *gx = map(compile_fn, exprs)
     gx_fn = gx[0] if gx else None
 
-    v = np.empty(n)
-    dB = np.empty(n)
-    X = np.empty(n + 1)
-    X[0] = spec.x0
+    # the loop reads and appends Python floats: indexing or storing into an
+    # array would cost more per step than the step arithmetic
+    ts, dts, dWs = grid.tolist(), dtau.tolist(), dW.tolist()
+    v, dB, X = [], [], [float(spec.x0)]
     exploded = False
     first_bad = None
-    x = float(spec.x0)
+    x = X[0]
     with np.errstate(all="ignore"):
         for i in range(n):
-            ti = float(grid[i])
-            dt_i = float(dtau[i])
-            vi = float(np.asarray(var_fn(i, ti, x)).reshape(()))
-            v[i] = vi
-            dW_i = float(dW[i])
+            ti = ts[i]
+            dt_i = dts[i]
+            vi = float(var_fn(i, ti, x))
+            v.append(vi)
+            dW_i = dWs[i]
             dB_i = math.sqrt(vi) * dW_i
-            dB[i] = dB_i
+            dB.append(dB_i)
             gi = float(g_fn(x, ti))
             x_new = x + float(f_fn(x, ti)) * dt_i + gi * dB_i
             if gx_fn is not None:
@@ -121,13 +121,15 @@ def integrate(
                     check_domain(exprs, x, ti)
                 exploded = True
                 first_bad = i + 1
-                X[i + 1] = x_new if math.isfinite(x_new) else math.nan
-                X[i + 2 :] = math.nan
-                v[i + 1 :] = v[i]
-                dB[i + 1 :] = 0.0
+                X.append(x_new if math.isfinite(x_new) else math.nan)
                 break
             x = x_new
-            X[i + 1] = x
+            X.append(x)
+    # after an explosion X is nan, v repeats its last rate and dB is 0
+    tail = n - len(v)
+    v = np.array(v + v[-1:] * tail)
+    dB = np.array(dB + [0.0] * tail)
+    X = np.array(X + [math.nan] * tail)
     dqv = v * dtau
     qv = np.concatenate([[0.0], np.cumsum(dqv)])
     bundle = PathBundle(grid=grid, dW=dW, v=v, dB=dB, dqv=dqv, qv=qv, X=X)
@@ -168,6 +170,4 @@ def write_path_csv(path, run: SimulationRun) -> None:
         bundle.qv,
         bundle.X if bundle.X is not None else np.full(n + 1, np.nan),
     )
-    write_csv(
-        path, ("t", "W", "v", "B", "qv", "X"), zip(*(c.tolist() for c in columns))
-    )
+    write_float_columns(path, ("t", "W", "v", "B", "qv", "X"), columns)

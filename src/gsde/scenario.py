@@ -96,11 +96,22 @@ class VolatilityScenario:
         raise NotImplementedError
 
 
+def _reject_nan(*params: float) -> None:
+    """A nan rate or switch point would pass the band clamp (np.clip keeps
+    nan); inf is fine, it clamps to a band edge."""
+    for p in params:
+        if math.isnan(p):
+            raise ValueError("scenario parameters must not be nan")
+
+
 @dataclass(frozen=True)
 class Constant(VolatilityScenario):
     """Fixed variance rate (clamped into the band at emission)."""
 
     v: float
+
+    def __post_init__(self):
+        _reject_nan(self.v)
 
     def label(self) -> str:
         return f"constant:{fmt(self.v)}"
@@ -117,6 +128,7 @@ class BangBangInTime(VolatilityScenario):
     def __post_init__(self):
         if len(self.times) != len(self.levels) or not self.times:
             raise ValueError("need matching nonempty times and levels")
+        _reject_nan(*self.times, *self.levels)
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("switch times must be strictly increasing")
 
@@ -143,6 +155,9 @@ class BangBangInX(VolatilityScenario):
     v_above: float
 
     needs_state: ClassVar[bool] = True
+
+    def __post_init__(self):
+        _reject_nan(self.x_star, self.v_below, self.v_above)
 
     def label(self) -> str:
         return (

@@ -108,6 +108,47 @@ class TestExitCodes:
         )
         assert main(["exponent", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "command, scenario",
+        [
+            ("simulate", "constant:nan"),
+            ("simulate", "bangbang_t:nan@0.5,1@2"),
+            ("simulate", "bangbang_t:1@nan"),
+            ("simulate", "bangbang_x:nan,1,1"),
+            ("simulate", "bangbang_x:0,nan,1"),
+            ("exponent", "constant:nan"),
+        ],
+    )
+    def test_nan_scenario_is_config_error(self, tmp_path, capsys, command, scenario):
+        """np.clip keeps nan, so a nan rate or switch point would get past
+        the band; it is rejected when the scenario is built."""
+        cfg = write(tmp_path, SIMULATE.replace("bangbang_t:1@5,0.25@10", scenario))
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "must not be nan" in capsys.readouterr().err
+
+    def test_infinite_rate_clamps_to_upper_edge(self, tmp_path):
+        cfg = write(tmp_path, SIMULATE.replace("bangbang_t:1@5,0.25@10", "constant:inf"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "path_000.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[2] for row in rows} == {"1"}
+
+    @pytest.mark.parametrize(
+        "command, x0, t0",
+        [
+            ("simulate", "nan", "0"),
+            ("simulate", "inf", "0"),
+            ("simulate", "1.0", "nan"),
+            ("exponent", "1.0", "nan"),
+            ("exponent", "-inf", "0"),
+        ],
+    )
+    def test_nonfinite_start_is_config_error(self, tmp_path, capsys, command, x0, t0):
+        cfg = write(
+            tmp_path, SIMULATE.replace("sde.x0 = 1.0", f"sde.x0 = {x0}\nsde.t0 = {t0}")
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "sde.x0 and sde.t0 must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_config_seed_out_of_range(self, tmp_path, seed):
         cfg = write(tmp_path, EXPONENT + f"numerics.seed = {seed}\n")

@@ -15,7 +15,14 @@ from gsde.integrator import (
     linear_closed_form,
     write_path_csv,
 )
-from gsde.scenario import Constant, sample_path, uniform_grid
+from gsde.csvio import write_csv
+from gsde.scenario import (
+    BangBangInTime,
+    Constant,
+    sample_path,
+    standard_increments,
+    uniform_grid,
+)
 
 B1 = AmbiguityBounds(1.0, 1.0)
 B = AmbiguityBounds(0.5, 1.0)
@@ -130,6 +137,43 @@ class TestExplosion:
         with pytest.raises(EvalDomainError):
             integrate(spec, Constant(1.0), B1, grid, seed=2)
 
+    @pytest.mark.parametrize(
+        "x0, first_bad",
+        [
+            (2.0, 6),  # crosses the threshold with a finite 7.8e24
+            (1e110, 1),  # x*x*x overflows to inf on the first step
+        ],
+    )
+    def test_exploding_path_is_exact(self, x0, first_bad):
+        """Up to the crossing X is the Euler recursion on the recorded
+        driver; after it X is nan, v repeats the crossing step's rate
+        (not the scenario's later 0.25) and dB is 0."""
+        s = BangBangInTime((0.55, 10.0), (1.0, 0.25))
+        grid = uniform_grid(0.0, 1.0, 0.1)
+        spec = SdeSpec(f=parse("x*x*x"), g=parse("x"), x0=x0)
+        run = integrate(spec, s, B, grid, seed=4)
+        b = run.bundle
+        n = grid.size - 1
+        dtau = np.diff(grid)
+        assert run.exploded
+        assert run.first_bad_index == first_bad
+        np.testing.assert_array_equal(
+            b.dW, standard_increments(4, 0, n) * np.sqrt(dtau)
+        )
+        np.testing.assert_array_equal(b.v, np.ones(n))
+        dB = np.zeros(n)
+        dB[:first_bad] = b.dW[:first_bad]
+        np.testing.assert_array_equal(b.dB, dB)
+        xs = [x0]
+        for i in range(first_bad):
+            x = xs[-1]
+            xs.append(x + x * x * x * dtau[i] + x * dB[i])
+        expected = np.full(n + 1, np.nan)
+        expected[: first_bad + 1] = xs
+        expected[np.isinf(expected)] = np.nan  # an overflowed step is stored as nan
+        np.testing.assert_array_equal(b.X, expected)
+        assert not abs(b.X[first_bad]) <= EXPLOSION_THRESHOLD
+
     def test_grid_must_start_at_t0(self):
         spec = linear_spec(1.0, 0.0)
         grid = uniform_grid(1.0, 1.0, 0.1)
@@ -161,3 +205,24 @@ class TestPathCsv:
         np.testing.assert_array_equal(x_col, run.bundle.X)
         qv_col = np.array([float(r[4]) for r in rows[1:]])
         np.testing.assert_array_equal(qv_col, run.bundle.qv)
+
+    def test_bytes_equal_cell_writer(self, tmp_path):
+        """The path file equals write_csv of the same columns, cell by cell
+        through fmt, nan tail of an exploded run included."""
+        spec = SdeSpec(f=parse("x*x*x"), g=parse("x"), x0=2.0)
+        grid = uniform_grid(0.0, 1.0, 0.1)
+        run = integrate(spec, Constant(1.0), B, grid, seed=4)
+        assert run.exploded
+        b = run.bundle
+        columns = (
+            b.grid,
+            np.concatenate([[0.0], np.cumsum(b.dW)]),
+            np.concatenate([b.v, b.v[-1:]]),
+            np.concatenate([[0.0], np.cumsum(b.dB)]),
+            b.qv,
+            b.X,
+        )
+        header = ("t", "W", "v", "B", "qv", "X")
+        write_path_csv(tmp_path / "a.csv", run)
+        write_csv(tmp_path / "b.csv", header, zip(*(c.tolist() for c in columns)))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

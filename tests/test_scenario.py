@@ -149,6 +149,28 @@ class TestScenarioKinds:
         with pytest.raises(ValueError):
             BangBangInTime((1.0,), (1.0, 0.25))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda nan: Constant(nan),
+            lambda nan: BangBangInTime((nan,), (1.0,)),
+            lambda nan: BangBangInTime((1.0, 2.0), (0.25, nan)),
+            lambda nan: BangBangInX(nan, 0.25, 1.0),
+            lambda nan: BangBangInX(0.0, nan, 1.0),
+            lambda nan: BangBangInX(0.0, 0.25, nan),
+        ],
+    )
+    def test_nan_parameters_rejected(self, make):
+        """The band clamp keeps nan, so a nan field is refused at once."""
+        with pytest.raises(ValueError, match="must not be nan"):
+            make(float("nan"))
+
+    def test_infinite_rate_clamps(self):
+        grid = uniform_grid(0.0, 1.0, 0.1)
+        np.testing.assert_array_equal(
+            sample_path(Constant(float("inf")), B, grid, seed=0).v, B.v_upper
+        )
+
     def test_piecewise_random_dwell(self):
         s = PiecewiseRandom(0.25)
         grid = uniform_grid(0.0, 1.0, 0.05)

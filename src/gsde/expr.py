@@ -300,7 +300,9 @@ class _Op:
     division and overflow and use a different pow.  domain lists
     (predicate, message) pairs over the operands, checked in order before
     fn; finite makes a non-finite result an EvalOverflowError.  d maps the
-    operands followed by their derivatives to the derivative tree."""
+    operands followed by their derivatives to the derivative tree.
+    rewrite maps simplified operands to a smaller tree by an exact
+    identity, or to None when none applies (see _simplify)."""
 
     fn: Callable
     src: str
@@ -309,6 +311,7 @@ class _Op:
     finite: bool = False
     prec: int = _PREC_ATOM
     sym: str = ""
+    rewrite: Callable | None = None
 
 
 _UNARY = {
@@ -345,22 +348,49 @@ def _d_pow(u, c, du, dc):
     )
 
 
+def _is(e: Expr, value: float) -> bool:
+    return isinstance(e, Const) and e.value == value
+
+
+def _rewrite_mul(a, b):
+    # 0*u is not exact (0*inf, 0*nan) and would hide u's domain errors;
+    # it folds only where u can fail by overflow alone
+    if _is(a, 1):
+        return b
+    if _is(b, 1):
+        return a
+    if (_is(a, 0) and _domain_free(b)) or (_is(b, 0) and _domain_free(a)):
+        return Const(0.0)
+    return None
+
+
+def _rewrite_pow(u, c):
+    if c.value == 1:
+        return u
+    if c.value == 0 and _domain_free(u):
+        return Const(1.0)
+    return None
+
+
 _BINARY = {
     "add": _Op(np.add, "({0} + {1})", lambda a, b, da, db: Binary("add", da, db),
-               finite=True, prec=_PREC_ADD, sym=" + "),
+               finite=True, prec=_PREC_ADD, sym=" + ",
+               rewrite=lambda a, b: b if _is(a, 0) else a if _is(b, 0) else None),
     "sub": _Op(np.subtract, "({0} - {1})", lambda a, b, da, db: Binary("sub", da, db),
-               finite=True, prec=_PREC_ADD, sym=" - "),
+               finite=True, prec=_PREC_ADD, sym=" - ",
+               rewrite=lambda a, b: a if _is(b, 0) else _neg(b) if _is(a, 0) else None),
     "mul": _Op(np.multiply, "({0}*{1})",
                lambda a, b, da, db: Binary(
                    "add", Binary("mul", da, b), Binary("mul", a, db)),
-               finite=True, prec=_PREC_MUL, sym="*"),
+               finite=True, prec=_PREC_MUL, sym="*", rewrite=_rewrite_mul),
     "div": _Op(np.divide, "np.divide({0}, {1})",
                lambda a, b, da, db: Binary(
                    "div",
                    Binary("sub", Binary("mul", da, b), Binary("mul", a, db)),
                    Binary("pow", b, Const(2.0))),
                domain=((lambda a, b: np.any(b == 0), "division by zero"),),
-               finite=True, prec=_PREC_MUL, sym="/"),
+               finite=True, prec=_PREC_MUL, sym="/",
+               rewrite=lambda a, b: a if _is(b, 1) else None),
     "pow": _Op(np.power, "np.power({0}, {1})", _d_pow,
                domain=(
                    (lambda a, c: not float(c).is_integer() and np.any(a < 0),
@@ -368,7 +398,7 @@ _BINARY = {
                    (lambda a, c: c < 0 and np.any(a == 0),
                     "zero base under a negative power"),
                ),
-               finite=True, prec=_PREC_POW, sym="^"),
+               finite=True, prec=_PREC_POW, sym="^", rewrite=_rewrite_pow),
 }
 
 
@@ -378,6 +408,20 @@ def _row(e: Unary | Binary) -> _Op:
 
 def _operands(e: Unary | Binary) -> tuple:
     return (e.child,) if isinstance(e, Unary) else (e.left, e.right)
+
+
+def _domain_free(e: Expr) -> bool:
+    """True when no domain rule can fire anywhere in e: no log, sqrt or
+    division, and no power with a fractional or negative exponent.  Such
+    a tree can fail only by overflow."""
+    if isinstance(e, (Const, Var)):
+        return True
+    if isinstance(e, Binary) and e.op == "pow":
+        c = e.right.value  # type: ignore[union-attr]
+        free = c >= 0 and float(c).is_integer()
+    else:
+        free = not _row(e).domain
+    return free and all(_domain_free(k) for k in _operands(e))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +505,8 @@ def check_domain(exprs, x, t) -> None:
 # differentiation
 
 def differentiate(e: Expr, var: str) -> Expr:
-    """Exact formal derivative with respect to 'x' or 't'.
+    """Exact formal derivative with respect to 'x' or 't', simplified by
+    exact identities (_simplify).
 
     abs and sign differentiate formally (d|u| = sign(u) du, d sign(u) = 0);
     both are non-differentiable at u = 0, which callers report as a caveat
@@ -469,7 +514,7 @@ def differentiate(e: Expr, var: str) -> Expr:
     """
     if var not in VARIABLES:
         raise ValueError(f"unknown variable {var!r}")
-    return _d(e, var)
+    return _simplify(_d(e, var))
 
 
 def _d(e: Expr, var: str) -> Expr:
@@ -479,6 +524,30 @@ def _d(e: Expr, var: str) -> Expr:
         return Const(1.0 if e.name == var else 0.0)
     kids = _operands(e)
     return _row(e).d(*kids, *(_d(k, var) for k in kids))
+
+
+def _simplify(e: Expr) -> Expr:
+    """Rewrite e bottom-up by exact identities: constant subtrees fold
+    through their row's own fn where no domain rule fires and the result
+    is finite, then the row's rewrite applies.  Wherever e evaluates at
+    finite points, the result gives the same floats, up to the sign of a
+    zero; a domain error e raises is still raised, and only an overflow
+    under a dropped 0*u or u^0 can vanish."""
+    if isinstance(e, (Const, Var)):
+        return e
+    row = _row(e)
+    kids = [_simplify(k) for k in _operands(e)]
+    if all(isinstance(k, Const) for k in kids):
+        args = [np.float64(k.value) for k in kids]
+        if not any(bad(*args) for bad, _ in row.domain):
+            with np.errstate(all="ignore"):
+                val = row.fn(*args)
+            if np.isfinite(val):
+                return Const(float(val))
+    out = row.rewrite(*kids) if row.rewrite is not None else None
+    if out is not None:
+        return out
+    return type(e)(e.op, *kids, e.offset)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ of grid time and their verdicts carry horizon_limited = True.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -136,8 +137,8 @@ class CheckGrid:
         t_span: float = 20.0,
         t_points: int = 200,
     ) -> "CheckGrid":
-        if not (0 < x_min < x_max):
-            raise ValueError("need 0 < x_min < x_max")
+        if not (0 < x_min < x_max < math.inf and math.isfinite(t_span)):
+            raise ValueError("need 0 < x_min < x_max and a finite t_span")
         mags = np.geomspace(x_min, x_max, x_points)
         return cls(
             xs=np.concatenate([-mags[::-1], mags]),
@@ -223,14 +224,20 @@ class CertificateSpec:
 
 def validate_certificate(cert: CertificateSpec, b: AmbiguityBounds) -> None:
     """Reject malformed certificate parameter sets: missing fields for the
-    chosen template, out-of-range parameters, state-dependent time weights,
-    or a lambda that breaks its template's rule."""
+    chosen template, out-of-range or non-finite parameters, state-dependent
+    time weights, or a lambda that breaks its template's rule."""
     tpl = _TEMPLATES.get(cert.theorem)
     if tpl is None:
         raise CertificateError(f"unknown certificate template {cert.theorem!r}")
     missing = [n for n in ("p", *tpl.fields) if getattr(cert, n) is None]
     if missing:
         raise CertificateError(f"{cert.theorem} needs fields {', '.join(missing)}")
+    for name in ("p", "lam", "rho", "kappa", "eta", "q"):
+        val = getattr(cert, name)
+        if val is not None and not math.isfinite(val):
+            raise CertificateError(
+                f"{'lambda' if name == 'lam' else name} must be finite"
+            )
     if not cert.p > 0:
         raise CertificateError("p must be positive")
     for name in ("eta", "q"):
@@ -253,8 +260,8 @@ def validate_certificate(cert: CertificateSpec, b: AmbiguityBounds) -> None:
     if coeffs is not None:
         if len(coeffs) < 2:
             raise CertificateError("nu must have degree >= 1")
-        if any(not c > 0 for c in coeffs):
-            raise CertificateError("nu coefficients must all be positive")
+        if any(not 0 < c < math.inf for c in coeffs):
+            raise CertificateError("nu coefficients must be positive and finite")
     admissible, message = tpl.lam_rule
     if not admissible(cert, b):
         raise CertificateError(message)
@@ -298,11 +305,16 @@ class CertificateReport:
 
 
 def _pointwise(m: OperatorSample, name, lhs, rhs) -> HypothesisVerdict:
-    """Check lhs <= rhs at the sample points with relative slack."""
+    """Check lhs <= rhs at the sample points with relative slack:
+    rel = (lhs - rhs) / max(1, |lhs|, |rhs|), in two grid-size arrays."""
     lhs = _full(lhs, m.x)
     rhs = _full(rhs, m.x)
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    rel = (lhs - rhs) / scale
+    scale = np.abs(lhs)
+    rel = np.abs(rhs)
+    np.maximum(scale, rel, out=scale)
+    np.maximum(1.0, scale, out=scale)
+    np.subtract(lhs, rhs, out=rel)
+    np.divide(rel, scale, out=rel)
     k = int(np.argmax(rel))
     worst = float(rel.flat[k])
     return HypothesisVerdict(

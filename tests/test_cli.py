@@ -149,6 +149,45 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "sde.x0 and sde.t0 must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("certificate.lambda = inf", "lambda must be finite"),
+            ("certificate.p = inf", "p must be finite"),
+            ("grid.x_max = inf", "finite t_span"),
+            ("grid.t_span = inf", "finite t_span"),
+            ("grid.t_span = nan", "finite t_span"),
+            ("certificate.theorem = T34\ncertificate.lambda = -1\n"
+             "certificate.rho = inf\ncertificate.kappa = 1\ncertificate.phi = 1",
+             "rho must be finite"),
+            ("certificate.theorem = T34\ncertificate.lambda = -inf\n"
+             "certificate.rho = 4\ncertificate.kappa = 1\ncertificate.phi = 1",
+             "lambda must be finite"),
+            ("certificate.theorem = T38\ncertificate.lambda = 2\n"
+             "certificate.rho = 1\ncertificate.kappa = inf\ncertificate.phi = 1",
+             "kappa must be finite"),
+            ("certificate.theorem = T35\ncertificate.nu_coeffs = 400,inf",
+             "nu coefficients must be positive and finite"),
+            ("certificate.theorem = T36\ncertificate.eta = inf\ncertificate.q = 1\n"
+             "certificate.beta_exp = 0\ncertificate.phi = 1",
+             "eta must be finite"),
+            ("certificate.theorem = T37\ncertificate.eta = 1\ncertificate.q = inf\n"
+             "certificate.beta_exp = 0\ncertificate.phi1 = 1\ncertificate.phi2 = 0",
+             "q must be finite"),
+        ],
+    )
+    def test_nonfinite_certificate_is_config_error(
+        self, tmp_path, capsys, recwarn, extra, message
+    ):
+        """A non-finite certificate or grid parameter exits 2 with one line
+        on stderr, before numpy sees it."""
+        cfg = write(tmp_path, CERT_GRANT + extra + "\n")
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert message in err[0]
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_config_seed_out_of_range(self, tmp_path, seed):
         cfg = write(tmp_path, EXPONENT + f"numerics.seed = {seed}\n")

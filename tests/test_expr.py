@@ -11,6 +11,7 @@ from gsde.expr import (
     Binary,
     Const,
     EvalDomainError,
+    EvalOverflowError,
     ParseError,
     Unary,
     Var,
@@ -22,6 +23,7 @@ from gsde.expr import (
     parse,
     to_source,
 )
+from gsde.expr import _d, _simplify
 
 
 class TestParsing:
@@ -372,3 +374,96 @@ def test_axes_evaluation_matches_mesh_bitwise(e):
         assert on_axes == on_mesh, to_source(e)
     else:
         assert _bits(on_axes) == _bits(on_mesh), to_source(e)
+
+
+# ---------------------------------------------------------------------------
+# the derivative simplifier
+
+def _node_count(e):
+    if isinstance(e, (Const, Var)):
+        return 1
+    kids = (e.child,) if isinstance(e, Unary) else (e.left, e.right)
+    return 1 + sum(_node_count(k) for k in kids)
+
+
+def _message(exc):
+    return str(exc).partition(" in '")[0]
+
+
+@given(
+    e=any_exprs(),
+    xs=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+    ts=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4),
+)
+@example(e=parse("3*log(x)"), xs=[-1.0], ts=[0.0])
+@example(e=parse("x^2*log(x)+exp(t)*sqrt(x)"), xs=[-0.5, 0.0, 2.0], ts=[1.0])
+@example(e=parse("exp(x^2)*t"), xs=[30.0], ts=[1.0])
+@settings(max_examples=300, deadline=None)
+def test_simplified_derivative_matches_raw(e, xs, ts):
+    """Wherever the raw chain-rule tree evaluates, the simplified
+    derivative gives an equal float (only a zero's sign may differ), and
+    wherever the raw tree leaves its domain, the simplified one raises
+    the same kind of domain error."""
+    for var in ("x", "t"):
+        raw, simple = _d(e, var), differentiate(e, var)
+        for x, t in zip(xs, ts):
+            try:
+                expected = evaluate(raw, x, t)
+            except EvalOverflowError:
+                continue
+            except EvalDomainError as exc:
+                with pytest.raises(EvalDomainError) as info:
+                    evaluate(simple, x, t)
+                assert not isinstance(info.value, EvalOverflowError)
+                assert _message(info.value) == _message(exc), to_source(e)
+                continue
+            assert evaluate(simple, x, t) == expected, (to_source(e), var, x, t)
+
+
+BENCH_VS = {
+    # V: nodes of (V_x, V_xx, V_t) simplified, then as raw chain-rule trees
+    "(1+exp(-t))*x^2+x^4": ((15, 15, 9), (33, 109, 33)),
+    "x^2": ((3, 1, 1), (7, 25, 7)),
+    "exp(t)*x^2": ((6, 4, 6), (19, 70, 19)),
+    "exp(2*t)*x^2": ((8, 6, 10), (29, 118, 29)),
+}
+
+
+class TestSimplifier:
+    @pytest.mark.parametrize("text", sorted(BENCH_VS))
+    def test_node_counts(self, text):
+        V = parse(text)
+        V_x = differentiate(V, "x")
+        simple = (V_x, differentiate(V_x, "x"), differentiate(V, "t"))
+        raw_x = _d(V, "x")
+        raw = (raw_x, _d(raw_x, "x"), _d(V, "t"))
+        assert tuple(map(_node_count, simple)) == BENCH_VS[text][0]
+        assert tuple(map(_node_count, raw)) == BENCH_VS[text][1]
+
+    @pytest.mark.parametrize("text", sorted(BENCH_VS))
+    def test_simplified_trees_round_trip(self, text):
+        V = parse(text)
+        V_x = differentiate(V, "x")
+        for d in (V_x, differentiate(V_x, "x"), differentiate(V, "t")):
+            assert parse(to_source(d)) == d
+
+    def test_zero_times_log_keeps_its_domain_error(self):
+        # d/dx 3*log(x) is 0*log(x) + 3*(1/x): the 0*log(x) must stay
+        d = differentiate(parse("3*log(x)"), "x")
+        with pytest.raises(EvalDomainError, match="log of a non-positive value"):
+            evaluate(d, -1.0, 0.0)
+        assert evaluate(d, 2.0, 0.0) == 1.5
+
+    def test_identities(self):
+        cases = {
+            "x*1": "x", "1*x": "x", "x/1": "x", "x^1": "x",
+            "x+0": "x", "0+x": "x", "x-0": "x", "0-x": "-x",
+            "0*exp(x)": "0.0", "exp(x)*0": "0.0", "sin(x)^0": "1.0",
+            "2*3+exp(0)": "7.0",
+            # domain rules block the folds that would hide them
+            "0*log(x)": "0.0*log(x)", "sqrt(x)^0": "sqrt(x)^0.0",
+            "0*x^0.5": "0.0*x^0.5", "(1/x)*0": "1.0/x*0.0",
+            "log(0-1)": "log(-1.0)", "1/(1-1)": "1.0/0.0",
+        }
+        for text, expected in cases.items():
+            assert to_source(_simplify(parse(text))) == to_source(parse(expected)), text

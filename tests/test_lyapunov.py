@@ -7,6 +7,7 @@ bounds are worked out by hand from the template formulas.
 """
 
 import csv
+import types
 
 import numpy as np
 import pytest
@@ -141,6 +142,50 @@ class TestOperators:
         check_certificate(V2, TestT38.SPEC, B, TestT38.CERT, GRID)
         assert len(calls) == 7
         assert calls[-1] is TestT38.CERT.phi
+
+
+def _pointwise_reference(m, name, lhs, rhs):
+    """_pointwise as one expression with six grid-size temporaries."""
+    lhs = np.broadcast_to(np.asarray(lhs, dtype=float), m.x.shape)
+    rhs = np.broadcast_to(np.asarray(rhs, dtype=float), m.x.shape)
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    rel = (lhs - rhs) / scale
+    k = int(np.argmax(rel))
+    worst = float(rel.flat[k])
+    return lyapunov.HypothesisVerdict(
+        name, worst <= lyapunov.REL_SLACK, worst,
+        float(m.x.flat[k]), float(m.t.flat[k]),
+    )
+
+
+def test_pointwise_matches_reference_formula():
+    """The in-place _pointwise returns the verdict of the plain formula on
+    full arrays, broadcast columns, rows and scalars, with nan, +-inf,
+    signed zeros and ties among the values."""
+    rng = np.random.default_rng(7)
+    x, t = np.broadcast_arrays(np.linspace(-3, 3, 7)[:, None],
+                               np.linspace(0, 4, 5)[None, :])
+    m = types.SimpleNamespace(x=x, t=t)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 1e300])
+
+    def operand(shape):
+        vals = rng.normal(scale=rng.choice([1e-3, 1.0, 1e6]), size=shape)
+        hit = rng.random(shape) < 0.2
+        vals[hit] = rng.choice(specials, size=int(hit.sum()))
+        return vals
+
+    shapes = [(7, 5), (7, 1), (1, 5), ()]
+    checked = 0
+    with np.errstate(all="ignore"):
+        for _ in range(40):
+            for ls in shapes:
+                for rs in shapes:
+                    lhs = operand(ls)
+                    rhs = lhs.copy() if ls == rs and rng.random() < 0.3 else operand(rs)
+                    got = lyapunov._pointwise(m, "h", lhs, rhs)
+                    assert repr(got) == repr(_pointwise_reference(m, "h", lhs, rhs))
+                    checked += 1
+    assert checked == 40 * 16
 
 
 class TestValidation:

@@ -6,132 +6,9 @@ The package simulates paths under adversarial volatility scenarios,
 machine-checks Lyapunov-style decay and growth certificates that hold
 uniformly over the band, and estimates worst-case pathwise exponential
 rates empirically.
+
+Each name is imported from the module that defines it, for example
+``from gsde.expr import parse``; ``gsde.cli`` is the command line.
 """
 
-from .expr import (
-    EvalDomainError,
-    Expr,
-    ExprError,
-    ParseError,
-    compile_fn,
-    differentiate,
-    evaluate,
-    free_variables,
-    parse,
-    to_source,
-)
-from .gcalc import AmbiguityBounds, g_lower, g_upper
-from .scenario import (
-    BangBangInTime,
-    BangBangInX,
-    Constant,
-    FeedbackSignVxx,
-    PathBundle,
-    PiecewiseRandom,
-    ScenarioError,
-    VolatilityScenario,
-    enumerate_family,
-    parse_scenario,
-    sample_path,
-    uniform_grid,
-)
-from .integrator import (
-    EXPLOSION_THRESHOLD,
-    METHODS,
-    SdeSpec,
-    SimulationRun,
-    integrate,
-    linear_closed_form,
-    write_path_csv,
-)
-from .lyapunov import (
-    THEOREMS,
-    CertificateError,
-    CertificateReport,
-    CertificateSpec,
-    CheckGrid,
-    HypothesisVerdict,
-    LyapunovFn,
-    check_certificate,
-    validate_certificate,
-    verdict_line,
-    write_certificate_csv,
-)
-from .estimator import (
-    FUNCTIONALS,
-    EstimationError,
-    ExponentEstimate,
-    MartingaleCheckSpec,
-    MartingaleReport,
-    ScenarioExponent,
-    SearchResult,
-    SublinearEstimate,
-    adversarial_search,
-    estimate_exponent,
-    estimate_sublinear_expectation,
-    martingale_bound_check,
-)
-from .config import ConfigError, load_config, parse_config_text
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmbiguityBounds",
-    "BangBangInTime",
-    "BangBangInX",
-    "CertificateError",
-    "CertificateReport",
-    "CertificateSpec",
-    "CheckGrid",
-    "ConfigError",
-    "Constant",
-    "EXPLOSION_THRESHOLD",
-    "EstimationError",
-    "EvalDomainError",
-    "ExponentEstimate",
-    "Expr",
-    "ExprError",
-    "FeedbackSignVxx",
-    "FUNCTIONALS",
-    "HypothesisVerdict",
-    "LyapunovFn",
-    "MartingaleCheckSpec",
-    "MartingaleReport",
-    "METHODS",
-    "ParseError",
-    "PathBundle",
-    "PiecewiseRandom",
-    "ScenarioError",
-    "ScenarioExponent",
-    "SdeSpec",
-    "SearchResult",
-    "SimulationRun",
-    "SublinearEstimate",
-    "THEOREMS",
-    "VolatilityScenario",
-    "adversarial_search",
-    "check_certificate",
-    "compile_fn",
-    "differentiate",
-    "enumerate_family",
-    "estimate_exponent",
-    "estimate_sublinear_expectation",
-    "evaluate",
-    "free_variables",
-    "g_lower",
-    "g_upper",
-    "integrate",
-    "linear_closed_form",
-    "load_config",
-    "martingale_bound_check",
-    "parse",
-    "parse_config_text",
-    "parse_scenario",
-    "sample_path",
-    "to_source",
-    "uniform_grid",
-    "validate_certificate",
-    "verdict_line",
-    "write_certificate_csv",
-    "write_path_csv",
-]

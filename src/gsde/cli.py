@@ -15,10 +15,14 @@ the same config and seed writes byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import (
+    MAX_STEPS,
     SEED_LIMIT,
     ConfigError,
     build_bounds,
@@ -40,7 +44,7 @@ from .lyapunov import (
     verdict_line,
     write_certificate_csv,
 )
-from .scenario import ScenarioError, uniform_grid
+from .scenario import PiecewiseRandom, ScenarioError, uniform_grid
 
 __all__ = ["main", "entry"]
 
@@ -113,21 +117,31 @@ def _check(cfg):
     return check_certificate(lyap, sde, bounds, cert, grid)
 
 
-def _scenarios(cfg, bounds):
-    """The configured family; feedback_vxx reads the energy function."""
-    lyap = build_lyapunov(cfg)
-    return build_scenarios(
-        cfg, bounds, lyapunov=lyap.V if lyap is not None else None
+def _family(cfg):
+    """The configured band, SDE, family and numerics, and the time grid
+    they run on.  A grid or a piecewise_random level count that cannot be
+    built is a config error, found before any path array is sized."""
+    bounds = build_bounds(cfg)
+    sde = build_sde(cfg)
+    scenarios = build_scenarios(cfg, bounds)
+    num = build_numerics(cfg)
+    for s in scenarios:
+        if isinstance(s, PiecewiseRandom) and not num.horizon / s.dwell < MAX_STEPS:
+            raise ConfigError(f"{s.label()}: dwell too small for numerics.horizon")
+    if math.isfinite(sde.t0 + num.horizon):
+        grid = uniform_grid(sde.t0, num.horizon, num.dt)
+        if (np.diff(grid) > 0).all():
+            return bounds, sde, scenarios, num, grid
+    raise ConfigError(
+        "sde.t0 + numerics.horizon: the time grid must be finite and "
+        "strictly increasing"
     )
 
 
 def _estimate(cfg, args):
     """Estimate the configured family's rates; --seed overrides the
     config's seed."""
-    bounds = build_bounds(cfg)
-    sde = build_sde(cfg)
-    scenarios = _scenarios(cfg, bounds)
-    num = build_numerics(cfg)
+    bounds, sde, scenarios, num, _ = _family(cfg)
     return estimate_exponent(
         sde,
         scenarios,
@@ -181,16 +195,12 @@ def _cmd_exponent(cfg, args, out_dir: Path) -> int:
 
 
 def _cmd_simulate(cfg, args, out_dir: Path) -> int:
-    bounds = build_bounds(cfg)
-    sde = build_sde(cfg)
-    scenarios = _scenarios(cfg, bounds)
+    bounds, sde, scenarios, num, grid = _family(cfg)
     if len(scenarios) != 1:
         raise ConfigError(
             f"simulate needs exactly one scenario, got {len(scenarios)}"
         )
-    num = build_numerics(cfg)
     seed = num.seed if args.seed is None else args.seed
-    grid = uniform_grid(sde.t0, num.horizon, num.dt)
     n_exploded = 0
     for p in range(num.n_paths):
         run = integrate(

@@ -234,7 +234,9 @@ def build_certificate(cfg: dict, bounds: AmbiguityBounds) -> CertificateSpec:
     return cert
 
 
-def build_scenarios(cfg: dict, bounds: AmbiguityBounds, lyapunov: Expr | None = None):
+def build_scenarios(cfg: dict, bounds: AmbiguityBounds):
+    """The configured family; feedback_vxx reads V from lyapunov.v."""
+    lyapunov = _opt_expr(cfg, "lyapunov.v", {"x", "t"})
     has_list = "scenarios.list" in cfg
     has_richness = "scenarios.richness" in cfg
     if has_list and has_richness:
@@ -276,6 +278,10 @@ def build_grid(cfg: dict, t0: float) -> CheckGrid:
 # Philox keys hold the seed in one 64-bit word
 SEED_LIMIT = 1 << 64
 
+# the most steps, or piecewise_random levels, a run may have: far more than
+# memory holds, and below numpy's limit on the size of one array
+MAX_STEPS = 1 << 53
+
 
 @dataclass(frozen=True)
 class Numerics:
@@ -298,6 +304,10 @@ def build_numerics(cfg: dict) -> Numerics:
         raise ConfigError(
             "numerics.dt and numerics.horizon must be positive and finite"
         )
+    if num.dt > num.horizon:
+        raise ConfigError("numerics.dt must not exceed numerics.horizon")
+    if not num.horizon / num.dt < MAX_STEPS:
+        raise ConfigError("numerics.horizon / numerics.dt: too many steps")
     if not 0 <= num.seed < SEED_LIMIT:
         raise ConfigError("numerics.seed must lie in [0, 2^64)")
     if num.n_paths < 1:

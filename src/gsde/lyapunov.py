@@ -137,8 +137,8 @@ class CheckGrid:
         t_span: float = 20.0,
         t_points: int = 200,
     ) -> "CheckGrid":
-        if not (0 < x_min < x_max < math.inf and math.isfinite(t_span)):
-            raise ValueError("need 0 < x_min < x_max and a finite t_span")
+        if not (0 < x_min < x_max < math.inf and 0 < t_span < math.inf):
+            raise ValueError("need 0 < x_min < x_max and a finite t_span > 0")
         mags = np.geomspace(x_min, x_max, x_points)
         return cls(
             xs=np.concatenate([-mags[::-1], mags]),

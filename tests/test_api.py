@@ -1,0 +1,50 @@
+"""The package's import surface, and the README's library example."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import gsde
+
+SRC = Path(gsde.__file__).resolve().parent
+README = SRC.parents[1] / "README.md"
+
+
+def test_package_reexports_nothing():
+    """Each name has one import path, its module: the package __init__
+    imports nothing from a submodule."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    offenders = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "gsde")
+        or isinstance(node, ast.Import)
+        and any(a.name.split(".")[0] == "gsde" for a in node.names)
+    ]
+    assert offenders == []
+
+
+def test_module_all_names_exist():
+    """Every name a module's __all__ lists is defined there; a missing one
+    would be skipped silently by anything that wraps __all__."""
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        mod = importlib.import_module(f"gsde.{path.stem}")
+        missing += [f"{path.stem}.{name}" for name in getattr(mod, "__all__", ())
+                    if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's library block imports from the modules and prints what
+    its comments say."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    (code,) = [b for b in blocks if "from gsde" in b]
+    exec(compile(code, str(README), "exec"), {})
+    granted, bound, sup_mean = capsys.readouterr().out.split()
+    assert (granted, float(bound)) == ("True", -0.5)
+    assert round(float(sup_mean), 2) == -1.11

@@ -10,6 +10,7 @@ import pytest
 
 import gsde
 from gsde.cli import main
+from gsde.lyapunov import LyapunovFn
 
 CERT_GRANT = """
 ambiguity.sigma_lower = 0.5
@@ -157,6 +158,8 @@ class TestExitCodes:
             ("grid.x_max = inf", "finite t_span"),
             ("grid.t_span = inf", "finite t_span"),
             ("grid.t_span = nan", "finite t_span"),
+            ("grid.t_span = 0", "finite t_span"),
+            ("grid.t_span = -5", "finite t_span"),
             ("certificate.theorem = T34\ncertificate.lambda = -1\n"
              "certificate.rho = inf\ncertificate.kappa = 1\ncertificate.phi = 1",
              "rho must be finite"),
@@ -179,10 +182,37 @@ class TestExitCodes:
     def test_nonfinite_certificate_is_config_error(
         self, tmp_path, capsys, recwarn, extra, message
     ):
-        """A non-finite certificate or grid parameter exits 2 with one line
-        on stderr, before numpy sees it."""
+        """A non-finite certificate or grid parameter, or an empty or
+        reversed time grid (which would grant T33 on nothing), exits 2 with
+        one line on stderr, before numpy sees it."""
         cfg = write(tmp_path, CERT_GRANT + extra + "\n")
         assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert message in err[0]
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+    @pytest.mark.parametrize("command", ["exponent", "simulate"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("numerics.dt = 1e-300", "too many steps"),
+            ("numerics.horizon = 1e300", "too many steps"),
+            ("numerics.dt = 2\nnumerics.horizon = 1", "must not exceed"),
+            ("sde.t0 = 1e300", "strictly increasing"),
+            ("sde.t0 = 1.7e308\nnumerics.horizon = 1e308\nnumerics.dt = 1e307",
+             "finite and strictly increasing"),
+            ("scenarios.list = piecewise_random:dwell=1e-300",
+             "piecewise_random:dwell=1e-300: dwell"),
+        ],
+    )
+    def test_unbuildable_run_grid_is_config_error(
+        self, tmp_path, capsys, recwarn, command, extra, message
+    ):
+        """A time grid or a level count that cannot be built exits 2 with
+        one line on stderr; each fails before a path array is sized."""
+        cfg = write(tmp_path, SIMULATE + extra + "\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:"), err
         assert message in err[0]
@@ -638,6 +668,48 @@ BYTE_PINS = {
             "bbbaab6f748d54f09c24c90c2dd877d05b8a43b519546deea912a376eec66fa8",
     }),
 }
+
+
+# V's curvature picks the band edge of feedback_vxx
+FEEDBACK = SIMULATE.replace("scenarios.list = bangbang_t:1@5,0.25@10", (
+    "lyapunov.v = (1+exp(-t))*x^2+x^4\n"
+    "scenarios.list = constant:0.25; feedback_vxx"
+))
+
+
+@pytest.mark.parametrize(
+    "command, text, digests",
+    [
+        ("exponent", FEEDBACK, {
+            "exponent.csv":
+                "a775e1f6f90942f03643f881fd0c97e5c1e934e740a08649d8205609a0b3109e",
+        }),
+        ("simulate", FEEDBACK.replace("constant:0.25; ", "")
+         + "numerics.method = milstein\n", {
+            "path_000.csv":
+                "dc319b4ef77aadc3275d4ea0383782f79e8a0dab3280f1a757567ab6f0cc259c",
+            "path_001.csv":
+                "fe9eca29d08f808165c39a0be6b34efa33e4be31b0be9ca40c10a336913311de",
+            "path_002.csv":
+                "e5ded59d0efda41d00b3c7d39a5f3199af53c491676299c310d07206ed58f4bb",
+        }),
+    ],
+    ids=["exponent", "simulate"],
+)
+def test_feedback_reads_v_without_certificate_partials(
+    tmp_path, monkeypatch, command, text, digests
+):
+    """exponent and simulate pass V to feedback_vxx as parsed; they never
+    build the certificate's V_t, V_x and V_xx, and the bytes stay pinned."""
+    def refuse(cls, V):
+        raise AssertionError("LyapunovFn.from_expr called")
+
+    monkeypatch.setattr(LyapunovFn, "from_expr", classmethod(refuse))
+    cfg = write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == digests
 
 
 class TestBytePin:

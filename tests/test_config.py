@@ -14,7 +14,8 @@ from gsde.config import (
     load_config,
     parse_config_text,
 )
-from gsde.scenario import BangBangInTime, Constant
+from gsde.expr import parse
+from gsde.scenario import BangBangInTime, Constant, FeedbackSignVxx
 
 BASE = """
 # canonical case
@@ -143,6 +144,22 @@ class TestBuilders:
         out = build_scenarios(cfg, build_bounds(cfg))
         assert len(out) == 7  # richness 3 recipe
 
+    def test_scenarios_read_lyapunov_v(self):
+        """feedback_vxx gets V from lyapunov.v, in a list and in the
+        generated family alike."""
+        v = "lyapunov.v = (1+exp(-t))*x^2+x^4\n"
+        cfg = parse_config_text(BASE + v + "scenarios.list = feedback_vxx\n")
+        assert build_scenarios(cfg, build_bounds(cfg)) == [
+            FeedbackSignVxx(parse("(1+exp(-t))*x^2+x^4"))
+        ]
+        cfg = parse_config_text(BASE + v + "scenarios.richness = 1\n")
+        assert build_scenarios(cfg, build_bounds(cfg))[-1] == FeedbackSignVxx(
+            parse("(1+exp(-t))*x^2+x^4")
+        )
+        cfg = parse_config_text(BASE + "scenarios.list = feedback_vxx\n")
+        with pytest.raises(ConfigError, match="energy function"):
+            build_scenarios(cfg, build_bounds(cfg))
+
     def test_scenarios_exclusive(self):
         cfg = parse_config_text(
             BASE + "scenarios.list = constant:1\nscenarios.richness = 2\n"
@@ -180,3 +197,18 @@ class TestBuilders:
             build_numerics(parse_config_text("numerics.method = rk4\n"))
         with pytest.raises(ConfigError, match="not an integer"):
             build_numerics(parse_config_text("numerics.n_paths = ten\n"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("numerics.dt = 2\nnumerics.horizon = 1", "must not exceed"),
+            ("numerics.dt = 1e-300", "too many steps"),
+            ("numerics.horizon = 1e300", "too many steps"),
+            ("numerics.dt = 1e-300\nnumerics.horizon = 1e300", "too many steps"),
+        ],
+    )
+    def test_numerics_step_count(self, text, message):
+        """dt may not exceed the horizon, and the step count must fit; both
+        are checked on the numbers, before any grid is built."""
+        with pytest.raises(ConfigError, match=message):
+            build_numerics(parse_config_text(text + "\n"))

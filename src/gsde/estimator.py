@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, check_domain, compile_fn, differentiate, free_variables
+from .expr import Expr, check_domain, compile_fn, free_variables
 from .gcalc import AmbiguityBounds
-from .integrator import EXPLOSION_THRESHOLD, METHODS, SdeSpec
+from .integrator import EXPLOSION_THRESHOLD, SdeSpec, _scheme
 from .scenario import (
     BangBangInTime,
     VolatilityScenario,
@@ -382,32 +382,24 @@ def _run_lanes(
     Lanes are scenario-major: scenario q owns lanes q*n_paths to
     (q+1)*n_paths - 1, and its variance policy is called once per step on
     that slice of X.  Lane (q, p) draws path p's Wiener stream from its own
-    Philox generator, as integrate does, so a family run equals its
-    scenarios run one by one, bit for bit.  Normals come in lane-major
-    blocks of _BLOCK_STEPS steps; step j of a block reads column j.
+    Philox generator and takes integrate's step (integrator._scheme), so
+    a family run equals its scenarios run one by one, bit for bit.
+    Normals come in lane-major blocks of _BLOCK_STEPS steps; step j of a
+    block reads column j.
 
     alive is True until the first flag and ~flagged after it; observers
     pass it as `where=` to their updates.  While it is True the only
     explosion check is one max of |X|.  A lane whose state leaves
     [-threshold, threshold] or turns non-finite is flagged and frozen at
-    NaN.  A non-finite lane is first re-evaluated at its pre-step state
-    with the checked evaluator (f, g and Milstein's g_x), so a domain
-    violation raises EvalDomainError naming the node; overflow only flags
-    the lane.  The re-check runs lane by lane, since one lane's overflow
-    must not hide another's domain violation; a lane is re-checked at
-    most once, as it is flagged afterwards.
+    NaN.  The non-finite lanes are first re-checked at their pre-step
+    states (check_domain), so a domain violation raises EvalDomainError
+    naming the node; overflow only flags the lane.  A lane is re-checked
+    at most once, as it is flagged afterwards.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
+    step, exprs = _scheme(spec, method)
     k = len(scenarios)
     lanes = k * n_paths
     n_steps = grid.size - 1
-    # Milstein adds g_x, which a non-finite step re-checks with f and g
-    exprs = (spec.f, spec.g) + (
-        (differentiate(spec.g, "x"),) if method == "milstein" else ()
-    )
-    f_fn, g_fn, *gx = map(compile_fn, exprs)
-    gx_fn = gx[0] if gx else None
     paths = np.arange(n_paths)
     policies = [
         (slice(q * n_paths, (q + 1) * n_paths),
@@ -442,16 +434,12 @@ def _run_lanes(
             dB = np.sqrt(v) * dW
             for obs in observers:
                 obs.pre_step(i, t, X, v, dW, dB, dtau, alive)
-            g = g_fn(X, t)
-            Xn = X + f_fn(X, t) * dtau + g * dB
-            if gx_fn is not None:
-                Xn = Xn + 0.5 * g * gx_fn(X, t) * v * (dW * dW - dtau)
+            Xn = step(X, t, dtau, v, dW, dB)
             if alive is True and np.abs(Xn).max() <= EXPLOSION_THRESHOLD:
                 X = Xn
             else:
                 bad = alive & ~(np.abs(Xn) <= EXPLOSION_THRESHOLD)
-                for x in X[bad & ~np.isfinite(Xn)].tolist():
-                    check_domain(exprs, x, float(t))
+                check_domain(exprs, X[bad & ~np.isfinite(Xn)], float(t))
                 flagged |= bad
                 alive = ~flagged
                 X = np.where(alive, Xn, np.nan)
@@ -497,25 +485,14 @@ def _scenario_exponents(
             res.n_flagged(),
             obs.slopes(),
         ):
-            ok = ~flagged
-            if not ok.any():
-                out.append(ScenarioExponent(
-                    label=s.label(),
-                    mean=float("nan"),
-                    max=float("nan"),
-                    stderr=float("nan"),
-                    slope=float("nan"),
-                    n_paths=n_paths,
-                    n_flagged=n_paths,
-                ))
-                continue
-            vals = acc[ok]
+            # a scenario whose every path was flagged gets nan statistics
+            vals = acc[~flagged]
             out.append(ScenarioExponent(
                 label=s.label(),
                 mean=_centered_mean(vals),
-                max=float(np.max(vals)),
+                max=float(np.max(vals)) if vals.size else float("nan"),
                 stderr=_stderr(vals),
-                slope=slope,
+                slope=slope if vals.size else float("nan"),
                 n_paths=n_paths,
                 n_flagged=n_flagged,
             ))
@@ -788,8 +765,6 @@ def martingale_bound_check(
     checkpoint tau_k.  k0 per path is the first index from which the bound
     holds through k_max.
     """
-    if n_paths < 1:
-        raise EstimationError("n_paths must be >= 1")
     taus = mspec.taus()
     gammas = mspec.gammas()
     horizon = float(taus[-1])

@@ -488,17 +488,21 @@ def evaluate(e: Expr, x, t):
         return _eval(e, x, t)
 
 
-def check_domain(exprs, x, t) -> None:
-    """Re-evaluate exprs at one point whose compiled result was non-finite.
+def check_domain(exprs, xs, t) -> None:
+    """Re-evaluate exprs at states whose compiled result was non-finite:
+    xs is one state or an array of states, all at time t.
 
     A domain violation raises EvalDomainError naming the offending node;
-    plain overflow (EvalOverflowError) returns, so the caller can treat
-    it as an explosion."""
-    for e in exprs:
-        try:
-            evaluate(e, x, t)
-        except EvalOverflowError:
-            pass
+    plain overflow (EvalOverflowError) passes, so the caller can treat it
+    as an explosion.  The states are checked one at a time, each against
+    every expression in order, since one state's overflow must not hide
+    another's domain violation."""
+    for x in np.ravel(xs).tolist():
+        for e in exprs:
+            try:
+                evaluate(e, x, t)
+            except EvalOverflowError:
+                pass
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +573,12 @@ def compile_fn(e: Expr):
     to evaluate() to attribute failures.  Wherever evaluate succeeds the
     callable returns the same bits, for Python floats and arrays alike.
     """
-    src = _codegen(e)
-    return eval(f"lambda x, t: {src}", {"np": np, "__builtins__": {}})
+    return _compile("x, t", _codegen(e))
+
+
+def _compile(params: str, body: str):
+    """`lambda params: body` over _codegen output; numpy is its one global."""
+    return eval(f"lambda {params}: {body}", {"np": np, "__builtins__": {}})
 
 
 # ---------------------------------------------------------------------------

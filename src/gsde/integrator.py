@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_float_columns
-from .expr import Expr, check_domain, compile_fn, differentiate
+from .expr import Expr, _codegen, _compile, check_domain, differentiate
 from .gcalc import AmbiguityBounds
 from .scenario import (
     PathBundle,
@@ -59,8 +59,30 @@ class SdeSpec:
 @dataclass
 class SimulationRun:
     bundle: PathBundle
-    exploded: bool = False
     first_bad_index: int | None = None
+
+    @property
+    def exploded(self) -> bool:
+        return self.first_bad_index is not None
+
+
+def _scheme(spec: SdeSpec, method: str):
+    """The step of integrate and of the lane engine: (step, exprs).
+
+    step(x, t, dtau, v, dW, dB) is one generated lambda, the same bits on
+    Python floats and on lane arrays; it evaluates g once and squares dW
+    as a product (libm pow can differ in the last bit).  exprs (f, g and
+    Milstein's g_x) are what a non-finite step re-checks (check_domain)."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    exprs = (spec.f, spec.g) + (
+        (differentiate(spec.g, "x"),) if method == "milstein" else ()
+    )
+    f, g, *gx = map(_codegen, exprs)
+    body = f"x + {f} * dtau + (g := {g}) * dB"
+    if gx:
+        body += f" + 0.5 * g * {gx[0]} * v * (dW * dW - dtau)"
+    return _compile("x, t, dtau, v, dW, dB", body), exprs
 
 
 def integrate(
@@ -77,8 +99,7 @@ def integrate(
     The Wiener stream is keyed by (seed, path_index), so the same call is
     bitwise reproducible and distinct paths are independent.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    step, exprs = _scheme(spec, method)
     grid = _check_grid(grid)
     if not math.isclose(float(grid[0]), spec.t0, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("grid must start at the spec's t0")
@@ -87,18 +108,11 @@ def integrate(
     z = standard_increments(seed, path_index, n)
     dW = z * np.sqrt(dtau)
     var_fn = variance_stream(s, b, grid, seed, path_index)
-    # Milstein adds g_x, which a non-finite step re-checks with f and g
-    exprs = (spec.f, spec.g) + (
-        (differentiate(spec.g, "x"),) if method == "milstein" else ()
-    )
-    f_fn, g_fn, *gx = map(compile_fn, exprs)
-    gx_fn = gx[0] if gx else None
 
     # the loop reads and appends Python floats: indexing or storing into an
     # array would cost more per step than the step arithmetic
     ts, dts, dWs = grid.tolist(), dtau.tolist(), dW.tolist()
     v, dB, X = [], [], [float(spec.x0)]
-    exploded = False
     first_bad = None
     x = X[0]
     with np.errstate(all="ignore"):
@@ -110,16 +124,10 @@ def integrate(
             dW_i = dWs[i]
             dB_i = math.sqrt(vi) * dW_i
             dB.append(dB_i)
-            gi = float(g_fn(x, ti))
-            x_new = x + float(f_fn(x, ti)) * dt_i + gi * dB_i
-            if gx_fn is not None:
-                # dW_i * dW_i, not ** 2: libm pow can differ from the
-                # lane engine's product in the last bit
-                x_new += 0.5 * gi * float(gx_fn(x, ti)) * vi * (dW_i * dW_i - dt_i)
+            x_new = float(step(x, ti, dt_i, vi, dW_i, dB_i))
             if not math.isfinite(x_new) or abs(x_new) > EXPLOSION_THRESHOLD:
                 if not math.isfinite(x_new):
                     check_domain(exprs, x, ti)
-                exploded = True
                 first_bad = i + 1
                 X.append(x_new if math.isfinite(x_new) else math.nan)
                 break
@@ -130,10 +138,8 @@ def integrate(
     v = np.array(v + v[-1:] * tail)
     dB = np.array(dB + [0.0] * tail)
     X = np.array(X + [math.nan] * tail)
-    dqv = v * dtau
-    qv = np.concatenate([[0.0], np.cumsum(dqv)])
-    bundle = PathBundle(grid=grid, dW=dW, v=v, dB=dB, dqv=dqv, qv=qv, X=X)
-    return SimulationRun(bundle=bundle, exploded=exploded, first_bad_index=first_bad)
+    bundle = PathBundle(grid=grid, dW=dW, v=v, dB=dB, X=X)
+    return SimulationRun(bundle=bundle, first_bad_index=first_bad)
 
 
 def linear_closed_form(

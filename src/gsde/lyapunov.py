@@ -536,13 +536,7 @@ def check_certificate(
     tpl = _TEMPLATES[cert.theorem]
     xs, ts = grid.xs[:, None], grid.ts[None, :]
     m = sample_operators(lyap, spec, b, xs, ts)
-    bad = m.V <= 0
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise CertificateError(
-            f"V must be positive away from x = 0; V <= 0 at "
-            f"x={m.x.flat[k]:.6g}, t={m.t.flat[k]:.6g}"
-        )
+    _refuse_at(m, m.V <= 0, "V must be positive away from x = 0; V <= 0")
     caveats = tuple(
         f"{name} uses abs/sign: derivatives are formal and do not "
         f"exist at the kink (x = 0 caveat)"
@@ -550,9 +544,10 @@ def check_certificate(
         if contains_nonsmooth(e)
     )
 
-    xp = np.abs(xs) ** cert.p
-    if tpl.grows:
-        xp = np.exp(cert.lam * ts) * xp
+    with np.errstate(all="ignore"):
+        xp = np.abs(xs) ** cert.p * (np.exp(cert.lam * ts) if tpl.grows else 1.0)
+    weight = "|x|^p e^(lambda t)" if tpl.grows else "|x|^p"
+    _refuse_at(m, ~np.isfinite(xp), f"the envelope weight {weight} is not finite")
     envelope = (m.V, xp) if tpl.unstable else (xp, m.V)
     lam, rest = tpl.hypotheses(m, cert, grid.ts)
     hyps = (_pointwise(m, "envelope", *envelope), *rest)
@@ -566,6 +561,14 @@ def check_certificate(
         p=cert.p,
         caveats=caveats,
     )
+
+
+def _refuse_at(m: OperatorSample, bad, what: str) -> None:
+    """Raise CertificateError naming the first grid point where bad."""
+    bad = np.broadcast_to(bad, m.x.shape)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise CertificateError(f"{what} at x={m.x.flat[k]:.6g}, t={m.t.flat[k]:.6g}")
 
 
 def _time_weight(e: Expr, ts: np.ndarray) -> np.ndarray:

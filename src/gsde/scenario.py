@@ -19,7 +19,7 @@ Wiener increments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -234,11 +234,11 @@ def variance_stream(
         def feedback(i, t, x):
             c = vxx_fn(x, t)
             if not np.isfinite(c).all():
-                # re-check each live lane alone: one lane's overflow must
-                # not hide another's domain violation
+                # a flagged (nan) lane is not re-checked
                 xs, cs = np.broadcast_arrays(x, c)
-                for xj in xs[~np.isfinite(cs) & np.isfinite(xs)].tolist():
-                    check_domain((vxx,), xj, t)
+                live = xs[~np.isfinite(cs) & np.isfinite(xs)]
+                if live.size:
+                    check_domain((vxx,), live, t)
             return np.where(c > 0, hi, lo)
 
         return feedback
@@ -271,18 +271,22 @@ class PathBundle:
 
     grid has N+1 points; dW, v, dB and dqv have N entries (per step); qv
     has N+1 entries with qv[0] = 0 and qv = cumsum(dqv).  dqv_i = v_i *
-    dtau_i is stored explicitly: multiplication by a positive step is
-    monotone in v, so the band sandwich on per-step increments is exact.
-    X is filled by the integrator (None until then).
+    dtau_i is derived from v here and stored explicitly: multiplication by
+    a positive step is monotone in v, so the band sandwich on per-step
+    increments is exact.  X is filled by the integrator (None until then).
     """
 
     grid: np.ndarray
     dW: np.ndarray
     v: np.ndarray
     dB: np.ndarray
-    dqv: np.ndarray
-    qv: np.ndarray
     X: np.ndarray | None = None
+    dqv: np.ndarray = field(init=False)
+    qv: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.dqv = self.v * np.diff(self.grid)
+        self.qv = np.concatenate([[0.0], np.cumsum(self.dqv)])
 
 
 def _check_grid(grid: np.ndarray) -> np.ndarray:
@@ -320,9 +324,7 @@ def sample_path(
     v = np.empty(n)
     v[:] = var_fn(np.arange(n), grid[:-1], None)
     dB = np.sqrt(v) * dW
-    dqv = v * dtau
-    qv = np.concatenate([[0.0], np.cumsum(dqv)])
-    return PathBundle(grid=grid, dW=dW, v=v, dB=dB, dqv=dqv, qv=qv)
+    return PathBundle(grid=grid, dW=dW, v=v, dB=dB)
 
 
 # ---------------------------------------------------------------------------

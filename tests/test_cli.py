@@ -712,6 +712,26 @@ def test_feedback_reads_v_without_certificate_partials(
     assert got == digests
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        CERT_GRANT.replace("certificate.p = 2", "certificate.p = 400"),
+        PIN_T36.replace("certificate.lambda = 1\n", "certificate.lambda = 60\n"),
+    ],
+    ids=["t33_p400", "t36_lambda60"],
+)
+def test_overflowing_envelope_is_3(tmp_path, capsys, recwarn, text):
+    """An envelope weight |x|^p (times e^(lambda t) for T36 and T37) that
+    overflows on the grid is refused at the point where it overflows,
+    instead of being checked into a nan verdict."""
+    cfg = write(tmp_path, text)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "envelope weight" in err[0] and "not finite at x=" in err[0]
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+
 class TestBytePin:
     @pytest.mark.parametrize("name", sorted(BYTE_PINS))
     def test_csv_digests(self, tmp_path, name):

@@ -131,24 +131,50 @@ class TestExponent:
         fractional power in g, whose compiled kernel must give the same
         bits on integrate's Python floats as on the engine's lane arrays;
         the third squares dW in the Milstein correction where Python's
-        ** 2 and a product differ in the last bit."""
+        ** 2 and a product differ in the last bit.  Then the level-stream
+        and the two feedback policies under both schemes, and a drift
+        where some paths explode: X agrees up to first_bad_index, and
+        the engine flags exactly the exploded runs."""
+        varied = SdeSpec(f=parse("-0.5*x"), g=parse("0.8*x + 0.2*sin(x)"), x0=1.0)
         cases = [
             (linear_spec(1.0, 1.0), Constant(0.25), 2.0, 0.01, 13, 4, "euler"),
             (SdeSpec(f=parse("-0.01*x"), g=parse("0.01*x^1.5"), x0=100.0),
              Constant(0.5), 5.0, 1e-3, 3, 8, "euler"),
             (SdeSpec(f=parse("-0.5*x"), g=parse("x^1.5"), x0=1.0),
              Constant(1.0), 2.0, 0.01, 22, 1, "milstein"),
+        ] + [
+            (varied, s, 2.0, 0.01, 5, 6, method)
+            for s in (
+                PiecewiseRandom(0.3),
+                BangBangInX(1.0, 0.25, 1.0),
+                FeedbackSignVxx(parse("x^4 - 3*x^2")),
+            )
+            for method in ("euler", "milstein")
+        ] + [
+            (SdeSpec(f=parse("x*x*x"), g=parse("2*x"), x0=0.5),
+             Constant(1.0), 2.0, 0.01, 8, 12, method)
+            for method in ("euler", "milstein")
         ]
+        n_exploded = 0
         for spec, s, horizon, dt, seed, n_paths, method in cases:
             grid = uniform_grid(0.0, horizon, dt)
-            singles = np.array([
+            runs = [
                 integrate(spec, s, B, grid, seed=seed, method=method, path_index=p)
-                .bundle.X
                 for p in range(n_paths)
-            ])
+            ]
             rec = _PathRecorder(spec.x0)
-            estimator._run_lanes(spec, [s], B, grid, seed, n_paths, method, [rec])
-            np.testing.assert_array_equal(np.array(rec.rows).T, singles)
+            res = estimator._run_lanes(
+                spec, [s], B, grid, seed, n_paths, method, [rec]
+            )
+            for run, lane in zip(runs, np.array(rec.rows).T):
+                end = run.first_bad_index or lane.size
+                np.testing.assert_array_equal(lane[:end], run.bundle.X[:end])
+                assert np.isnan(lane[end:]).all()
+            np.testing.assert_array_equal(
+                res.flagged, [run.exploded for run in runs]
+            )
+            n_exploded += sum(run.exploded for run in runs)
+        assert 0 < n_exploded < 24
 
         spec = linear_spec(1.0, 1.0)
         grid = uniform_grid(0.0, 2.0, 0.01)

@@ -2,10 +2,13 @@
 order sanity, explosion flagging, CSV output."""
 
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsde
 from gsde.expr import EvalDomainError, parse
 from gsde.gcalc import AmbiguityBounds
 from gsde.integrator import (
@@ -108,6 +111,19 @@ class TestSchemeAccuracy:
         grid = uniform_grid(0.0, 1.0, 0.1)
         with pytest.raises(ValueError, match="method"):
             integrate(spec, Constant(1.0), B1, grid, seed=0, method="heun")
+
+
+def test_step_rule_lives_in_one_module():
+    """Only integrator spells the step: the Milstein correction's dW * dW
+    and the derivation of g_x appear nowhere else in the package."""
+    src = Path(gsde.__file__).resolve().parent
+    offenders = [
+        p.name
+        for p in sorted(src.glob("*.py"))
+        if p.name != "integrator.py"
+        and re.search(r"dW \* dW|differentiate\(spec\.g", p.read_text())
+    ]
+    assert offenders == []
 
 
 class TestExplosion:

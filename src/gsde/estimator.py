@@ -14,13 +14,14 @@ the family can only raise the estimated supremum.
 One lane engine, _run_lanes, serves every entry point: it advances all
 (scenario, path) pairs of a call as one scenario-major array of lanes,
 so a family of k scenarios on n paths steps k*n lanes at once.  A call
-holds at most 4000 lanes (larger families run in scenario groups, one
-scenario at least per group), and Wiener normals come in lane-major
-Philox blocks of 256 steps, so a block stays within 8 MB unless a single
-scenario has more than 4000 paths.  While no lane is flagged a step
-checks for explosions with a single max of |X|, and masks appear only
-after the first flag.  A family run gives each scenario exactly the
-numbers a run of that scenario alone gives.
+holds at most 4000 lanes: the one group loop, _scenario_rows, runs a
+larger family in scenario groups (one scenario at least per group) and
+hands on each scenario's unflagged values.  Wiener normals come in
+lane-major Philox blocks of 256 steps, so a block stays within 8 MB
+unless a single scenario has more than 4000 paths.  While no lane is
+flagged a step checks for explosions with a single max of |X|, and masks
+appear only after the first flag.  A family run gives each scenario
+exactly the numbers a run of that scenario alone gives.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .scenario import (
     BangBangInTime,
     VolatilityScenario,
     WIENER_STREAM,
+    _check_grid,
     enumerate_family,
     stream_generator,
     uniform_grid,
@@ -67,14 +69,16 @@ _LOG_FLOOR = 1e-300
 # fraction of the horizon treated as the asymptotic tail
 _TAIL_FRACTION = 0.8
 
-FUNCTIONALS = (
-    "terminal_abs_pow",
-    "running_max_abs",
-    "terminal_b",
-    "terminal_qv",
-    "terminal_b_plus_qv",
-    "constant",
-)
+# per-lane values of each simulated path functional, from the final state,
+# the run's _FunctionalObserver and the power p
+_FUNCTIONALS = {
+    "terminal_abs_pow": lambda X, obs, p: np.abs(X) ** p,
+    "running_max_abs": lambda X, obs, p: obs.runmax,
+    "terminal_b": lambda X, obs, p: obs.B,
+    "terminal_qv": lambda X, obs, p: obs.QV,
+    "terminal_b_plus_qv": lambda X, obs, p: obs.B + obs.QV,
+}
+FUNCTIONALS = (*_FUNCTIONALS, "constant")
 
 
 class EstimationError(Exception):
@@ -182,11 +186,15 @@ class MartingaleCheckSpec:
             raise ValueError("k_max must be >= 1")
         if not self.theta > 1:
             raise ValueError("theta must exceed 1")
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         if not free_variables(self.eta) <= {"x", "t"}:
             raise ValueError("eta must be an expression in x and t")
         if self.gamma is not None:
             if len(self.gamma) != self.k_max or any(g <= 0 for g in self.gamma):
                 raise ValueError("gamma needs k_max positive entries")
+            if not all(math.isfinite(g) for g in self.gamma):
+                raise ValueError("gamma entries must be finite")
         if self.tau is not None:
             if len(self.tau) != self.k_max:
                 raise ValueError("tau needs k_max entries")
@@ -194,6 +202,8 @@ class MartingaleCheckSpec:
                 b <= a for a, b in zip(self.tau, self.tau[1:])
             ):
                 raise ValueError("tau must be positive and strictly increasing")
+            if not all(math.isfinite(t) for t in self.tau):
+                raise ValueError("tau entries must be finite")
         if self.growth not in ("k", "k^2", "exp"):
             raise ValueError("growth must be one of k, k^2, exp")
 
@@ -290,18 +300,15 @@ class _ExponentObserver:
         self.sy[live] += y
         self.sty[live] += elapsed * y
 
-    def slopes(self) -> list[float]:
-        out = []
-        for n, st, stt, sy, sty in zip(
-            self.n.tolist(), self.st.tolist(), self.stt.tolist(),
-            self.sy.tolist(), self.sty.tolist(),
-        ):
-            denom = n * stt - st * st
-            if n < 2 or denom == 0:
-                out.append(float("nan"))
-            else:
-                out.append((n * sty - st * sy) / denom)
-        return out
+    def slope(self, q: int) -> float:
+        """Least-squares slope of scenario q's mean log|X| over the window."""
+        n, st, stt, sy, sty = (
+            a[q].item() for a in (self.n, self.st, self.stt, self.sy, self.sty)
+        )
+        denom = n * stt - st * st
+        if n < 2 or denom == 0:
+            return float("nan")
+        return (n * sty - st * sy) / denom
 
 
 class _FunctionalObserver:
@@ -356,14 +363,6 @@ class _LaneResult:
 
     X: np.ndarray
     flagged: np.ndarray
-    n_scenarios: int
-
-    def per_scenario(self, values: np.ndarray) -> np.ndarray:
-        """Reshape a lane vector to (scenario, path) rows."""
-        return values.reshape(self.n_scenarios, -1)
-
-    def n_flagged(self) -> list[int]:
-        return self.per_scenario(self.flagged).sum(axis=1).tolist()
 
 
 def _run_lanes(
@@ -445,17 +444,32 @@ def _run_lanes(
                 X = np.where(alive, Xn, np.nan)
             for obs in observers:
                 obs.post_step(i, grid[i + 1], X, alive)
-    return _LaneResult(X=X, flagged=flagged, n_scenarios=k)
+    return _LaneResult(X=X, flagged=flagged)
 
 
-def _scenario_groups(scenarios, n_paths: int) -> list:
-    """Split a family into engine calls of at most _MAX_LANES lanes, at
-    least one scenario each."""
+def _scenario_rows(
+    spec, scenarios, b, grid, seed, n_paths, method, observer, values
+):
+    """Run a family through the lane engine, at most _MAX_LANES lanes and
+    at least one scenario per call, and yield per scenario in order its
+    unflagged values, its flag count, its group's observer and its index
+    there.  observer(k) builds a k-scenario group's observer; values(X,
+    obs) gives one value per lane from the final state and that observer."""
     size = max(1, _MAX_LANES // n_paths)
-    return [scenarios[q:q + size] for q in range(0, len(scenarios), size)]
+    for start in range(0, len(scenarios), size):
+        group = scenarios[start:start + size]
+        obs = observer(len(group))
+        res = _run_lanes(spec, group, b, grid, seed, n_paths, method, [obs])
+        rows = values(res.X, obs).reshape(len(group), n_paths)
+        flags = res.flagged.reshape(len(group), n_paths)
+        for q, (row, flagged) in enumerate(zip(rows, flags)):
+            yield row[~flagged], int(flagged.sum()), obs, q
 
 
-def _validate_run(spec, horizon, dt, n_paths):
+def _run_grid(spec, horizon, dt, n_paths) -> np.ndarray:
+    """The time grid of an estimator run, once the run's arguments pass.
+    A grid whose times repeat (t0 so large that t0 + dt rounds to t0) is
+    refused as integrate refuses it."""
     if spec.x0 == 0:
         raise EstimationError("x0 must be nonzero (rates normalize by |x0|)")
     if n_paths < 1:
@@ -464,6 +478,7 @@ def _validate_run(spec, horizon, dt, n_paths):
         raise EstimationError("horizon and dt must be positive")
     if dt > horizon:
         raise EstimationError("dt must not exceed the horizon")
+    return _check_grid(uniform_grid(spec.t0, horizon, dt))
 
 
 # ---------------------------------------------------------------------------
@@ -472,31 +487,25 @@ def _validate_run(spec, horizon, dt, n_paths):
 def _scenario_exponents(
     spec, scenarios, b, grid, seed, n_paths, method, horizon
 ) -> list[ScenarioExponent]:
-    """Exponent statistics of each scenario, one lane-engine run per
-    scenario group."""
-    out = []
-    for group in _scenario_groups(scenarios, n_paths):
-        obs = _ExponentObserver(spec.x0, spec.t0, horizon, len(group), n_paths)
-        res = _run_lanes(spec, group, b, grid, seed, n_paths, method, [obs])
-        for s, acc, flagged, n_flagged, slope in zip(
-            group,
-            res.per_scenario(obs.acc),
-            res.per_scenario(res.flagged),
-            res.n_flagged(),
-            obs.slopes(),
-        ):
-            # a scenario whose every path was flagged gets nan statistics
-            vals = acc[~flagged]
-            out.append(ScenarioExponent(
-                label=s.label(),
-                mean=_centered_mean(vals),
-                max=float(np.max(vals)) if vals.size else float("nan"),
-                stderr=_stderr(vals),
-                slope=slope if vals.size else float("nan"),
-                n_paths=n_paths,
-                n_flagged=n_flagged,
-            ))
-    return out
+    """Exponent statistics of each scenario; a scenario whose every path
+    was flagged gets nan statistics."""
+    rows = _scenario_rows(
+        spec, scenarios, b, grid, seed, n_paths, method,
+        lambda k: _ExponentObserver(spec.x0, spec.t0, horizon, k, n_paths),
+        lambda X, obs: obs.acc,
+    )
+    return [
+        ScenarioExponent(
+            label=s.label(),
+            mean=_centered_mean(vals),
+            max=float(np.max(vals)) if vals.size else float("nan"),
+            stderr=_stderr(vals),
+            slope=obs.slope(q) if vals.size else float("nan"),
+            n_paths=n_paths,
+            n_flagged=n_flagged,
+        )
+        for s, (vals, n_flagged, obs, q) in zip(scenarios, rows)
+    ]
 
 
 def estimate_exponent(
@@ -517,11 +526,10 @@ def estimate_exponent(
     was flagged are reported with NaN statistics; if that happens for the
     whole family the estimate is refused.
     """
-    _validate_run(spec, horizon, dt, n_paths)
+    grid = _run_grid(spec, horizon, dt, n_paths)
     scenarios = list(scenarios)
     if not scenarios:
         raise EstimationError("need at least one scenario")
-    grid = uniform_grid(spec.t0, horizon, dt)
     per = _scenario_exponents(
         spec, scenarios, b, grid, seed, n_paths, method, horizon
     )
@@ -543,20 +551,6 @@ def estimate_exponent(
 
 # ---------------------------------------------------------------------------
 # sublinear expectation of path functionals
-
-def _functional_values(name, p, res: _LaneResult, obs: _FunctionalObserver):
-    if name == "terminal_abs_pow":
-        return np.abs(res.X) ** p
-    if name == "running_max_abs":
-        return obs.runmax
-    if name == "terminal_b":
-        return obs.B
-    if name == "terminal_qv":
-        return obs.QV
-    if name == "terminal_b_plus_qv":
-        return obs.B + obs.QV
-    raise EstimationError(f"unknown functional {name!r}")
-
 
 def estimate_sublinear_expectation(
     functional: str,
@@ -587,33 +581,27 @@ def estimate_sublinear_expectation(
         raise EstimationError("need at least one scenario")
     labels = tuple(s.label() for s in scenarios)
     if functional == "constant":
-        means = tuple(float(constant_value) for _ in scenarios)
+        c, k = float(constant_value), len(scenarios)
         return SublinearEstimate(
-            value=float(constant_value),
+            value=c,
             argmax_label=labels[0],
             functional=functional,
             labels=labels,
-            means=means,
-            stderrs=tuple(0.0 for _ in scenarios),
-            n_flagged=tuple(0 for _ in scenarios),
+            means=(c,) * k,
+            stderrs=(0.0,) * k,
+            n_flagged=(0,) * k,
             n_paths=n_paths,
         )
-    _validate_run(spec, horizon, dt, n_paths)
-    grid = uniform_grid(spec.t0, horizon, dt)
-    means = []
-    stderrs = []
-    n_flagged = []
-    for group in _scenario_groups(scenarios, n_paths):
-        obs = _FunctionalObserver(spec.x0, len(group) * n_paths)
-        res = _run_lanes(spec, group, b, grid, seed, n_paths, method, [obs])
-        for row, flagged in zip(
-            res.per_scenario(_functional_values(functional, p, res, obs)),
-            res.per_scenario(res.flagged),
-        ):
-            vals = row[~flagged]
-            means.append(_centered_mean(vals))
-            stderrs.append(_stderr(vals))
-        n_flagged += res.n_flagged()
+    grid = _run_grid(spec, horizon, dt, n_paths)
+    of_path = _FUNCTIONALS[functional]
+    means, stderrs, n_flagged = zip(*(
+        (_centered_mean(vals), _stderr(vals), flags)
+        for vals, flags, _, _ in _scenario_rows(
+            spec, scenarios, b, grid, seed, n_paths, method,
+            lambda k: _FunctionalObserver(spec.x0, k * n_paths),
+            lambda X, obs: of_path(X, obs, p),
+        )
+    ))
     finite = [m for m in means if not math.isnan(m)]
     if not finite:
         raise EstimationError("every scenario was fully flagged")
@@ -624,9 +612,9 @@ def estimate_sublinear_expectation(
         argmax_label=argmax,
         functional=functional,
         labels=labels,
-        means=tuple(means),
-        stderrs=tuple(stderrs),
-        n_flagged=tuple(n_flagged),
+        means=means,
+        stderrs=stderrs,
+        n_flagged=n_flagged,
         n_paths=n_paths,
     )
 
@@ -661,80 +649,63 @@ def adversarial_search(
         raise ValueError("budget must be >= 1")
     if not (1 <= max_switches <= 4):
         raise ValueError("max_switches must be in 1..4")
-    _validate_run(spec, horizon, dt, n_paths)
-    grid = uniform_grid(spec.t0, horizon, dt)
+    grid = _run_grid(spec, horizon, dt, n_paths)
+    evaluations = 0
+    best: tuple[float, VolatilityScenario] | None = None
 
-    def objectives(cands) -> list[float]:
-        return [
+    def score(cands) -> list[float]:
+        """Objective of each candidate, counted against the budget; the
+        first candidate to reach the highest score so far becomes best."""
+        nonlocal evaluations, best
+        vals = [
             float("inf") if est.n_flagged > 0 else est.mean
             for est in _scenario_exponents(
                 spec, cands, b, grid, seed, n_paths, method, horizon
             )
         ]
-
-    def objective(s) -> float:
-        return objectives([s])[0]
+        evaluations += len(cands)
+        for s, val in zip(cands, vals):
+            if best is None or val > best[0]:
+                best = (val, s)
+        return vals
 
     family = enumerate_family(b, richness)
-    phase_one = family[:budget]
-    evaluations = len(phase_one)
-    best: tuple[float, VolatilityScenario] | None = None
-    for s, val in zip(phase_one, objectives(phase_one)):
-        if best is None or val > best[0]:
-            best = (val, s)
+    score(family[:budget])
     baseline_complete = evaluations >= len(family)
 
-    lo, hi = b.v_lower, b.v_upper
-
     def schedule(times, start_high):
-        first = hi if start_high else lo
-        second = lo if start_high else hi
-        levels = tuple(first if j % 2 == 0 else second for j in range(len(times)))
+        edges = (b.v_upper, b.v_lower) if start_high else (b.v_lower, b.v_upper)
+        levels = tuple(edges[j % 2] for j in range(len(times)))
         return BangBangInTime(tuple(times), levels)
 
     if baseline_complete and evaluations < budget:
         m = max_switches
-        times = [horizon * (j + 1) / (m + 1) for j in range(m)]
-        phases = {}
-        for start_high in (True, False):
-            if evaluations >= budget:
-                break
-            cand = schedule(times, start_high)
-            val = objective(cand)
-            evaluations += 1
-            phases[start_high] = val
-            if val > best[0]:
-                best = (val, cand)
-        if phases:
-            start_high = max(phases, key=phases.get)
-            current = list(times)
-            current_val = phases[start_high]
-            improving = True
-            while improving and evaluations < budget:
-                improving = False
-                for ci in range(m):
-                    left = current[ci - 1] if ci > 0 else 0.0
-                    right = current[ci + 1] if ci + 1 < m else horizon
-                    span = right - left
-                    for frac in (0.25, 0.5, 0.75):
-                        if evaluations >= budget:
-                            break
-                        t_new = left + frac * span
-                        if abs(t_new - current[ci]) < dt or t_new <= left:
-                            continue
-                        trial = current.copy()
-                        trial[ci] = t_new
-                        cand = schedule(sorted(trial), start_high)
-                        val = objective(cand)
-                        evaluations += 1
-                        if val > current_val:
-                            current = sorted(trial)
-                            current_val = val
-                            improving = True
-                            if val > best[0]:
-                                best = (val, cand)
+        current = [horizon * (j + 1) / (m + 1) for j in range(m)]
+        # the band-edge schedule on equal switch times, high start first
+        starts = (True, False)[:budget - evaluations]
+        vals = score([schedule(current, h) for h in starts])
+        current_val = max(vals)
+        start_high = starts[vals.index(current_val)]
+        improving = True
+        while improving and evaluations < budget:
+            improving = False
+            for ci in range(m):
+                left = current[ci - 1] if ci > 0 else 0.0
+                right = current[ci + 1] if ci + 1 < m else horizon
+                span = right - left
+                for frac in (0.25, 0.5, 0.75):
                     if evaluations >= budget:
                         break
+                    t_new = left + frac * span
+                    if abs(t_new - current[ci]) < dt or t_new <= left:
+                        continue
+                    trial = current.copy()
+                    trial[ci] = t_new
+                    val, = score([schedule(sorted(trial), start_high)])
+                    if val > current_val:
+                        current = sorted(trial)
+                        current_val = val
+                        improving = True
 
     return SearchResult(
         scenario=best[1],
@@ -768,8 +739,7 @@ def martingale_bound_check(
     taus = mspec.taus()
     gammas = mspec.gammas()
     horizon = float(taus[-1])
-    _validate_run(spec, horizon, dt, n_paths)
-    grid = uniform_grid(spec.t0, horizon, dt)
+    grid = _run_grid(spec, horizon, dt, n_paths)
     dt_actual = (grid[-1] - grid[0]) / (grid.size - 1)
     # checkpoint j lands after the step ending nearest tau_j
     snap_steps = np.clip(
@@ -788,8 +758,7 @@ def martingale_bound_check(
         ok_suffix.any(axis=0), ok_suffix.argmax(axis=0) + 1, -1
     ).astype(np.int64)
     unflagged = ~res.flagged
-    n_ok = int(unflagged.sum())
-    if n_ok == 0:
+    if not unflagged.any():
         raise EstimationError("every path was flagged; no martingale check")
     fraction = float(np.mean(k0[unflagged] != -1))
     violation = np.mean(~ok[:, unflagged], axis=1)
@@ -799,6 +768,6 @@ def martingale_bound_check(
         violation_fraction=violation,
         bounds=bounds,
         n_paths=n_paths,
-        n_flagged=res.n_flagged()[0],
+        n_flagged=int(res.flagged.sum()),
         scenario_label=scenario.label(),
     )

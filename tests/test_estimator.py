@@ -5,8 +5,10 @@ Light configurations throughout (short horizons, modest path counts);
 the statistical assertions use generous multiples of the standard error.
 """
 
+import ast
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from gsde.scenario import (
     Constant,
     FeedbackSignVxx,
     PiecewiseRandom,
+    ScenarioError,
     enumerate_family,
     uniform_grid,
 )
@@ -247,6 +250,29 @@ class TestExponent:
             estimate_exponent(spec, [], B, horizon=1.0, dt=0.1, n_paths=2,
                               seed=0)
 
+    def test_repeating_grid_refused_everywhere(self):
+        """At t0 = 1e300 every time of a 0.1-step grid rounds to t0.
+        integrate refuses that grid, and so must each estimator entry
+        point, before it runs and without a warning: it would otherwise
+        report QV = 0, blame flagged paths, score nan or pass every
+        path."""
+        spec = SdeSpec(f=parse("-x"), g=parse("x"), x0=1.0, t0=1e300)
+        run = dict(horizon=1.0, dt=0.1, n_paths=3, seed=0)
+        calls = [
+            lambda: estimate_sublinear_expectation(
+                "terminal_qv", spec, [Constant(1.0)], B, **run),
+            lambda: estimate_exponent(spec, [Constant(1.0)], B, **run),
+            lambda: adversarial_search(spec, B, budget=3, **run),
+            lambda: martingale_bound_check(
+                MartingaleCheckSpec(eta=parse("1"), k_max=1), spec,
+                Constant(1.0), B, n_paths=3, seed=0, dt=0.1),
+        ]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ScenarioError, match="strictly increasing"):
+                    call()
+
     def test_milstein_method_accepted(self):
         spec = linear_spec(1.0, 0.5)
         est = estimate_exponent(
@@ -452,6 +478,62 @@ class TestAdversarialSearch:
         assert isinstance(more.scenario, (Constant, BangBangInTime))
 
 
+# (max_switches, budget) -> (evaluations, repr(exponent), scenario) of the
+# search on the sign-flip drift below.  The richness-2 family has 5
+# members, so budget 3 stops inside phase one, 5 right after it, 6 after
+# the first band-edge start and 7 after both; 12, 20 and 40 stop in the
+# descent or let it converge.
+SEARCH_PINS = {
+    (1, 3): (3, "0.3322060690631883", Constant(0.25)),
+    (1, 5): (5, "0.3322060690631883", Constant(0.25)),
+    (1, 6): (6, "0.3322060690631883", Constant(0.25)),
+    (1, 7): (7, "0.3322060690631883", Constant(0.25)),
+    (1, 12): (9, "0.3322060690631883", Constant(0.25)),
+    (1, 20): (9, "0.3322060690631883", Constant(0.25)),
+    (1, 40): (9, "0.3322060690631883", Constant(0.25)),
+    (2, 3): (3, "0.3322060690631883", Constant(0.25)),
+    (2, 5): (5, "0.3322060690631883", Constant(0.25)),
+    (2, 6): (6, "0.33911924636681917", BangBangInTime(
+        (4.666666666666667, 9.333333333333334), (1.0, 0.25))),
+    (2, 7): (7, "0.33911924636681917", BangBangInTime(
+        (4.666666666666667, 9.333333333333334), (1.0, 0.25))),
+    (2, 12): (12, "0.35032587382249886", BangBangInTime(
+        (7.0, 9.333333333333334), (1.0, 0.25))),
+    (2, 20): (17, "0.35032587382249886", BangBangInTime(
+        (7.0, 9.333333333333334), (1.0, 0.25))),
+    (2, 40): (17, "0.35032587382249886", BangBangInTime(
+        (7.0, 9.333333333333334), (1.0, 0.25))),
+    (3, 3): (3, "0.3322060690631883", Constant(0.25)),
+    (3, 5): (5, "0.3322060690631883", Constant(0.25)),
+    (3, 6): (6, "0.3322060690631883", Constant(0.25)),
+    (3, 7): (7, "0.35029725753679275", BangBangInTime(
+        (3.5, 7.0, 10.5), (0.25, 1.0, 0.25))),
+    (3, 12): (12, "0.362229335909549", BangBangInTime(
+        (5.25, 7.875, 10.5), (0.25, 1.0, 0.25))),
+    (3, 20): (20, "0.3769610221306149", BangBangInTime(
+        (5.90625, 7.875, 10.5), (0.25, 1.0, 0.25))),
+    (3, 40): (33, "0.3769610221306149", BangBangInTime(
+        (5.90625, 7.875, 10.5), (0.25, 1.0, 0.25))),
+}
+
+
+@pytest.mark.parametrize(
+    "max_switches,budget", sorted(SEARCH_PINS),
+    ids=[f"m{m}-budget{n}" for m, n in sorted(SEARCH_PINS)],
+)
+def test_search_pinned(max_switches, budget):
+    """The search evaluates the same candidates in the same order at every
+    budget: drift -x sign(7 - t) with g = x + 1 rewards a band-edge
+    schedule over every constant once max_switches >= 2."""
+    spec = SdeSpec(f=parse("-x*sign(7 - t)"), g=parse("x + 1"), x0=1.0)
+    res = adversarial_search(
+        spec, B, budget=budget, horizon=14.0, dt=0.05, n_paths=6, seed=8,
+        richness=2, max_switches=max_switches,
+    )
+    got = (res.evaluations, repr(res.exponent), res.scenario)
+    assert got == SEARCH_PINS[max_switches, budget]
+
+
 class TestMartingaleBound:
     SPEC = linear_spec(1.0, 0.5)
 
@@ -494,6 +576,17 @@ class TestMartingaleBound:
             MartingaleCheckSpec(eta=parse("1"), growth="log")
         with pytest.raises(ValueError, match="k_max"):
             MartingaleCheckSpec(eta=parse("1"), k_max=0)
+        inf, nan = math.inf, math.nan
+        with pytest.raises(ValueError, match="theta"):
+            MartingaleCheckSpec(eta=parse("1"), theta=inf)
+        with pytest.raises(ValueError, match="gamma"):
+            MartingaleCheckSpec(eta=parse("1"), k_max=2, gamma=(1.0, nan))
+        with pytest.raises(ValueError, match="gamma"):
+            MartingaleCheckSpec(eta=parse("1"), k_max=2, gamma=(1.0, inf))
+        with pytest.raises(ValueError, match="tau"):
+            MartingaleCheckSpec(eta=parse("1"), k_max=2, tau=(1.0, inf))
+        with pytest.raises(ValueError, match="tau"):
+            MartingaleCheckSpec(eta=parse("1"), k_max=3, tau=(1.0, nan, 3.0))
 
     def test_custom_gamma_and_growth(self):
         ms = MartingaleCheckSpec(
@@ -506,3 +599,21 @@ class TestMartingaleBound:
         # theta/gamma * log g(k): k=3 -> 2*log(9)
         assert rep.bounds[2] == pytest.approx(2 * math.log(9.0))
         assert rep.fraction_satisfied >= 0.9
+
+
+def test_family_setup_lives_in_one_place():
+    """Every entry point builds its grid in _run_grid and runs its family
+    through the one group loop: estimator.py calls uniform_grid only in
+    _run_grid, and _run_lanes only in _scenario_rows and in
+    martingale_bound_check (a single scenario, no groups)."""
+    tree = ast.parse(open(estimator.__file__).read())
+    callers = {"uniform_grid": [], "_run_lanes": []}
+    for fn in tree.body:
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in callers):
+                callers[node.func.id].append(getattr(fn, "name", None))
+    assert callers == {
+        "uniform_grid": ["_run_grid"],
+        "_run_lanes": ["_scenario_rows", "martingale_bound_check"],
+    }

@@ -15,15 +15,10 @@ the same config and seed writes byte-identical files.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import (
-    MAX_STEPS,
-    SEED_LIMIT,
     ConfigError,
     build_bounds,
     build_certificate,
@@ -44,7 +39,7 @@ from .lyapunov import (
     verdict_line,
     write_certificate_csv,
 )
-from .scenario import PiecewiseRandom, ScenarioError, uniform_grid
+from .scenario import MAX_STEPS, SEED_LIMIT, PiecewiseRandom, ScenarioError, uniform_grid
 
 __all__ = ["main", "entry"]
 
@@ -128,14 +123,11 @@ def _family(cfg):
     for s in scenarios:
         if isinstance(s, PiecewiseRandom) and not num.horizon / s.dwell < MAX_STEPS:
             raise ConfigError(f"{s.label()}: dwell too small for numerics.horizon")
-    if math.isfinite(sde.t0 + num.horizon):
+    try:
         grid = uniform_grid(sde.t0, num.horizon, num.dt)
-        if (np.diff(grid) > 0).all():
-            return bounds, sde, scenarios, num, grid
-    raise ConfigError(
-        "sde.t0 + numerics.horizon: the time grid must be finite and "
-        "strictly increasing"
-    )
+    except ScenarioError as exc:
+        raise ConfigError(f"sde.t0 + numerics.horizon: the time {exc}") from exc
+    return bounds, sde, scenarios, num, grid
 
 
 def _estimate(cfg, args):

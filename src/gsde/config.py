@@ -9,24 +9,33 @@ falling back to defaults.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .expr import Expr, ParseError, free_variables, parse
 from .gcalc import AmbiguityBounds
 from .integrator import METHODS, SdeSpec
 from .lyapunov import (
+    CERT_PARAMS,
+    TIME_WEIGHTS,
     CertificateError,
     CertificateSpec,
     CheckGrid,
     LyapunovFn,
     validate_certificate,
 )
-from .scenario import ScenarioError, enumerate_family, parse_scenario
+from .scenario import (
+    PATH_LIMIT,
+    SEED_LIMIT,
+    ScenarioError,
+    check_run,
+    enumerate_family,
+    parse_scenario,
+)
 
 __all__ = [
     "ConfigError",
     "KNOWN_KEYS",
-    "SEED_LIMIT",
     "Numerics",
     "parse_config_text",
     "load_config",
@@ -54,16 +63,8 @@ KNOWN_KEYS = frozenset(
         "sde.t0",
         "lyapunov.v",
         "certificate.theorem",
-        "certificate.p",
-        "certificate.lambda",
-        "certificate.rho",
-        "certificate.kappa",
-        "certificate.eta",
-        "certificate.q",
-        "certificate.beta_exp",
-        "certificate.phi",
-        "certificate.phi1",
-        "certificate.phi2",
+        *(f"certificate.{key}" for key, _, _ in CERT_PARAMS.values()),
+        *(f"certificate.{name}" for name in TIME_WEIGHTS),
         "certificate.nu_coeffs",
         "scenarios.list",
         "scenarios.richness",
@@ -200,9 +201,8 @@ def build_lyapunov(cfg: dict) -> LyapunovFn | None:
 
 def build_certificate(cfg: dict, bounds: AmbiguityBounds) -> CertificateSpec:
     theorem = _require(cfg, "certificate.theorem").strip()
-    p = _float(cfg, "certificate.p")
-    if p is None:
-        raise ConfigError("missing required key 'certificate.p'")
+    keys = {name: f"certificate.{key}" for name, (key, _, _) in CERT_PARAMS.items()}
+    _require(cfg, keys["p"])
     nu = None
     if "certificate.nu_coeffs" in cfg:
         try:
@@ -215,16 +215,9 @@ def build_certificate(cfg: dict, bounds: AmbiguityBounds) -> CertificateSpec:
             raise ConfigError("certificate.nu_coeffs: empty coefficient list")
     cert = CertificateSpec(
         theorem=theorem,
-        p=p,
-        lam=_float(cfg, "certificate.lambda"),
-        rho=_float(cfg, "certificate.rho"),
-        kappa=_float(cfg, "certificate.kappa"),
-        eta=_float(cfg, "certificate.eta"),
-        q=_float(cfg, "certificate.q"),
-        beta_exp=_float(cfg, "certificate.beta_exp"),
-        phi=_opt_expr(cfg, "certificate.phi", {"t"}),
-        phi1=_opt_expr(cfg, "certificate.phi1", {"t"}),
-        phi2=_opt_expr(cfg, "certificate.phi2", {"t"}),
+        **{name: _float(cfg, key) for name, key in keys.items()},
+        **{name: _opt_expr(cfg, f"certificate.{name}", {"t"})
+           for name in TIME_WEIGHTS},
         nu_coeffs=nu,
     )
     try:
@@ -275,14 +268,6 @@ def build_grid(cfg: dict, t0: float) -> CheckGrid:
         raise ConfigError(str(exc)) from exc
 
 
-# Philox keys hold the seed in one 64-bit word
-SEED_LIMIT = 1 << 64
-
-# the most steps, or piecewise_random levels, a run may have: far more than
-# memory holds, and below numpy's limit on the size of one array
-MAX_STEPS = 1 << 53
-
-
 @dataclass(frozen=True)
 class Numerics:
     dt: float
@@ -300,18 +285,17 @@ def build_numerics(cfg: dict) -> Numerics:
         seed=_int(cfg, "numerics.seed", 0),
         method=cfg.get("numerics.method", "euler"),
     )
-    if not (0 < num.dt < math.inf and 0 < num.horizon < math.inf):
-        raise ConfigError(
-            "numerics.dt and numerics.horizon must be positive and finite"
-        )
-    if num.dt > num.horizon:
-        raise ConfigError("numerics.dt must not exceed numerics.horizon")
-    if not num.horizon / num.dt < MAX_STEPS:
-        raise ConfigError("numerics.horizon / numerics.dt: too many steps")
+    try:
+        check_run(num.horizon, num.dt)
+    except ScenarioError as exc:
+        named = re.sub(r"\b(dt|horizon)\b", r"numerics.\1", str(exc))
+        raise ConfigError(named) from exc
     if not 0 <= num.seed < SEED_LIMIT:
         raise ConfigError("numerics.seed must lie in [0, 2^64)")
     if num.n_paths < 1:
         raise ConfigError("numerics.n_paths must be >= 1")
+    if num.n_paths > PATH_LIMIT:
+        raise ConfigError("numerics.n_paths must be <= 2^56")
     if num.method not in METHODS:
         raise ConfigError(f"numerics.method must be one of {METHODS}")
     return num

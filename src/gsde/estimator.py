@@ -38,7 +38,6 @@ from .scenario import (
     BangBangInTime,
     VolatilityScenario,
     WIENER_STREAM,
-    _check_grid,
     enumerate_family,
     stream_generator,
     uniform_grid,
@@ -170,7 +169,8 @@ class MartingaleCheckSpec:
 
         N(t) <= (gamma_k / 2) Q(t) + (theta / gamma_k) log g(k)
 
-    for all t <= tau_k, for every k from some path-dependent k0 on.
+    for all t <= tau_k, for every k from some path-dependent k0 on.  The
+    checkpoints tau_k, like t, are times elapsed since the SDE's t0.
     Defaults: tau_k = k, gamma_k = 1, g(k) = k, theta = 2.
     """
 
@@ -467,18 +467,12 @@ def _scenario_rows(
 
 
 def _run_grid(spec, horizon, dt, n_paths) -> np.ndarray:
-    """The time grid of an estimator run, once the run's arguments pass.
-    A grid whose times repeat (t0 so large that t0 + dt rounds to t0) is
-    refused as integrate refuses it."""
+    """The run's uniform_grid (or its ScenarioError), once x0 and n_paths pass."""
     if spec.x0 == 0:
         raise EstimationError("x0 must be nonzero (rates normalize by |x0|)")
     if n_paths < 1:
         raise EstimationError("n_paths must be >= 1")
-    if not (horizon > 0 and dt > 0):
-        raise EstimationError("horizon and dt must be positive")
-    if dt > horizon:
-        raise EstimationError("dt must not exceed the horizon")
-    return _check_grid(uniform_grid(spec.t0, horizon, dt))
+    return uniform_grid(spec.t0, horizon, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +725,7 @@ def martingale_bound_check(
 ) -> MartingaleReport:
     """Check the exponential martingale bound along simulated paths.
 
-    Integrates the SDE to tau_(k_max), accumulates N and its quadratic
+    Integrates the SDE to t0 + tau_(k_max), accumulates N and its quadratic
     variation, and snapshots the running max of N - (gamma_k/2) Q at each
     checkpoint tau_k.  k0 per path is the first index from which the bound
     holds through k_max.
@@ -740,10 +734,10 @@ def martingale_bound_check(
     gammas = mspec.gammas()
     horizon = float(taus[-1])
     grid = _run_grid(spec, horizon, dt, n_paths)
-    dt_actual = (grid[-1] - grid[0]) / (grid.size - 1)
-    # checkpoint j lands after the step ending nearest tau_j
+    dt_actual = horizon / (grid.size - 1)
+    # checkpoint j lands after the step ending nearest t0 + tau_j
     snap_steps = np.clip(
-        np.rint((taus - grid[0]) / dt_actual).astype(np.int64) - 1,
+        np.rint(taus / dt_actual).astype(np.int64) - 1,
         0,
         grid.size - 2,
     )

@@ -60,6 +60,8 @@ __all__ = [
     "LyapunovFn",
     "CheckGrid",
     "CertificateSpec",
+    "CERT_PARAMS",
+    "TIME_WEIGHTS",
     "HypothesisVerdict",
     "CertificateReport",
     "CertificateError",
@@ -222,6 +224,20 @@ class CertificateSpec:
     nu_coeffs: tuple[float, ...] | None = None
 
 
+# the numeric certificate fields in checking order: field -> (config name,
+# as in certificate.<name>; range rule, None for any value; what it asks)
+CERT_PARAMS = {
+    "p": ("p", lambda v: v > 0, "must be positive"),
+    "lam": ("lambda", None, None),
+    "rho": ("rho", lambda v: v >= 0, "must be nonnegative"),
+    "kappa": ("kappa", lambda v: v > 0, "must be positive"),
+    "eta": ("eta", lambda v: v > 0, "must be positive"),
+    "q": ("q", lambda v: v > 0, "must be positive"),
+    "beta_exp": ("beta_exp", lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+}
+TIME_WEIGHTS = ("phi", "phi1", "phi2")
+
+
 def validate_certificate(cert: CertificateSpec, b: AmbiguityBounds) -> None:
     """Reject malformed certificate parameter sets: missing fields for the
     chosen template, out-of-range or non-finite parameters, state-dependent
@@ -232,25 +248,16 @@ def validate_certificate(cert: CertificateSpec, b: AmbiguityBounds) -> None:
     missing = [n for n in ("p", *tpl.fields) if getattr(cert, n) is None]
     if missing:
         raise CertificateError(f"{cert.theorem} needs fields {', '.join(missing)}")
-    for name in ("p", "lam", "rho", "kappa", "eta", "q"):
-        val = getattr(cert, name)
-        if val is not None and not math.isfinite(val):
-            raise CertificateError(
-                f"{'lambda' if name == 'lam' else name} must be finite"
-            )
-    if not cert.p > 0:
-        raise CertificateError("p must be positive")
-    for name in ("eta", "q"):
-        val = getattr(cert, name)
-        if val is not None and not val > 0:
-            raise CertificateError(f"{name} must be positive")
-    if cert.rho is not None and cert.rho < 0:
-        raise CertificateError("rho must be nonnegative")
-    if cert.kappa is not None and not cert.kappa > 0:
-        raise CertificateError("kappa must be positive")
-    if cert.beta_exp is not None and not (0 <= cert.beta_exp < 1):
-        raise CertificateError("beta_exp must lie in [0, 1)")
-    for name in ("phi", "phi1", "phi2"):
+    given = [(*row, getattr(cert, name)) for name, row in CERT_PARAMS.items()
+             if getattr(cert, name) is not None]
+    # a range that admits inf (all but beta_exp's) needs a finite check first
+    for key, rule, _, val in given:
+        if not math.isfinite(val) and (rule is None or rule(math.inf)):
+            raise CertificateError(f"{key} must be finite")
+    for key, rule, message, val in given:
+        if rule is not None and not rule(val):
+            raise CertificateError(f"{key} {message}")
+    for name in TIME_WEIGHTS:
         e = getattr(cert, name)
         if e is not None and "x" in free_variables(e):
             raise CertificateError(

@@ -40,6 +40,8 @@ __all__ = [
     "sample_path",
     "enumerate_family",
     "parse_scenario",
+    "SEED_LIMIT",
+    "check_run",
     "uniform_grid",
     "stream_generator",
     "standard_increments",
@@ -50,16 +52,26 @@ WIENER_STREAM = 0
 LEVEL_STREAM = 1
 
 
-class ScenarioError(Exception):
+class ScenarioError(ValueError):
     pass
+
+
+# Philox keys hold the seed in one 64-bit word, and the stream id (top 8
+# bits) and the path index (low 56 bits) in the other
+SEED_LIMIT = 1 << 64
+PATH_LIMIT = 1 << 56
+
+# the most steps, or piecewise_random levels, a run may have: far more than
+# memory holds, and below numpy's limit on the size of one array
+MAX_STEPS = 1 << 53
 
 
 def stream_generator(seed: int, stream: int, path_index: int) -> np.random.Generator:
     """Philox generator keyed by (seed, stream id, path index); the seed
-    must lie in [0, 2^64)."""
-    if not 0 <= seed < (1 << 64):
+    must lie in [0, SEED_LIMIT) and the path index in [0, PATH_LIMIT)."""
+    if not 0 <= seed < SEED_LIMIT:
         raise ValueError("seed must lie in [0, 2^64)")
-    if path_index < 0 or path_index >= (1 << 56):
+    if not 0 <= path_index < PATH_LIMIT:
         raise ValueError("path_index out of range")
     key = np.array(
         [seed, ((stream & 0xFF) << 56) | path_index],
@@ -73,12 +85,25 @@ def standard_increments(seed: int, path_index: int, n: int) -> np.ndarray:
     return stream_generator(seed, WIENER_STREAM, path_index).standard_normal(n)
 
 
+def check_run(horizon: float, dt: float) -> None:
+    """Refuse a run that no uniform grid can hold: horizon and dt must be
+    positive and finite, dt must not exceed horizon, and the run must have
+    fewer than MAX_STEPS steps."""
+    if not (0 < dt < math.inf and 0 < horizon < math.inf):
+        raise ScenarioError("dt and horizon must be positive and finite")
+    if dt > horizon:
+        raise ScenarioError("dt must not exceed horizon")
+    if not horizon / dt < MAX_STEPS:
+        raise ScenarioError("horizon / dt: too many steps")
+
+
 def uniform_grid(t0: float, horizon: float, dt: float) -> np.ndarray:
-    """Uniform time grid over [t0, t0 + horizon] with step ~dt."""
-    if horizon <= 0 or dt <= 0:
-        raise ValueError("horizon and dt must be positive")
-    n = max(1, round(horizon / dt))
-    return np.linspace(t0, t0 + horizon, n + 1)
+    """Uniform time grid over [t0, t0 + horizon] with step ~dt; refused
+    unless check_run passes and the grid is finite and strictly increasing."""
+    check_run(horizon, dt)
+    if not math.isfinite(t0 + horizon):
+        raise ScenarioError("grid must be finite and strictly increasing")
+    return _check_grid(np.linspace(t0, t0 + horizon, round(horizon / dt) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +273,14 @@ def variance_stream(
         step_idx = np.minimum(
             ((np.asarray(grid[:-1]) - t0) / s.dwell).astype(np.int64), n_levels - 1
         )
-        scalar = np.isscalar(paths) or np.ndim(paths) == 0
-        if scalar:
-            gen = stream_generator(seed, LEVEL_STREAM, int(paths))
-            levels = b.clamp(gen.uniform(lo, hi, n_levels))
-            return lambda i, t, x: levels[step_idx[i]]
+        # step-major: levels[j] holds level j of every path, in the shape
+        # of paths (one float for a single path, one row for many)
         idx = np.asarray(paths)
-        levels = np.empty((idx.size, n_levels))
-        for row, p in enumerate(idx):
+        levels = np.empty((n_levels,) + idx.shape)
+        for k, p in np.ndenumerate(idx):
             gen = stream_generator(seed, LEVEL_STREAM, int(p))
-            levels[row] = b.clamp(gen.uniform(lo, hi, n_levels))
-        return lambda i, t, x: levels[:, step_idx[i]]
+            levels[(slice(None),) + k] = b.clamp(gen.uniform(lo, hi, n_levels))
+        return lambda i, t, x: levels[step_idx[i]]
     raise ScenarioError(f"unknown scenario kind {type(s).__name__}")
 
 

@@ -218,6 +218,35 @@ class TestExitCodes:
         assert message in err[0]
         assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
+    @pytest.mark.parametrize("command", ["exponent", "simulate"])
+    @pytest.mark.parametrize("horizon", ["1", "0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("dt", ["0", "nan", "inf", "2h", "1e-300"])
+    def test_bad_run_grid_is_config_error(
+        self, tmp_path, capsys, recwarn, command, horizon, dt
+    ):
+        """Every horizon and dt that no uniform grid can hold exits 2 with
+        one line on stderr naming the broken rule, and no warning."""
+        if dt == "2h":
+            dt = repr(2 * float(horizon))
+        message = {("1", "2.0"): "numerics.dt must not exceed numerics.horizon",
+                   ("1", "1e-300"): "numerics.horizon / numerics.dt: too many steps"}
+        cfg = write(tmp_path, SIMULATE + f"numerics.horizon = {horizon}\n"
+                    f"numerics.dt = {dt}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: " + message.get(
+            (horizon, dt),
+            "numerics.dt and numerics.horizon must be positive and finite")]
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+    def test_n_paths_beyond_path_index_is_config_error(self, tmp_path, capsys):
+        """Philox keys hold 2^56 path indices; a larger numerics.n_paths
+        exits 2 before any path is run."""
+        cfg = write(tmp_path, EXPONENT + f"numerics.n_paths = {2**56 + 1}\n")
+        assert main(["exponent", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: numerics.n_paths must be <= 2^56"]
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_config_seed_out_of_range(self, tmp_path, seed):
         cfg = write(tmp_path, EXPONENT + f"numerics.seed = {seed}\n")

@@ -3,6 +3,7 @@
 import pytest
 
 from gsde.config import (
+    KNOWN_KEYS,
     ConfigError,
     build_bounds,
     build_certificate,
@@ -39,6 +40,15 @@ class TestParsing:
         )
         assert cfg["sde.f"] == "-x*t"
         assert cfg["sde.g"] == "x"
+
+    def test_known_keys(self):
+        """The certificate keys come from lyapunov's parameter table; the
+        key set stays the same."""
+        names = ("theorem", "p", "lambda", "rho", "kappa", "eta", "q",
+                 "beta_exp", "phi", "phi1", "phi2", "nu_coeffs")
+        assert len(KNOWN_KEYS) == 35
+        assert {k for k in KNOWN_KEYS if k.startswith("certificate.")} == {
+            f"certificate.{n}" for n in names}
 
     def test_later_assignment_wins(self):
         cfg = parse_config_text("sde.x0 = 1\nsde.x0 = 2\n")
@@ -129,6 +139,70 @@ class TestBuilders:
         cert = build_certificate(cfg, build_bounds(cfg))
         assert cert.nu_coeffs == (400.0, 1.0)
 
+    # a valid certificate per template; each case below breaks one key
+    CERTS = {
+        "T33": "p = 2\nlambda = 1",
+        "T34": "p = 2\nlambda = -1\nrho = 4\nkappa = 1\nphi = 1",
+        "T35": "p = 2\nlambda = 1\nnu_coeffs = 400,1",
+        "T36": "p = 2\nlambda = 1\neta = 1\nq = 1\nbeta_exp = 0\nphi = 1",
+        "T37": "p = 2\nlambda = 1\neta = 1\nq = 1\nbeta_exp = 0\n"
+               "phi1 = 1\nphi2 = 1",
+    }
+
+    @pytest.mark.parametrize(
+        "theorem, key, value, message",
+        [
+            ("T33", "p", "nan", "p must be finite"),
+            ("T33", "p", "inf", "p must be finite"),
+            ("T33", "p", "0", "p must be positive"),
+            ("T33", "lambda", "nan", "lambda must be finite"),
+            ("T33", "lambda", "-inf", "lambda must be finite"),
+            ("T33", "lambda", "-1", "lambda must be positive"),
+            ("T34", "rho", "nan", "rho must be finite"),
+            ("T34", "rho", "inf", "rho must be finite"),
+            ("T34", "rho", "-1", "rho must be nonnegative"),
+            ("T34", "kappa", "nan", "kappa must be finite"),
+            ("T34", "kappa", "inf", "kappa must be finite"),
+            ("T34", "kappa", "0", "kappa must be positive"),
+            ("T36", "eta", "nan", "eta must be finite"),
+            ("T36", "eta", "inf", "eta must be finite"),
+            ("T36", "eta", "0", "eta must be positive"),
+            ("T37", "q", "nan", "q must be finite"),
+            ("T37", "q", "inf", "q must be finite"),
+            ("T37", "q", "0", "q must be positive"),
+            ("T36", "beta_exp", "nan", "beta_exp must lie in [0, 1)"),
+            ("T36", "beta_exp", "inf", "beta_exp must lie in [0, 1)"),
+            ("T36", "beta_exp", "1", "beta_exp must lie in [0, 1)"),
+            ("T34", "phi", "x", "certificate.phi: unexpected variable(s) x"),
+            ("T37", "phi1", "x", "certificate.phi1: unexpected variable(s) x"),
+            ("T37", "phi2", "1+x", "certificate.phi2: unexpected variable(s) x"),
+            ("T35", "nu_coeffs", "400", "nu must have degree >= 1"),
+            ("T35", "nu_coeffs", "400,-1",
+             "nu coefficients must be positive and finite"),
+            ("T35", "nu_coeffs", "400,nan",
+             "nu coefficients must be positive and finite"),
+            ("T35", "p", "", "missing required key 'certificate.p'"),
+            ("T34", "rho", "", "T34 needs fields rho"),
+            ("T36", "q", "two", "certificate.q: not a number: 'two'"),
+        ],
+    )
+    def test_certificate_single_fault_message(self, theorem, key, value, message):
+        """A certificate with one bad key gets exactly this config error (an
+        empty value drops the key)."""
+        def build(lines):
+            text = BASE + f"certificate.theorem = {theorem}\n" + "".join(
+                f"certificate.{line}\n" for line in lines if not line.endswith("= ")
+            )
+            cfg = parse_config_text(text)
+            return build_certificate(cfg, build_bounds(cfg))
+
+        lines = self.CERTS[theorem].split("\n")
+        build(lines)
+        with pytest.raises(ConfigError) as err:
+            build([ln for ln in lines if not ln.startswith(f"{key} =")]
+                  + [f"{key} = {value}"])
+        assert str(err.value) == message
+
     def test_scenarios_list(self):
         cfg = parse_config_text(
             BASE + "scenarios.list = constant:0.25; bangbang_t:1@5,0.25@10\n"
@@ -197,6 +271,11 @@ class TestBuilders:
             build_numerics(parse_config_text("numerics.method = rk4\n"))
         with pytest.raises(ConfigError, match="not an integer"):
             build_numerics(parse_config_text("numerics.n_paths = ten\n"))
+        # Philox keys hold 2^56 path indices
+        assert build_numerics(
+            parse_config_text(f"numerics.n_paths = {2**56}\n")).n_paths == 2**56
+        with pytest.raises(ConfigError, match=r"n_paths must be <= 2\^56"):
+            build_numerics(parse_config_text(f"numerics.n_paths = {2**56 + 1}\n"))
 
     @pytest.mark.parametrize(
         "text, message",

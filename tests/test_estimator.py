@@ -273,6 +273,37 @@ class TestExponent:
                 with pytest.raises(ScenarioError, match="strictly increasing"):
                     call()
 
+    @pytest.mark.parametrize("horizon", [1.0, 0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("dt_rule", ["0", "nan", "inf", "2h", "1e-300"])
+    def test_bad_run_grid_refused_everywhere(self, horizon, dt_rule):
+        """A horizon or dt that no uniform grid can hold raises ScenarioError
+        naming the broken rule at every entry point, before it runs and
+        without a warning.  martingale_bound_check runs to its last
+        checkpoint, which its spec keeps positive and finite, so it takes
+        only the dt faults."""
+        dt = {"0": 0.0, "nan": math.nan, "inf": math.inf, "2h": 2 * horizon,
+              "1e-300": 1e-300}[dt_rule]
+        message = {(1.0, "2h"): "must not exceed", (1.0, "1e-300"): "too many steps"}
+        spec = linear_spec(1.0, 1.0)
+        run = dict(horizon=horizon, dt=dt, n_paths=3, seed=0)
+        calls = [
+            lambda: estimate_sublinear_expectation(
+                "terminal_qv", spec, [Constant(1.0)], B, **run),
+            lambda: estimate_exponent(spec, [Constant(1.0)], B, **run),
+            lambda: adversarial_search(spec, B, budget=3, **run),
+        ]
+        if horizon == 1.0:
+            calls.append(lambda: martingale_bound_check(
+                MartingaleCheckSpec(eta=parse("1"), k_max=1), spec,
+                Constant(1.0), B, n_paths=3, seed=0, dt=dt))
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ScenarioError) as err:
+                    call()
+            assert message.get((horizon, dt_rule), "positive and finite") in str(
+                err.value)
+
     def test_milstein_method_accepted(self):
         spec = linear_spec(1.0, 0.5)
         est = estimate_exponent(
@@ -587,6 +618,21 @@ class TestMartingaleBound:
             MartingaleCheckSpec(eta=parse("1"), k_max=2, tau=(1.0, inf))
         with pytest.raises(ValueError, match="tau"):
             MartingaleCheckSpec(eta=parse("1"), k_max=3, tau=(1.0, nan, 3.0))
+
+    def test_checkpoints_are_elapsed_times(self):
+        """tau_k counts from t0: an autonomous SDE with a constant integrand
+        gives the same report whatever its start time."""
+        ms = MartingaleCheckSpec(eta=parse("1"), k_max=5)
+        reports = [
+            martingale_bound_check(
+                ms, SdeSpec(f=parse("-x"), g=parse("x"), x0=1.0, t0=t0),
+                Constant(1.0), B, n_paths=40, seed=3, dt=0.5,
+            )
+            for t0 in (0.0, 3.0)
+        ]
+        for field in dataclasses.fields(reports[0]):
+            a, b = (getattr(r, field.name) for r in reports)
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
 
     def test_custom_gamma_and_growth(self):
         ms = MartingaleCheckSpec(

@@ -257,6 +257,71 @@ class TestValidation:
                 CertificateSpec(theorem="T33", p=2.0, lam=-1.0), B
             )
 
+    # a valid parameter set per template; each case below breaks one field
+    VALID = {
+        "T33": dict(p=2.0, lam=1.0),
+        "T34": dict(p=2.0, lam=-1.0, rho=4.0, kappa=1.0, phi=parse("1")),
+        "T35": dict(p=2.0, lam=1.0, nu_coeffs=(400.0, 1.0)),
+        "T36": dict(p=2.0, lam=1.0, eta=1.0, q=1.0, beta_exp=0.0,
+                    phi=parse("1")),
+        "T37": dict(p=2.0, lam=1.0, eta=1.0, q=1.0, beta_exp=0.0,
+                    phi1=parse("1"), phi2=parse("1")),
+    }
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize(
+        "theorem, field, value, message",
+        [
+            ("T33", "p", NAN, "p must be finite"),
+            ("T33", "p", INF, "p must be finite"),
+            ("T33", "p", -INF, "p must be finite"),
+            ("T33", "p", 0.0, "p must be positive"),
+            ("T33", "lam", NAN, "lambda must be finite"),
+            ("T33", "lam", INF, "lambda must be finite"),
+            ("T33", "lam", -INF, "lambda must be finite"),
+            ("T33", "lam", -1.0, "lambda must be positive"),
+            ("T34", "rho", NAN, "rho must be finite"),
+            ("T34", "rho", INF, "rho must be finite"),
+            ("T34", "rho", -1.0, "rho must be nonnegative"),
+            ("T34", "kappa", NAN, "kappa must be finite"),
+            ("T34", "kappa", INF, "kappa must be finite"),
+            ("T34", "kappa", 0.0, "kappa must be positive"),
+            ("T36", "eta", NAN, "eta must be finite"),
+            ("T36", "eta", INF, "eta must be finite"),
+            ("T36", "eta", 0.0, "eta must be positive"),
+            ("T37", "q", NAN, "q must be finite"),
+            ("T37", "q", INF, "q must be finite"),
+            ("T37", "q", 0.0, "q must be positive"),
+            ("T36", "beta_exp", NAN, "beta_exp must lie in [0, 1)"),
+            ("T36", "beta_exp", INF, "beta_exp must lie in [0, 1)"),
+            ("T36", "beta_exp", -INF, "beta_exp must lie in [0, 1)"),
+            ("T36", "beta_exp", 1.0, "beta_exp must lie in [0, 1)"),
+            ("T36", "beta_exp", -0.5, "beta_exp must lie in [0, 1)"),
+            ("T34", "phi", parse("x"),
+             "phi must be a deterministic time weight (t only)"),
+            ("T36", "phi", parse("x*t"),
+             "phi must be a deterministic time weight (t only)"),
+            ("T37", "phi1", parse("x"),
+             "phi1 must be a deterministic time weight (t only)"),
+            ("T37", "phi2", parse("1+x"),
+             "phi2 must be a deterministic time weight (t only)"),
+            ("T35", "nu_coeffs", (400.0,), "nu must have degree >= 1"),
+            ("T35", "nu_coeffs", (400.0, -1.0),
+             "nu coefficients must be positive and finite"),
+            ("T35", "nu_coeffs", (400.0, NAN),
+             "nu coefficients must be positive and finite"),
+            ("T35", "nu_coeffs", (0.0, 1.0),
+             "nu coefficients must be positive and finite"),
+        ],
+    )
+    def test_single_fault_message(self, theorem, field, value, message):
+        """A parameter set with one bad field gets exactly this message."""
+        validate_certificate(CertificateSpec(theorem, **self.VALID[theorem]), B)
+        fields = {**self.VALID[theorem], field: value}
+        with pytest.raises(CertificateError) as err:
+            validate_certificate(CertificateSpec(theorem=theorem, **fields), B)
+        assert str(err.value) == message
+
 
 class TestT33:
     def test_canonical_grant(self):

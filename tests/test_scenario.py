@@ -1,9 +1,14 @@
 """Scenario sampling: quadratic variation bounds, reproducibility, the
 deterministic family recipe, textual round trips."""
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gsde
 from gsde.expr import EvalDomainError, parse
 from gsde.gcalc import AmbiguityBounds
 from gsde.scenario import (
@@ -311,3 +316,27 @@ class TestTextualForms:
         ):
             with pytest.raises(ScenarioError):
                 parse_scenario(text)
+
+
+def test_input_rules_have_one_owner():
+    """scenario alone spells the run-grid rule and the Philox key limits,
+    config spells no certificate key that lyapunov's table names, and in
+    the package only estimator._run_grid and cli._family build a run grid."""
+    src = Path(gsde.__file__).resolve().parent
+    modules = {p.stem: p.read_text() for p in sorted(src.glob("*.py"))}
+    offenders = [
+        name for name, text in modules.items()
+        if name != "scenario" and re.search(
+            r"too many steps|must not exceed|1 << 64|1 << 53", text)
+    ]
+    assert offenders == []
+    spelled = set(re.findall(r"certificate\.(\w+)", modules["config"]))
+    assert spelled <= {"theorem", "nu_coeffs"}
+    callers = []
+    for name, text in modules.items():
+        for fn in ast.parse(text).body:
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "uniform_grid"):
+                    callers.append(f"{name}.{getattr(fn, 'name', None)}")
+    assert sorted(callers) == ["cli._family", "estimator._run_grid"]

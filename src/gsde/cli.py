@@ -20,6 +20,8 @@ from pathlib import Path
 
 from .config import (
     ConfigError,
+    _floats,
+    _refused,
     build_bounds,
     build_certificate,
     build_grid,
@@ -39,7 +41,7 @@ from .lyapunov import (
     verdict_line,
     write_certificate_csv,
 )
-from .scenario import MAX_STEPS, SEED_LIMIT, PiecewiseRandom, ScenarioError, uniform_grid
+from .scenario import ScenarioError, check_streams, uniform_grid
 
 __all__ = ["main", "entry"]
 
@@ -71,8 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
-            raise ConfigError("--seed must lie in [0, 2^64)")
+        if args.seed is not None:
+            _refused(check_streams, args.seed, message=lambda exc: f"--{exc}")
         cfg = load_config(args.config)
         out_dir = Path(
             args.out if args.out is not None else cfg.get("output.dir", ".")
@@ -119,14 +121,9 @@ def _family(cfg):
     bounds = build_bounds(cfg)
     sde = build_sde(cfg)
     scenarios = build_scenarios(cfg, bounds)
-    num = build_numerics(cfg)
-    for s in scenarios:
-        if isinstance(s, PiecewiseRandom) and not num.horizon / s.dwell < MAX_STEPS:
-            raise ConfigError(f"{s.label()}: dwell too small for numerics.horizon")
-    try:
-        grid = uniform_grid(sde.t0, num.horizon, num.dt)
-    except ScenarioError as exc:
-        raise ConfigError(f"sde.t0 + numerics.horizon: the time {exc}") from exc
+    num = build_numerics(cfg, scenarios)
+    grid = _refused(uniform_grid, sde.t0, num.horizon, num.dt,
+                    message=lambda exc: f"sde.t0 + numerics.horizon: the time {exc}")
     return bounds, sde, scenarios, num, grid
 
 
@@ -214,12 +211,7 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
     param = cfg["sweep.parameter"].strip()
     if not param:
         raise ConfigError("sweep.parameter must be nonempty")
-    try:
-        values = [float(s) for s in cfg["sweep.values"].split(",") if s.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"sweep.values: {exc}") from exc
-    if not values:
-        raise ConfigError("sweep.values: no values given")
+    values = _floats(cfg, "sweep.values", "no values given")
     flag = cfg.get("sweep.estimate", "false").strip().lower()
     if flag not in ("true", "false"):
         raise ConfigError("sweep.estimate must be true or false")

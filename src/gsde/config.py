@@ -25,10 +25,9 @@ from .lyapunov import (
     validate_certificate,
 )
 from .scenario import (
-    PATH_LIMIT,
-    SEED_LIMIT,
-    ScenarioError,
+    check_levels,
     check_run,
+    check_streams,
     enumerate_family,
     parse_scenario,
 )
@@ -123,6 +122,28 @@ def load_config(path) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 # typed accessors
 
+def _refused(fn, *args, message=str, **kwargs):
+    """fn(*args, **kwargs), with a library refusal of the value (a
+    ValueError, which ScenarioError is, a CertificateError or a ParseError)
+    raised as a ConfigError; message(refusal) names the key."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, CertificateError, ParseError) as exc:
+        raise ConfigError(message(exc)) from exc
+
+
+def _floats(cfg: dict, key: str, empty: str) -> tuple[float, ...]:
+    """The comma-separated numbers of a present key; none is refused with
+    `empty`."""
+    values = _refused(
+        lambda: tuple(float(c) for c in cfg[key].split(",") if c.strip()),
+        message=lambda exc: f"{key}: {exc}",
+    )
+    if not values:
+        raise ConfigError(f"{key}: {empty}")
+    return values
+
+
 def _require(cfg: dict, key: str) -> str:
     if key not in cfg:
         raise ConfigError(f"missing required key {key!r}")
@@ -132,27 +153,19 @@ def _require(cfg: dict, key: str) -> str:
 def _float(cfg: dict, key: str, default: float | None = None) -> float | None:
     if key not in cfg:
         return default
-    try:
-        return float(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {cfg[key]!r}") from exc
+    return _refused(float, cfg[key],
+                    message=lambda _: f"{key}: not a number: {cfg[key]!r}")
 
 
 def _int(cfg: dict, key: str, default: int | None = None) -> int | None:
     if key not in cfg:
         return default
-    try:
-        return int(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not an integer: {cfg[key]!r}") from exc
+    return _refused(int, cfg[key],
+                    message=lambda _: f"{key}: not an integer: {cfg[key]!r}")
 
 
 def _expr(cfg: dict, key: str, allowed_vars: set[str]) -> Expr:
-    text = _require(cfg, key)
-    try:
-        e = parse(text)
-    except ParseError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+    e = _refused(parse, _require(cfg, key), message=lambda exc: f"{key}: {exc}")
     extra = free_variables(e) - allowed_vars
     if extra:
         raise ConfigError(
@@ -175,10 +188,7 @@ def build_bounds(cfg: dict) -> AmbiguityBounds:
         raise ConfigError(
             "ambiguity.sigma_lower and ambiguity.sigma_upper are required"
         )
-    try:
-        return AmbiguityBounds(lo, hi)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _refused(AmbiguityBounds, lo, hi)
 
 
 def build_sde(cfg: dict) -> SdeSpec:
@@ -205,14 +215,7 @@ def build_certificate(cfg: dict, bounds: AmbiguityBounds) -> CertificateSpec:
     _require(cfg, keys["p"])
     nu = None
     if "certificate.nu_coeffs" in cfg:
-        try:
-            nu = tuple(
-                float(c) for c in cfg["certificate.nu_coeffs"].split(",") if c.strip()
-            )
-        except ValueError as exc:
-            raise ConfigError(f"certificate.nu_coeffs: {exc}") from exc
-        if not nu:
-            raise ConfigError("certificate.nu_coeffs: empty coefficient list")
+        nu = _floats(cfg, "certificate.nu_coeffs", "empty coefficient list")
     cert = CertificateSpec(
         theorem=theorem,
         **{name: _float(cfg, key) for name, key in keys.items()},
@@ -220,10 +223,7 @@ def build_certificate(cfg: dict, bounds: AmbiguityBounds) -> CertificateSpec:
            for name in TIME_WEIGHTS},
         nu_coeffs=nu,
     )
-    try:
-        validate_certificate(cert, bounds)
-    except CertificateError as exc:
-        raise ConfigError(str(exc)) from exc
+    _refused(validate_certificate, cert, bounds)
     return cert
 
 
@@ -235,37 +235,28 @@ def build_scenarios(cfg: dict, bounds: AmbiguityBounds):
     if has_list and has_richness:
         raise ConfigError("give scenarios.list or scenarios.richness, not both")
     if has_list:
-        out = []
-        for item in cfg["scenarios.list"].split(";"):
-            item = item.strip()
-            if not item:
-                continue
-            try:
-                out.append(parse_scenario(item, lyapunov=lyapunov))
-            except ScenarioError as exc:
-                raise ConfigError(str(exc)) from exc
+        out = [
+            _refused(parse_scenario, item, lyapunov=lyapunov)
+            for item in cfg["scenarios.list"].split(";")
+            if item.strip()
+        ]
         if not out:
             raise ConfigError("scenarios.list: no scenarios given")
         return out
     richness = _int(cfg, "scenarios.richness", 3)
-    try:
-        return enumerate_family(bounds, richness, lyapunov=lyapunov)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _refused(enumerate_family, bounds, richness, lyapunov=lyapunov)
 
 
 def build_grid(cfg: dict, t0: float) -> CheckGrid:
-    try:
-        return CheckGrid.default(
-            t0=t0,
-            x_min=_float(cfg, "grid.x_min", 1e-3),
-            x_max=_float(cfg, "grid.x_max", 10.0),
-            x_points=_int(cfg, "grid.x_points", 200),
-            t_span=_float(cfg, "grid.t_span", 20.0),
-            t_points=_int(cfg, "grid.t_points", 200),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _refused(
+        CheckGrid.default,
+        t0=t0,
+        x_min=_float(cfg, "grid.x_min", 1e-3),
+        x_max=_float(cfg, "grid.x_max", 10.0),
+        x_points=_int(cfg, "grid.x_points", 200),
+        t_span=_float(cfg, "grid.t_span", 20.0),
+        t_points=_int(cfg, "grid.t_points", 200),
+    )
 
 
 @dataclass(frozen=True)
@@ -277,7 +268,14 @@ class Numerics:
     method: str
 
 
-def build_numerics(cfg: dict) -> Numerics:
+def _in_numerics(exc: Exception) -> str:
+    """A run rule's refusal, its names as numerics keys."""
+    return re.sub(r"\b(dt|horizon|seed|n_paths)\b", r"numerics.\1", str(exc))
+
+
+def build_numerics(cfg: dict, scenarios=()) -> Numerics:
+    """The run's numerics, refused unless scenario's rules hold for them
+    and for every scenario of `scenarios`."""
     num = Numerics(
         dt=_float(cfg, "numerics.dt", 1e-3),
         horizon=_float(cfg, "numerics.horizon", 200.0),
@@ -285,17 +283,9 @@ def build_numerics(cfg: dict) -> Numerics:
         seed=_int(cfg, "numerics.seed", 0),
         method=cfg.get("numerics.method", "euler"),
     )
-    try:
-        check_run(num.horizon, num.dt)
-    except ScenarioError as exc:
-        named = re.sub(r"\b(dt|horizon)\b", r"numerics.\1", str(exc))
-        raise ConfigError(named) from exc
-    if not 0 <= num.seed < SEED_LIMIT:
-        raise ConfigError("numerics.seed must lie in [0, 2^64)")
-    if num.n_paths < 1:
-        raise ConfigError("numerics.n_paths must be >= 1")
-    if num.n_paths > PATH_LIMIT:
-        raise ConfigError("numerics.n_paths must be <= 2^56")
+    _refused(check_run, num.horizon, num.dt, message=_in_numerics)
+    _refused(check_streams, num.seed, num.n_paths, message=_in_numerics)
     if num.method not in METHODS:
         raise ConfigError(f"numerics.method must be one of {METHODS}")
+    _refused(check_levels, scenarios, num.horizon, message=_in_numerics)
     return num

@@ -38,6 +38,7 @@ from .scenario import (
     BangBangInTime,
     VolatilityScenario,
     WIENER_STREAM,
+    check_streams,
     enumerate_family,
     stream_generator,
     uniform_grid,
@@ -78,6 +79,9 @@ _FUNCTIONALS = {
     "terminal_b_plus_qv": lambda X, obs, p: obs.B + obs.QV,
 }
 FUNCTIONALS = (*_FUNCTIONALS, "constant")
+
+# the growth g(k) of the martingale bound, by name
+_GROWTH = {"k": lambda k: k, "k^2": lambda k: k * k, "exp": np.exp}
 
 
 class EstimationError(Exception):
@@ -204,8 +208,8 @@ class MartingaleCheckSpec:
                 raise ValueError("tau must be positive and strictly increasing")
             if not all(math.isfinite(t) for t in self.tau):
                 raise ValueError("tau entries must be finite")
-        if self.growth not in ("k", "k^2", "exp"):
-            raise ValueError("growth must be one of k, k^2, exp")
+        if self.growth not in _GROWTH:
+            raise ValueError(f"growth must be one of {', '.join(_GROWTH)}")
 
     def gammas(self) -> np.ndarray:
         if self.gamma is None:
@@ -218,12 +222,7 @@ class MartingaleCheckSpec:
         return np.asarray(self.tau, dtype=float)
 
     def growth_values(self) -> np.ndarray:
-        k = np.arange(1, self.k_max + 1, dtype=float)
-        if self.growth == "k":
-            return k
-        if self.growth == "k^2":
-            return k * k
-        return np.exp(k)
+        return _GROWTH[self.growth](np.arange(1, self.k_max + 1, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -470,8 +469,7 @@ def _run_grid(spec, horizon, dt, n_paths) -> np.ndarray:
     """The run's uniform_grid (or its ScenarioError), once x0 and n_paths pass."""
     if spec.x0 == 0:
         raise EstimationError("x0 must be nonzero (rates normalize by |x0|)")
-    if n_paths < 1:
-        raise EstimationError("n_paths must be >= 1")
+    check_streams(n_paths=n_paths)
     return uniform_grid(spec.t0, horizon, dt)
 
 

@@ -103,11 +103,11 @@ def integrate(
     grid = _check_grid(grid)
     if not math.isclose(float(grid[0]), spec.t0, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("grid must start at the spec's t0")
+    var_fn = variance_stream(s, b, grid, seed, path_index)
     dtau = np.diff(grid)
     n = dtau.size
     z = standard_increments(seed, path_index, n)
     dW = z * np.sqrt(dtau)
-    var_fn = variance_stream(s, b, grid, seed, path_index)
 
     # the loop reads and appends Python floats: indexing or storing into an
     # array would cost more per step than the step arithmetic
@@ -167,13 +167,12 @@ def write_path_csv(path, run: SimulationRun) -> None:
     byte-identical.
     """
     bundle = run.bundle
-    n = bundle.dW.size
     columns = (
         bundle.grid,
         np.concatenate([[0.0], np.cumsum(bundle.dW)]),
         np.concatenate([bundle.v, bundle.v[-1:]]),
         np.concatenate([[0.0], np.cumsum(bundle.dB)]),
         bundle.qv,
-        bundle.X if bundle.X is not None else np.full(n + 1, np.nan),
+        bundle.X,
     )
     write_float_columns(path, ("t", "W", "v", "B", "qv", "X"), columns)

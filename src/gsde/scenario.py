@@ -66,13 +66,21 @@ PATH_LIMIT = 1 << 56
 MAX_STEPS = 1 << 53
 
 
-def stream_generator(seed: int, stream: int, path_index: int) -> np.random.Generator:
-    """Philox generator keyed by (seed, stream id, path index); the seed
-    must lie in [0, SEED_LIMIT) and the path index in [0, PATH_LIMIT)."""
+def check_streams(seed: int = 0, n_paths: int = 1) -> None:
+    """Refuse a seed or a path count that the Philox keys cannot hold: the
+    seed must lie in [0, SEED_LIMIT) and n_paths in [1, PATH_LIMIT]."""
     if not 0 <= seed < SEED_LIMIT:
-        raise ValueError("seed must lie in [0, 2^64)")
-    if not 0 <= path_index < PATH_LIMIT:
-        raise ValueError("path_index out of range")
+        raise ScenarioError("seed must lie in [0, 2^64)")
+    if n_paths < 1:
+        raise ScenarioError("n_paths must be >= 1")
+    if n_paths > PATH_LIMIT:
+        raise ScenarioError("n_paths must be <= 2^56")
+
+
+def stream_generator(seed: int, stream: int, path_index: int) -> np.random.Generator:
+    """Philox generator keyed by (seed, stream id, path index), refused
+    unless check_streams passes for path_index + 1 paths."""
+    check_streams(seed, path_index + 1)
     key = np.array(
         [seed, ((stream & 0xFF) << 56) | path_index],
         dtype=np.uint64,
@@ -95,6 +103,14 @@ def check_run(horizon: float, dt: float) -> None:
         raise ScenarioError("dt must not exceed horizon")
     if not horizon / dt < MAX_STEPS:
         raise ScenarioError("horizon / dt: too many steps")
+
+
+def check_levels(scenarios, horizon: float) -> None:
+    """Refuse a PiecewiseRandom scenario with MAX_STEPS or more levels
+    over the horizon."""
+    for s in scenarios:
+        if isinstance(s, PiecewiseRandom) and not horizon / s.dwell < MAX_STEPS:
+            raise ScenarioError(f"{s.label()}: dwell too small for horizon")
 
 
 def uniform_grid(t0: float, horizon: float, dt: float) -> np.ndarray:
@@ -269,6 +285,7 @@ def variance_stream(
         return feedback
     if isinstance(s, PiecewiseRandom):
         t0 = float(grid[0])
+        check_levels([s], float(grid[-1]) - t0)
         n_levels = int(math.floor((float(grid[-1]) - t0) / s.dwell)) + 1
         step_idx = np.minimum(
             ((np.asarray(grid[:-1]) - t0) / s.dwell).astype(np.int64), n_levels - 1
@@ -338,11 +355,11 @@ def sample_path(
             f"{type(s).__name__} is a feedback policy; sample it through the integrator"
         )
     grid = _check_grid(grid)
+    var_fn = variance_stream(s, b, grid, seed, path_index)
     dtau = np.diff(grid)
     n = dtau.size
     z = standard_increments(seed, path_index, n)
     dW = z * np.sqrt(dtau)
-    var_fn = variance_stream(s, b, grid, seed, path_index)
     v = np.empty(n)
     v[:] = var_fn(np.arange(n), grid[:-1], None)
     dB = np.sqrt(v) * dW

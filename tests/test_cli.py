@@ -259,6 +259,80 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
+        "command, base, extra, flags, message",
+        [
+            ("exponent", EXPONENT, "sde.x0 = abc", [],
+             "sde.x0: not a number: 'abc'"),
+            ("exponent", EXPONENT, "numerics.n_paths = 2.5", [],
+             "numerics.n_paths: not an integer: '2.5'"),
+            ("exponent", EXPONENT, "sde.f = -x+", [],
+             "sde.f: expected expression (offset 3)"),
+            ("exponent", EXPONENT, "sde.f = -x*y", [],
+             "sde.f: unknown identifier 'y' (offset 3)"),
+            ("exponent", EXPONENT, "ambiguity.sigma_lower = 2", [],
+             "need 0 < sigma_lower <= sigma_upper, got (2.0, 1.0)"),
+            ("certify", CERT_GRANT,
+             "certificate.theorem = T35\ncertificate.nu_coeffs = 400,abc", [],
+             "certificate.nu_coeffs: could not convert string to float: 'abc'"),
+            ("certify", CERT_GRANT,
+             "certificate.theorem = T35\ncertificate.nu_coeffs = ,", [],
+             "certificate.nu_coeffs: empty coefficient list"),
+            ("certify", CERT_GRANT, "certificate.p = -1", [],
+             "p must be positive"),
+            ("certify", CERT_GRANT, "certificate.theorem = T99", [],
+             "unknown certificate template 'T99'"),
+            ("exponent", EXPONENT, "scenarios.richness = 0", [],
+             "richness must be >= 1"),
+            ("simulate", SIMULATE, "scenarios.list = bogus:1", [],
+             "unknown scenario kind 'bogus'"),
+            ("simulate", SIMULATE, "scenarios.list = constant:abc", [],
+             "bad scenario text 'constant:abc': "
+             "could not convert string to float: 'abc'"),
+            ("simulate", SIMULATE, "scenarios.list = feedback_vxx", [],
+             "feedback_vxx requires a registered energy function"),
+            ("certify", CERT_GRANT, "grid.x_min = 0", [],
+             "need 0 < x_min < x_max and a finite t_span > 0"),
+            ("exponent", EXPONENT, "numerics.seed = -1", [],
+             "numerics.seed must lie in [0, 2^64)"),
+            ("exponent", EXPONENT, f"numerics.seed = {2**64}", [],
+             "numerics.seed must lie in [0, 2^64)"),
+            ("exponent", EXPONENT, "numerics.n_paths = 0", [],
+             "numerics.n_paths must be >= 1"),
+            ("exponent", EXPONENT, "numerics.method = rk4", [],
+             "numerics.method must be one of ('euler', 'milstein')"),
+            ("exponent", EXPONENT, "sde.t0 = 1e300", [],
+             "sde.t0 + numerics.horizon: the time grid must be finite and "
+             "strictly increasing"),
+            ("simulate", SIMULATE, "scenarios.list = piecewise_random:dwell=1e-300",
+             [], "piecewise_random:dwell=1e-300: dwell too small for "
+             "numerics.horizon"),
+            ("sweep", SWEEP, "sweep.values = 0.3, oops", [],
+             "sweep.values: could not convert string to float: ' oops'"),
+            ("sweep", SWEEP, "sweep.values = ,", [],
+             "sweep.values: no values given"),
+            ("exponent", EXPONENT, "", ["--seed", "-1"],
+             "--seed must lie in [0, 2^64)"),
+            ("simulate", SIMULATE, "", ["--seed", "-1"],
+             "--seed must lie in [0, 2^64)"),
+            ("simulate", SIMULATE, "", ["--seed", str(2**64)],
+             "--seed must lie in [0, 2^64)"),
+            ("sweep", SWEEP + "sweep.estimate = true\nscenarios.list = constant:1"
+             "\nnumerics.horizon = 1\nnumerics.dt = 0.1\nnumerics.n_paths = 2",
+             "", ["--seed", "-1"], "--seed must lie in [0, 2^64)"),
+        ],
+    )
+    def test_single_fault_message(
+        self, tmp_path, capsys, recwarn, command, base, extra, flags, message
+    ):
+        """Each single-fault refusal of the library or the config exits 2
+        with one pinned line on stderr and no warning."""
+        cfg = write(tmp_path, base + extra + "\n")
+        argv = [command, "--config", cfg, "--out", str(tmp_path)] + flags
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: " + message]
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+    @pytest.mark.parametrize(
         "drift, x0",
         [
             # a few paths cross x = -1.5, the rest stay in the domain

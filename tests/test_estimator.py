@@ -33,6 +33,7 @@ from gsde.scenario import (
     PiecewiseRandom,
     ScenarioError,
     enumerate_family,
+    sample_path,
     uniform_grid,
 )
 
@@ -241,7 +242,7 @@ class TestExponent:
                 linear_spec(1.0, 1.0, x0=0.0), [Constant(1.0)], B,
                 horizon=1.0, dt=0.1, n_paths=2, seed=0,
             )
-        with pytest.raises(EstimationError, match="n_paths"):
+        with pytest.raises(ScenarioError, match="n_paths must be >= 1"):
             estimate_exponent(
                 spec, [Constant(1.0)], B, horizon=1.0, dt=0.1, n_paths=0,
                 seed=0,
@@ -303,6 +304,51 @@ class TestExponent:
                     call()
             assert message.get((horizon, dt_rule), "positive and finite") in str(
                 err.value)
+
+    def test_path_count_beyond_key_refused_everywhere(self):
+        """Philox keys hold 2^56 path indices: a larger n_paths raises
+        ScenarioError at every entry point before any lane is sized."""
+        spec = linear_spec(1.0, 1.0)
+        run = dict(horizon=1.0, dt=0.1, n_paths=2**56 + 1, seed=0)
+        calls = [
+            lambda: estimate_sublinear_expectation(
+                "terminal_qv", spec, [Constant(1.0)], B, **run),
+            lambda: estimate_exponent(spec, [Constant(1.0)], B, **run),
+            lambda: adversarial_search(spec, B, budget=3, **run),
+            lambda: martingale_bound_check(
+                MartingaleCheckSpec(eta=parse("1"), k_max=1), spec,
+                Constant(1.0), B, n_paths=2**56 + 1, seed=0, dt=0.1),
+        ]
+        for call in calls:
+            with pytest.raises(ScenarioError, match=r"n_paths must be <= 2\^56"):
+                call()
+
+    def test_level_count_beyond_limit_refused_everywhere(self):
+        """A piecewise_random dwell giving 2^53 or more levels over the run
+        raises ScenarioError naming the scenario at every entry point,
+        before any level or Wiener array is sized and without a warning."""
+        spec = linear_spec(1.0, 1.0)
+        s = PiecewiseRandom(1e-300)
+        grid = uniform_grid(0.0, 1.0, 0.1)
+        run = dict(horizon=1.0, dt=0.1, n_paths=3, seed=0)
+        calls = [
+            lambda: integrate(spec, s, B, grid, seed=0),
+            lambda: sample_path(s, B, grid, seed=0),
+            lambda: estimate_exponent(spec, [s], B, **run),
+            lambda: estimate_sublinear_expectation(
+                "terminal_qv", spec, [s], B, **run),
+            lambda: martingale_bound_check(
+                MartingaleCheckSpec(eta=parse("1"), k_max=1), spec, s, B,
+                n_paths=3, seed=0, dt=0.1),
+        ]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(
+                    ScenarioError,
+                    match="piecewise_random:dwell=1e-300: dwell too small",
+                ):
+                    call()
 
     def test_milstein_method_accepted(self):
         spec = linear_spec(1.0, 0.5)

@@ -319,24 +319,31 @@ class TestTextualForms:
 
 
 def test_input_rules_have_one_owner():
-    """scenario alone spells the run-grid rule and the Philox key limits,
-    config spells no certificate key that lyapunov's table names, and in
-    the package only estimator._run_grid and cli._family build a run grid."""
+    """scenario alone spells the run-grid rule and the Philox key and step
+    limits, config spells no certificate key that lyapunov's table names,
+    in the package only estimator._run_grid and cli._family use
+    uniform_grid, and a refusal becomes a ConfigError in one place: in
+    config only the helper _refused and load_config catch, in cli only
+    main."""
     src = Path(gsde.__file__).resolve().parent
     modules = {p.stem: p.read_text() for p in sorted(src.glob("*.py"))}
     offenders = [
         name for name, text in modules.items()
         if name != "scenario" and re.search(
-            r"too many steps|must not exceed|1 << 64|1 << 53", text)
+            r"too many steps|must not exceed|1 << 64|1 << 53"
+            r"|\b(SEED_LIMIT|PATH_LIMIT|MAX_STEPS)\b", text)
     ]
     assert offenders == []
     spelled = set(re.findall(r"certificate\.(\w+)", modules["config"]))
     assert spelled <= {"theorem", "nu_coeffs"}
-    callers = []
+    users, catchers = [], []
     for name, text in modules.items():
         for fn in ast.parse(text).body:
+            where = f"{name}.{getattr(fn, 'name', None)}"
             for node in ast.walk(fn):
-                if (isinstance(node, ast.Call)
-                        and getattr(node.func, "id", None) == "uniform_grid"):
-                    callers.append(f"{name}.{getattr(fn, 'name', None)}")
-    assert sorted(callers) == ["cli._family", "estimator._run_grid"]
+                if isinstance(node, ast.Name) and node.id == "uniform_grid":
+                    users.append(where)
+                if isinstance(node, ast.ExceptHandler) and name in ("config", "cli"):
+                    catchers.append(where)
+    assert sorted(users) == ["cli._family", "estimator._run_grid"]
+    assert sorted(set(catchers)) == ["cli.main", "config._refused", "config.load_config"]

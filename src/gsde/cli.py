@@ -217,6 +217,9 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
         raise ConfigError("sweep.estimate must be true or false")
     with_estimate = flag == "true"
     placeholder = "{" + param + "}"
+    if not any(placeholder in val for k, val in cfg.items()
+               if not k.startswith("sweep.")):
+        raise ConfigError(f"sweep.parameter: no config value contains {placeholder}")
 
     rows = []
     for v in values:

@@ -8,9 +8,10 @@ falling back to defaults.
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .expr import Expr, ParseError, free_variables, parse
 from .gcalc import AmbiguityBounds
@@ -25,6 +26,7 @@ from .lyapunov import (
     validate_certificate,
 )
 from .scenario import (
+    ScenarioError,
     check_levels,
     check_run,
     check_streams,
@@ -52,6 +54,25 @@ class ConfigError(Exception):
     pass
 
 
+@dataclass(frozen=True)
+class Numerics:
+    dt: float = 1e-3
+    horizon: float = 200.0
+    n_paths: int = 500
+    seed: int = 0
+    method: str = "euler"
+
+
+# the keys and defaults of a table-read section, owned by what it builds:
+# numerics.<name> by the fields of Numerics, grid.<name> by the keyword
+# arguments of CheckGrid.default besides t0
+_NUMERICS = {f.name: f.default for f in fields(Numerics)}
+_GRID = {
+    name: arg.default
+    for name, arg in inspect.signature(CheckGrid.default).parameters.items()
+    if name != "t0"
+}
+
 KNOWN_KEYS = frozenset(
     [
         "ambiguity.sigma_lower",
@@ -67,16 +88,8 @@ KNOWN_KEYS = frozenset(
         "certificate.nu_coeffs",
         "scenarios.list",
         "scenarios.richness",
-        "numerics.dt",
-        "numerics.horizon",
-        "numerics.n_paths",
-        "numerics.seed",
-        "numerics.method",
-        "grid.x_min",
-        "grid.x_max",
-        "grid.x_points",
-        "grid.t_span",
-        "grid.t_points",
+        *(f"numerics.{name}" for name in _NUMERICS),
+        *(f"grid.{name}" for name in _GRID),
         "output.dir",
         "sweep.parameter",
         "sweep.values",
@@ -150,18 +163,20 @@ def _require(cfg: dict, key: str) -> str:
     return cfg[key]
 
 
-def _float(cfg: dict, key: str, default: float | None = None) -> float | None:
+def _value(cfg: dict, key: str, kind=float, default=None):
+    """The value of key as kind (float, int or str); default if absent."""
     if key not in cfg:
         return default
-    return _refused(float, cfg[key],
-                    message=lambda _: f"{key}: not a number: {cfg[key]!r}")
+    what = {float: "a number", int: "an integer"}.get(kind)
+    return _refused(kind, cfg[key],
+                    message=lambda _: f"{key}: not {what}: {cfg[key]!r}")
 
 
-def _int(cfg: dict, key: str, default: int | None = None) -> int | None:
-    if key not in cfg:
-        return default
-    return _refused(int, cfg[key],
-                    message=lambda _: f"{key}: not an integer: {cfg[key]!r}")
+def _section(cfg: dict, section: str, defaults: dict) -> dict:
+    """The present keys of a table-read section, by name, each read as the
+    type of its default."""
+    return {name: _value(cfg, f"{section}.{name}", type(default))
+            for name, default in defaults.items() if f"{section}.{name}" in cfg}
 
 
 def _expr(cfg: dict, key: str, allowed_vars: set[str]) -> Expr:
@@ -182,8 +197,8 @@ def _opt_expr(cfg: dict, key: str, allowed_vars: set[str]) -> Expr | None:
 # builders
 
 def build_bounds(cfg: dict) -> AmbiguityBounds:
-    lo = _float(cfg, "ambiguity.sigma_lower")
-    hi = _float(cfg, "ambiguity.sigma_upper")
+    lo = _value(cfg, "ambiguity.sigma_lower")
+    hi = _value(cfg, "ambiguity.sigma_upper")
     if lo is None or hi is None:
         raise ConfigError(
             "ambiguity.sigma_lower and ambiguity.sigma_upper are required"
@@ -194,10 +209,9 @@ def build_bounds(cfg: dict) -> AmbiguityBounds:
 def build_sde(cfg: dict) -> SdeSpec:
     f = _expr(cfg, "sde.f", {"x", "t"})
     g = _expr(cfg, "sde.g", {"x", "t"})
-    x0 = _float(cfg, "sde.x0")
-    if x0 is None:
-        raise ConfigError("missing required key 'sde.x0'")
-    t0 = _float(cfg, "sde.t0", 0.0)
+    _require(cfg, "sde.x0")
+    x0 = _value(cfg, "sde.x0")
+    t0 = _value(cfg, "sde.t0", float, 0.0)
     if not (math.isfinite(x0) and math.isfinite(t0)):
         raise ConfigError("sde.x0 and sde.t0 must be finite")
     return SdeSpec(f=f, g=g, x0=x0, t0=t0)
@@ -218,7 +232,7 @@ def build_certificate(cfg: dict, bounds: AmbiguityBounds) -> CertificateSpec:
         nu = _floats(cfg, "certificate.nu_coeffs", "empty coefficient list")
     cert = CertificateSpec(
         theorem=theorem,
-        **{name: _float(cfg, key) for name, key in keys.items()},
+        **{name: _value(cfg, key) for name, key in keys.items()},
         **{name: _opt_expr(cfg, f"certificate.{name}", {"t"})
            for name in TIME_WEIGHTS},
         nu_coeffs=nu,
@@ -243,49 +257,31 @@ def build_scenarios(cfg: dict, bounds: AmbiguityBounds):
         if not out:
             raise ConfigError("scenarios.list: no scenarios given")
         return out
-    richness = _int(cfg, "scenarios.richness", 3)
+    richness = _value(cfg, "scenarios.richness", int, 3)
     return _refused(enumerate_family, bounds, richness, lyapunov=lyapunov)
 
 
 def build_grid(cfg: dict, t0: float) -> CheckGrid:
+    """The check grid from t0; scenario's time-grid rule refuses the times."""
     return _refused(
-        CheckGrid.default,
-        t0=t0,
-        x_min=_float(cfg, "grid.x_min", 1e-3),
-        x_max=_float(cfg, "grid.x_max", 10.0),
-        x_points=_int(cfg, "grid.x_points", 200),
-        t_span=_float(cfg, "grid.t_span", 20.0),
-        t_points=_int(cfg, "grid.t_points", 200),
+        CheckGrid.default, t0=t0, **_section(cfg, "grid", _GRID),
+        message=lambda exc: (
+            f"the time {exc}" if isinstance(exc, ScenarioError) else str(exc)),
     )
-
-
-@dataclass(frozen=True)
-class Numerics:
-    dt: float
-    horizon: float
-    n_paths: int
-    seed: int
-    method: str
 
 
 def _in_numerics(exc: Exception) -> str:
     """A run rule's refusal, its names as numerics keys."""
-    return re.sub(r"\b(dt|horizon|seed|n_paths)\b", r"numerics.\1", str(exc))
+    return re.sub(rf"\b({'|'.join(_NUMERICS)})\b", r"numerics.\1", str(exc))
 
 
 def build_numerics(cfg: dict, scenarios=()) -> Numerics:
     """The run's numerics, refused unless scenario's rules hold for them
     and for every scenario of `scenarios`."""
-    num = Numerics(
-        dt=_float(cfg, "numerics.dt", 1e-3),
-        horizon=_float(cfg, "numerics.horizon", 200.0),
-        n_paths=_int(cfg, "numerics.n_paths", 500),
-        seed=_int(cfg, "numerics.seed", 0),
-        method=cfg.get("numerics.method", "euler"),
-    )
+    num = Numerics(**_section(cfg, "numerics", _NUMERICS))
     _refused(check_run, num.horizon, num.dt, message=_in_numerics)
     _refused(check_streams, num.seed, num.n_paths, message=_in_numerics)
     if num.method not in METHODS:
-        raise ConfigError(f"numerics.method must be one of {METHODS}")
+        raise ConfigError(_in_numerics(f"method must be one of {METHODS}"))
     _refused(check_levels, scenarios, num.horizon, message=_in_numerics)
     return num

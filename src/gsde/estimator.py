@@ -465,11 +465,12 @@ def _scenario_rows(
             yield row[~flagged], int(flagged.sum()), obs, q
 
 
-def _run_grid(spec, horizon, dt, n_paths) -> np.ndarray:
-    """The run's uniform_grid (or its ScenarioError), once x0 and n_paths pass."""
+def _run_grid(spec, horizon, dt, n_paths, seed) -> np.ndarray:
+    """The run's uniform_grid (or its ScenarioError), once x0, the seed and
+    n_paths pass."""
     if spec.x0 == 0:
         raise EstimationError("x0 must be nonzero (rates normalize by |x0|)")
-    check_streams(n_paths=n_paths)
+    check_streams(seed, n_paths)
     return uniform_grid(spec.t0, horizon, dt)
 
 
@@ -518,7 +519,7 @@ def estimate_exponent(
     was flagged are reported with NaN statistics; if that happens for the
     whole family the estimate is refused.
     """
-    grid = _run_grid(spec, horizon, dt, n_paths)
+    grid = _run_grid(spec, horizon, dt, n_paths, seed)
     scenarios = list(scenarios)
     if not scenarios:
         raise EstimationError("need at least one scenario")
@@ -572,6 +573,7 @@ def estimate_sublinear_expectation(
     if not scenarios:
         raise EstimationError("need at least one scenario")
     labels = tuple(s.label() for s in scenarios)
+    grid = _run_grid(spec, horizon, dt, n_paths, seed)
     if functional == "constant":
         c, k = float(constant_value), len(scenarios)
         return SublinearEstimate(
@@ -584,7 +586,6 @@ def estimate_sublinear_expectation(
             n_flagged=(0,) * k,
             n_paths=n_paths,
         )
-    grid = _run_grid(spec, horizon, dt, n_paths)
     of_path = _FUNCTIONALS[functional]
     means, stderrs, n_flagged = zip(*(
         (_centered_mean(vals), _stderr(vals), flags)
@@ -641,7 +642,7 @@ def adversarial_search(
         raise ValueError("budget must be >= 1")
     if not (1 <= max_switches <= 4):
         raise ValueError("max_switches must be in 1..4")
-    grid = _run_grid(spec, horizon, dt, n_paths)
+    grid = _run_grid(spec, horizon, dt, n_paths, seed)
     evaluations = 0
     best: tuple[float, VolatilityScenario] | None = None
 
@@ -731,7 +732,7 @@ def martingale_bound_check(
     taus = mspec.taus()
     gammas = mspec.gammas()
     horizon = float(taus[-1])
-    grid = _run_grid(spec, horizon, dt, n_paths)
+    grid = _run_grid(spec, horizon, dt, n_paths, seed)
     dt_actual = horizon / (grid.size - 1)
     # checkpoint j lands after the step ending nearest t0 + tau_j
     snap_steps = np.clip(

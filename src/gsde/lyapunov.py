@@ -55,6 +55,7 @@ from .expr import (
 )
 from .gcalc import AmbiguityBounds, g_lower, g_upper
 from .integrator import SdeSpec
+from .scenario import _check_grid
 
 __all__ = [
     "LyapunovFn",
@@ -108,10 +109,12 @@ class LyapunovFn:
 class CheckGrid:
     """States and times the checker samples.
 
-    xs excludes a ball around 0 (|x| >= x_min > 0): the certificates
-    constrain decay rates of |X| and their hypotheses often degenerate at
-    the origin.  The default grid is 200 log-spaced magnitudes per sign in
-    [1e-3, 10] and 200 times spanning 20 time units from t0.
+    ts obeys scenario's time-grid rule for stepping grids (a ts that
+    breaks it raises ScenarioError).  xs excludes a ball around 0
+    (|x| >= x_min > 0): the certificates constrain decay rates of |X| and
+    their hypotheses often degenerate at the origin.  The default grid is
+    200 log-spaced magnitudes per sign in [1e-3, 10] and 200 times
+    spanning 20 time units from t0.
     """
 
     xs: np.ndarray
@@ -119,15 +122,14 @@ class CheckGrid:
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
-        ts = np.asarray(self.ts, dtype=float)
-        if xs.size == 0 or ts.size == 0:
+        if xs.size == 0:
             raise ValueError("grid must be nonempty")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ts))):
+        if not np.all(np.isfinite(xs)):
             raise ValueError("grid must be finite")
         if np.any(xs == 0):
             raise ValueError("grid x points must exclude 0")
         object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ts", ts)
+        object.__setattr__(self, "ts", _check_grid(self.ts))
 
     @classmethod
     def default(
@@ -348,6 +350,23 @@ def _last_decade(ts: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _intercept(name, y, *columns) -> float:
+    """The intercept of the least-squares fit of y on 1 and the columns,
+    refused when the fit window has fewer points than unknowns."""
+    if y.size <= len(columns):
+        raise CertificateError(f"{name}: {y.size} grid time(s) in the fit "
+                               f"window, fewer than its {1 + len(columns)} unknowns")
+    basis = np.stack([np.ones_like(y), *columns], axis=1)
+    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
+    return float(coef[0])
+
+
+def _extrapolated(name, violation, worst_t, note) -> HypothesisVerdict:
+    """A horizon-limited verdict, passed within EXTRAPOLATION_SLACK."""
+    return HypothesisVerdict(name, violation <= EXTRAPOLATION_SLACK, violation,
+                             None, worst_t, True, note)
+
+
 def _cesaro_lower(name, phi_vals, ts, kappa) -> HypothesisVerdict:
     """liminf (1/t) int_{t0}^t phi >= kappa, extrapolated from the last
     decade of grid time: the Cesaro average behaves like a + c/t there, so
@@ -356,49 +375,29 @@ def _cesaro_lower(name, phi_vals, ts, kappa) -> HypothesisVerdict:
     mask = _last_decade(ts)
     t = ts[mask]
     A = Q[mask] / t
-    basis = np.stack([np.ones_like(t), 1.0 / t], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, A, rcond=None)
-    limit = float(coef[0])
-    shortfall = (kappa - limit) / max(1.0, abs(kappa))
-    return HypothesisVerdict(
-        name=name,
-        passed=shortfall <= EXTRAPOLATION_SLACK,
-        violation=shortfall,
-        worst_t=float(t[np.argmin(A)]),
-        horizon_limited=True,
-        note=f"extrapolated Cesaro limit {limit:.6g} vs required {kappa:.6g}",
-    )
+    limit = _intercept(name, A, 1.0 / t)
+    return _extrapolated(
+        name, (kappa - limit) / max(1.0, abs(kappa)), float(t[np.argmin(A)]),
+        f"extrapolated Cesaro limit {limit:.6g} vs required {kappa:.6g}")
 
 
 def _loggrowth_cap(name, phi_vals, ts, cap) -> HypothesisVerdict:
     """limsup (1/t) log int_{t0}^t phi <= cap, extrapolated from the last
     decade: log Q(t)/t = a + b/t + c log(t)/t for exponential-polynomial
     integrals, so the intercept of that regression estimates the limit.
-    An identically-zero integral passes trivially."""
+    An integral that is zero through the window passes trivially."""
     Q = _cumtrapz(phi_vals, ts)
-    mask = _last_decade(ts) & (Q > 0)
-    if not mask.any():
-        return HypothesisVerdict(
-            name=name,
-            passed=True,
-            violation=float("-inf"),
-            horizon_limited=True,
-            note="integral is identically zero; growth rate -inf",
-        )
+    window = _last_decade(ts)
+    mask = window & (Q > 0)
+    if window.any() and not mask.any():
+        return _extrapolated(name, float("-inf"), None,
+                             "integral is identically zero; growth rate -inf")
     t = ts[mask]
     L = np.log(Q[mask]) / t
-    basis = np.stack([np.ones_like(t), 1.0 / t, np.log(t) / t], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, L, rcond=None)
-    limit = float(coef[0])
-    excess = (limit - cap) / max(1.0, abs(cap))
-    return HypothesisVerdict(
-        name=name,
-        passed=excess <= EXTRAPOLATION_SLACK,
-        violation=excess,
-        worst_t=float(t[-1]),
-        horizon_limited=True,
-        note=f"extrapolated growth rate {limit:.6g} vs cap {cap:.6g}",
-    )
+    limit = _intercept(name, L, 1.0 / t, np.log(t) / t)
+    return _extrapolated(
+        name, (limit - cap) / max(1.0, abs(cap)), float(t[-1]),
+        f"extrapolated growth rate {limit:.6g} vs cap {cap:.6g}")
 
 
 # ---------------------------------------------------------------------------

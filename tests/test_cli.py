@@ -319,6 +319,16 @@ class TestExitCodes:
             ("sweep", SWEEP + "sweep.estimate = true\nscenarios.list = constant:1"
              "\nnumerics.horizon = 1\nnumerics.dt = 0.1\nnumerics.n_paths = 2",
              "", ["--seed", "-1"], "--seed must lie in [0, 2^64)"),
+            ("certify", CERT_GRANT, "grid.t_points = 1", [],
+             "the time grid must be one-dimensional with at least 2 points"),
+            ("sweep", SWEEP, "grid.t_points = 1", [],
+             "the time grid must be one-dimensional with at least 2 points"),
+            ("certify", CERT_GRANT, "sde.t0 = 1e300", [],
+             "the time grid must be finite and strictly increasing"),
+            ("sweep", SWEEP, "sde.t0 = 1e300", [],
+             "the time grid must be finite and strictly increasing"),
+            ("sweep", SWEEP, "sweep.parameter = zz", [],
+             "sweep.parameter: no config value contains {zz}"),
         ],
     )
     def test_single_fault_message(
@@ -832,6 +842,33 @@ def test_overflowing_envelope_is_3(tmp_path, capsys, recwarn, text):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert "envelope weight" in err[0] and "not finite at x=" in err[0]
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+
+@pytest.mark.parametrize(
+    "text, t_points, message",
+    [
+        (PIN_T34_WITHHELD, 2, "time_average: 1 grid time(s) in the fit window, "
+         "fewer than its 2 unknowns"),
+        (PIN_T38, 2, "time_average: 1 grid time(s) in the fit window, "
+         "fewer than its 2 unknowns"),
+        (PIN_T36, 2, "weight_growth: 1 grid time(s) in the fit window, "
+         "fewer than its 3 unknowns"),
+        (PIN_T36, 3, "weight_growth: 2 grid time(s) in the fit window, "
+         "fewer than its 3 unknowns"),
+        (PIN_T37, 2, "weight1_growth: 1 grid time(s) in the fit window, "
+         "fewer than its 3 unknowns"),
+        (PIN_T37, 3, "weight1_growth: 2 grid time(s) in the fit window, "
+         "fewer than its 3 unknowns"),
+    ],
+    ids=["t34_2", "t38_2", "t36_2", "t36_3", "t37_2", "t37_3"],
+)
+def test_underdetermined_fit_is_3(tmp_path, capsys, recwarn, text, t_points, message):
+    """A time-average hypothesis whose extrapolation window holds fewer grid
+    times than its fit has unknowns is refused, not granted."""
+    cfg = write(tmp_path, text + f"grid.t_points = {t_points}\n")
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: " + message]
     assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
 

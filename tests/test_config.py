@@ -1,10 +1,14 @@
 """Config parsing and object builders."""
 
+import re
+
+import numpy as np
 import pytest
 
 from gsde.config import (
     KNOWN_KEYS,
     ConfigError,
+    Numerics,
     build_bounds,
     build_certificate,
     build_grid,
@@ -16,6 +20,7 @@ from gsde.config import (
     parse_config_text,
 )
 from gsde.expr import parse
+from gsde.lyapunov import CheckGrid
 from gsde.scenario import BangBangInTime, Constant, FeedbackSignVxx
 
 BASE = """
@@ -255,6 +260,32 @@ class TestBuilders:
         assert grid2.xs.size == 20
         assert grid2.ts.size == 5
         assert grid2.ts[0] == 1.0
+
+    def test_defaults_have_one_owner(self):
+        """An absent grid.* or numerics.* key takes the default of what it
+        builds: CheckGrid.default's argument or the Numerics field."""
+        grid = build_grid(parse_config_text(""), t0=0.5)
+        default = CheckGrid.default(t0=0.5)
+        np.testing.assert_array_equal(grid.xs, default.xs)
+        np.testing.assert_array_equal(grid.ts, default.ts)
+        assert build_numerics(parse_config_text("")) == Numerics()
+        assert build_numerics(
+            parse_config_text("numerics.method = milstein\n")
+        ) == Numerics(method="milstein")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("grid.t_points = 1", "at least 2 points"),
+            ("grid.t_points = 0", "at least 2 points"),
+            ("grid.t_span = 1e-20", "strictly increasing"),
+            ("grid.x_points = 0", "grid must be nonempty"),
+            ("grid.x_points = 2.5", "grid.x_points: not an integer: '2.5'"),
+        ],
+    )
+    def test_grid_refusals(self, text, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_grid(parse_config_text(text + "\n"), t0=1.0)
 
     def test_numerics_defaults(self):
         num = build_numerics(parse_config_text(""))

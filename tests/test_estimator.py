@@ -262,6 +262,8 @@ class TestExponent:
         calls = [
             lambda: estimate_sublinear_expectation(
                 "terminal_qv", spec, [Constant(1.0)], B, **run),
+            lambda: estimate_sublinear_expectation(
+                "constant", spec, [Constant(1.0)], B, **run),
             lambda: estimate_exponent(spec, [Constant(1.0)], B, **run),
             lambda: adversarial_search(spec, B, budget=3, **run),
             lambda: martingale_bound_check(
@@ -290,6 +292,8 @@ class TestExponent:
         calls = [
             lambda: estimate_sublinear_expectation(
                 "terminal_qv", spec, [Constant(1.0)], B, **run),
+            lambda: estimate_sublinear_expectation(
+                "constant", spec, [Constant(1.0)], B, **run),
             lambda: estimate_exponent(spec, [Constant(1.0)], B, **run),
             lambda: adversarial_search(spec, B, budget=3, **run),
         ]
@@ -313,6 +317,8 @@ class TestExponent:
         calls = [
             lambda: estimate_sublinear_expectation(
                 "terminal_qv", spec, [Constant(1.0)], B, **run),
+            lambda: estimate_sublinear_expectation(
+                "constant", spec, [Constant(1.0)], B, **run),
             lambda: estimate_exponent(spec, [Constant(1.0)], B, **run),
             lambda: adversarial_search(spec, B, budget=3, **run),
             lambda: martingale_bound_check(
@@ -322,6 +328,26 @@ class TestExponent:
         for call in calls:
             with pytest.raises(ScenarioError, match=r"n_paths must be <= 2\^56"):
                 call()
+
+    @pytest.mark.parametrize("functional", ["terminal_qv", "constant"])
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (dict(seed=-5), ScenarioError, r"seed must lie in \[0, 2\^64\)"),
+            (dict(n_paths=0), ScenarioError, "n_paths must be >= 1"),
+            (dict(x0=0.0), EstimationError, "x0 must be nonzero"),
+        ],
+        ids=["seed", "n_paths", "x0"],
+    )
+    def test_constant_functional_obeys_run_rules(self, functional, bad, error,
+                                                 message):
+        """The constant functional simulates nothing, yet its run is refused
+        by the rules every other functional's run obeys."""
+        run = {**dict(horizon=1.0, dt=0.1, n_paths=3, seed=0, x0=1.0), **bad}
+        spec = linear_spec(1.0, 1.0, x0=run.pop("x0"))
+        with pytest.raises(error, match=message):
+            estimate_sublinear_expectation(
+                functional, spec, [Constant(1.0)], B, **run)
 
     def test_level_count_beyond_limit_refused_everywhere(self):
         """A piecewise_random dwell giving 2^53 or more levels over the run

@@ -27,6 +27,7 @@ from gsde.lyapunov import (
     verdict_line,
     write_certificate_csv,
 )
+from gsde.scenario import ScenarioError
 
 B1 = AmbiguityBounds(1.0, 1.0)
 B = AmbiguityBounds(0.5, 1.0)
@@ -57,6 +58,48 @@ class TestCheckGrid:
             CheckGrid(xs=np.array([]), ts=np.array([0.0]))
         with pytest.raises(ValueError):
             CheckGrid.default(x_min=0.0)
+
+    @pytest.mark.parametrize(
+        "ts, message",
+        [
+            ([0.0], "at least 2 points"),
+            ([0.0, 1.0, 1.0], "strictly increasing"),
+            ([1.0, 0.0], "strictly increasing"),
+            ([0.0, np.inf], "finite"),
+        ],
+        ids=["one_point", "repeating", "decreasing", "infinite"],
+    )
+    def test_times_obey_the_one_time_grid_rule(self, ts, message):
+        """The check grid's times obey scenario's stepping-grid rule."""
+        with pytest.raises(ScenarioError, match=message):
+            CheckGrid(xs=np.array([-1.0, 1.0]), ts=np.array(ts))
+
+    def test_times_collapsing_at_large_t0_refused(self):
+        """200 times spanning 20 from t0 = 1e300 round to one instant."""
+        with pytest.raises(ScenarioError, match="strictly increasing"):
+            CheckGrid.default(t0=1e300)
+
+
+class TestExtrapolation:
+    def test_zero_integral_passes_with_any_window(self):
+        """An identically-zero weight has growth rate -inf, which needs no
+        fit, so a window too small to fit still passes."""
+        h = lyapunov._loggrowth_cap("w", np.zeros(2), np.array([0.0, 1.0]), 0.0)
+        assert h.passed and h.violation == -np.inf and h.horizon_limited
+
+    def test_empty_window_is_not_a_zero_integral(self):
+        """With no positive grid time the window is empty: a positive
+        weight's integral is refused for want of a fit, not passed as
+        identically zero."""
+        ts = np.array([-3.0, -2.0, -1.0])
+        with pytest.raises(CertificateError, match="0 grid time"):
+            lyapunov._loggrowth_cap("w", np.ones(3), ts, 0.0)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_cesaro_window_smaller_than_fit_refused(self, n):
+        ts = np.linspace(0.0, 1.0, n + 1)
+        with pytest.raises(CertificateError, match=f"{n} grid time"):
+            lyapunov._cesaro_lower("avg", np.ones_like(ts), ts, 1.0)
 
 
 class TestOperators:

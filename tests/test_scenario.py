@@ -320,8 +320,9 @@ class TestTextualForms:
 
 def test_input_rules_have_one_owner():
     """scenario alone spells the run-grid rule and the Philox key and step
-    limits, config spells no certificate key that lyapunov's table names,
-    in the package only estimator._run_grid and cli._family use
+    limits, lyapunov's check grid has no time rule of its own, config
+    spells no certificate key that lyapunov's table names and no grid or
+    numerics key, in the package only estimator._run_grid and cli._family use
     uniform_grid, and a refusal becomes a ConfigError in one place: in
     config only the helper _refused and load_config catch, in cli only
     main."""
@@ -336,6 +337,9 @@ def test_input_rules_have_one_owner():
     assert offenders == []
     spelled = set(re.findall(r"certificate\.(\w+)", modules["config"]))
     assert spelled <= {"theorem", "nu_coeffs"}
+    assert re.findall(r"\b(?:grid|numerics)\.\w+", modules["config"]) == []
+    assert "strictly increasing" not in modules["lyapunov"]
+    assert "_check_grid(self.ts)" in modules["lyapunov"]
     users, catchers = [], []
     for name, text in modules.items():
         for fn in ast.parse(text).body:

@@ -262,11 +262,13 @@ def build_scenarios(cfg: dict, bounds: AmbiguityBounds):
 
 
 def build_grid(cfg: dict, t0: float) -> CheckGrid:
-    """The check grid from t0; scenario's time-grid rule refuses the times."""
+    """The check grid from t0; scenario's time-grid rule refuses the times,
+    and a refusal that starts with an argument's name reads it as its key."""
     return _refused(
         CheckGrid.default, t0=t0, **_section(cfg, "grid", _GRID),
         message=lambda exc: (
-            f"the time {exc}" if isinstance(exc, ScenarioError) else str(exc)),
+            f"the time {exc}" if isinstance(exc, ScenarioError)
+            else re.sub(rf"^({'|'.join(_GRID)})\b", r"grid.\1", str(exc))),
     )
 
 

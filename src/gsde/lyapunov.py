@@ -143,6 +143,10 @@ class CheckGrid:
     ) -> "CheckGrid":
         if not (0 < x_min < x_max < math.inf and 0 < t_span < math.inf):
             raise ValueError("need 0 < x_min < x_max and a finite t_span > 0")
+        if x_points < 1:
+            raise ValueError("x_points must be >= 1")
+        if t_points < 0:  # 0 or 1 times are refused by the time-grid rule
+            raise ValueError("t_points must not be negative")
         mags = np.geomspace(x_min, x_max, x_points)
         return cls(
             xs=np.concatenate([-mags[::-1], mags]),

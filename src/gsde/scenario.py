@@ -1,8 +1,8 @@
-"""Volatility scenarios and driver-path sampling.
+"""Volatility scenarios and their variance streams.
 
 A scenario is an adapted volatility policy: a rule that fixes the variance
 rate v_i of each time step from information available at the step start
-(clock time, current state).  Sampling a scenario over a grid yields a
+(clock time, current state).  Integrating a path under a scenario yields a
 PathBundle: Wiener increments dW_i, variance rates v_i, ambiguous-driver
 increments dB_i = sqrt(v_i) dW_i, and the cumulative quadratic variation
 qv.  Every emitted rate is clamped into the ambiguity band, so increments
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from typing import Callable
 
 import numpy as np
 
@@ -37,8 +37,8 @@ __all__ = [
     "PiecewiseRandom",
     "ScenarioError",
     "PathBundle",
-    "sample_path",
     "enumerate_family",
+    "KINDS",
     "parse_scenario",
     "SEED_LIMIT",
     "check_run",
@@ -127,11 +127,10 @@ def uniform_grid(t0: float, horizon: float, dt: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VolatilityScenario:
-    """Base scenario type.  needs_state marks feedback policies, which can
-    only be sampled coupled to an integrator (the rule reads the pre-step
-    state); standalone sample_path rejects them."""
-
-    needs_state: ClassVar[bool] = False
+    """Base scenario type.  A kind is one class, listed in KINDS under the
+    prefix of its label(); its classmethod parse(rest, lyapunov) builds it
+    from the text after that prefix, and its stream(b, grid, seed, paths)
+    is the kind's variance stream (see variance_stream)."""
 
     def label(self) -> str:
         raise NotImplementedError
@@ -156,6 +155,14 @@ class Constant(VolatilityScenario):
 
     def label(self) -> str:
         return f"constant:{fmt(self.v)}"
+
+    @classmethod
+    def parse(cls, rest, lyapunov):
+        return cls(float(rest))
+
+    def stream(self, b, grid, seed, paths):
+        v = float(b.clamp(self.v))
+        return lambda i, t, x: v
 
 
 @dataclass(frozen=True)
@@ -186,6 +193,22 @@ class BangBangInTime(VolatilityScenario):
         )
         return np.asarray(self.levels)[idx]
 
+    @classmethod
+    def parse(cls, rest, lyapunov):
+        levels = []
+        times = []
+        for pair in rest.split(","):
+            lv, sep, tm = pair.partition("@")
+            if not sep:
+                raise ValueError(f"expected level@time, got {pair!r}")
+            levels.append(float(lv))
+            times.append(float(tm))
+        return cls(tuple(times), tuple(levels))
+
+    def stream(self, b, grid, seed, paths):
+        per_step = b.clamp(self.value_at(np.asarray(grid[:-1], dtype=float)))
+        return lambda i, t, x: per_step[i]
+
 
 @dataclass(frozen=True)
 class BangBangInX(VolatilityScenario):
@@ -195,8 +218,6 @@ class BangBangInX(VolatilityScenario):
     v_below: float
     v_above: float
 
-    needs_state: ClassVar[bool] = True
-
     def __post_init__(self):
         _reject_nan(self.x_star, self.v_below, self.v_above)
 
@@ -204,6 +225,17 @@ class BangBangInX(VolatilityScenario):
         return (
             f"bangbang_x:{fmt(self.x_star)},{fmt(self.v_below)},{fmt(self.v_above)}"
         )
+
+    @classmethod
+    def parse(cls, rest, lyapunov):
+        x_star, below, above = (float(p) for p in rest.split(","))
+        return cls(x_star, below, above)
+
+    def stream(self, b, grid, seed, paths):
+        below = float(b.clamp(self.v_below))
+        above = float(b.clamp(self.v_above))
+        x_star = self.x_star
+        return lambda i, t, x: np.where(x < x_star, below, above)
 
 
 @dataclass(frozen=True)
@@ -214,13 +246,36 @@ class FeedbackSignVxx(VolatilityScenario):
 
     V: Expr
 
-    needs_state: ClassVar[bool] = True
-
     def label(self) -> str:
         return "feedback_vxx"
 
     def vxx(self) -> Expr:
         return differentiate(differentiate(self.V, "x"), "x")
+
+    @classmethod
+    def parse(cls, rest, lyapunov):
+        if rest:
+            raise ValueError("feedback_vxx takes no parameters")
+        if lyapunov is None:
+            raise ScenarioError("feedback_vxx requires a registered energy function")
+        return cls(lyapunov)
+
+    def stream(self, b, grid, seed, paths):
+        lo, hi = b.v_lower, b.v_upper
+        vxx = self.vxx()
+        vxx_fn = compile_fn(vxx)
+
+        def feedback(i, t, x):
+            c = vxx_fn(x, t)
+            if not np.isfinite(c).all():
+                # a flagged (nan) lane is not re-checked
+                xs, cs = np.broadcast_arrays(x, c)
+                live = xs[~np.isfinite(cs) & np.isfinite(xs)]
+                if live.size:
+                    check_domain((vxx,), live, t)
+            return np.where(c > 0, hi, lo)
+
+        return feedback
 
 
 @dataclass(frozen=True)
@@ -237,58 +292,20 @@ class PiecewiseRandom(VolatilityScenario):
     def label(self) -> str:
         return f"piecewise_random:dwell={fmt(self.dwell)}"
 
+    @classmethod
+    def parse(cls, rest, lyapunov):
+        key, _, val = rest.partition("=")
+        if key.strip() != "dwell":
+            raise ValueError(f"expected dwell=<value>, got {rest!r}")
+        return cls(float(val))
 
-# ---------------------------------------------------------------------------
-# variance streams
-
-def variance_stream(
-    s: VolatilityScenario,
-    b: AmbiguityBounds,
-    grid: np.ndarray,
-    seed: int,
-    paths,
-) -> Callable:
-    """Build fn(i, t, x) -> variance rate(s) for step i starting at time t
-    with pre-step state x.
-
-    `paths` is a single path index or an array of indices; x matches its
-    shape.  Deterministic kinds precompute per-step values; feedback kinds
-    close over compiled state rules; PiecewiseRandom pre-draws each path's
-    level sequence from its level stream.
-    """
-    lo, hi = b.v_lower, b.v_upper
-    if isinstance(s, Constant):
-        v = float(b.clamp(s.v))
-        return lambda i, t, x: v
-    if isinstance(s, BangBangInTime):
-        per_step = b.clamp(s.value_at(np.asarray(grid[:-1], dtype=float)))
-        return lambda i, t, x: per_step[i]
-    if isinstance(s, BangBangInX):
-        below = float(b.clamp(s.v_below))
-        above = float(b.clamp(s.v_above))
-        x_star = s.x_star
-        return lambda i, t, x: np.where(x < x_star, below, above)
-    if isinstance(s, FeedbackSignVxx):
-        vxx = s.vxx()
-        vxx_fn = compile_fn(vxx)
-
-        def feedback(i, t, x):
-            c = vxx_fn(x, t)
-            if not np.isfinite(c).all():
-                # a flagged (nan) lane is not re-checked
-                xs, cs = np.broadcast_arrays(x, c)
-                live = xs[~np.isfinite(cs) & np.isfinite(xs)]
-                if live.size:
-                    check_domain((vxx,), live, t)
-            return np.where(c > 0, hi, lo)
-
-        return feedback
-    if isinstance(s, PiecewiseRandom):
+    def stream(self, b, grid, seed, paths):
+        lo, hi = b.v_lower, b.v_upper
         t0 = float(grid[0])
-        check_levels([s], float(grid[-1]) - t0)
-        n_levels = int(math.floor((float(grid[-1]) - t0) / s.dwell)) + 1
+        check_levels([self], float(grid[-1]) - t0)
+        n_levels = int(math.floor((float(grid[-1]) - t0) / self.dwell)) + 1
         step_idx = np.minimum(
-            ((np.asarray(grid[:-1]) - t0) / s.dwell).astype(np.int64), n_levels - 1
+            ((np.asarray(grid[:-1]) - t0) / self.dwell).astype(np.int64), n_levels - 1
         )
         # step-major: levels[j] holds level j of every path, in the shape
         # of paths (one float for a single path, one row for many)
@@ -298,7 +315,34 @@ def variance_stream(
             gen = stream_generator(seed, LEVEL_STREAM, int(p))
             levels[(slice(None),) + k] = b.clamp(gen.uniform(lo, hi, n_levels))
         return lambda i, t, x: levels[step_idx[i]]
-    raise ScenarioError(f"unknown scenario kind {type(s).__name__}")
+
+
+KINDS = {
+    "constant": Constant,
+    "bangbang_t": BangBangInTime,
+    "bangbang_x": BangBangInX,
+    "feedback_vxx": FeedbackSignVxx,
+    "piecewise_random": PiecewiseRandom,
+}
+
+
+# ---------------------------------------------------------------------------
+# variance streams
+
+def variance_stream(s: VolatilityScenario, b: AmbiguityBounds,
+                    grid: np.ndarray, seed: int, paths) -> Callable:
+    """Build fn(i, t, x) -> variance rate(s) for step i starting at time t
+    with pre-step state x.
+
+    `paths` is a single path index or an array of indices; x matches its
+    shape.  Deterministic kinds precompute per-step values; feedback kinds
+    close over compiled state rules; PiecewiseRandom pre-draws each path's
+    level sequence from its level stream.
+    """
+    # kept a module function: perfbench's tracer wraps the functions in each
+    # module's __all__, and its scenario.variance_calls count comes from
+    # that wrapper
+    return s.stream(b, grid, seed, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +356,14 @@ class PathBundle:
     has N+1 entries with qv[0] = 0 and qv = cumsum(dqv).  dqv_i = v_i *
     dtau_i is derived from v here and stored explicitly: multiplication by
     a positive step is monotone in v, so the band sandwich on per-step
-    increments is exact.  X is filled by the integrator (None until then).
+    increments is exact.  X is the integrated state at each grid point.
     """
 
     grid: np.ndarray
     dW: np.ndarray
     v: np.ndarray
     dB: np.ndarray
-    X: np.ndarray | None = None
+    X: np.ndarray
     dqv: np.ndarray = field(init=False)
     qv: np.ndarray = field(init=False)
 
@@ -335,35 +379,6 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
         raise ScenarioError("grid must be finite and strictly increasing")
     return grid
-
-
-def sample_path(
-    s: VolatilityScenario,
-    b: AmbiguityBounds,
-    grid: np.ndarray,
-    seed: int,
-    path_index: int = 0,
-) -> PathBundle:
-    """Sample one driver path for a state-free scenario.
-
-    Feedback kinds (BangBangInX, FeedbackSignVxx) need the pre-step state
-    and are only available through the integrator; asking for them here is
-    an error.
-    """
-    if s.needs_state:
-        raise ScenarioError(
-            f"{type(s).__name__} is a feedback policy; sample it through the integrator"
-        )
-    grid = _check_grid(grid)
-    var_fn = variance_stream(s, b, grid, seed, path_index)
-    dtau = np.diff(grid)
-    n = dtau.size
-    z = standard_increments(seed, path_index, n)
-    dW = z * np.sqrt(dtau)
-    v = np.empty(n)
-    v[:] = var_fn(np.arange(n), grid[:-1], None)
-    dB = np.sqrt(v) * dW
-    return PathBundle(grid=grid, dW=dW, v=v, dB=dB)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +415,8 @@ def enumerate_family(
 # textual forms
 
 def parse_scenario(text: str, lyapunov: Expr | None = None) -> VolatilityScenario:
-    """Parse a textual scenario form.
+    """Parse a textual scenario form `<kind>:<rest>`: the class KINDS lists
+    under kind parses rest.
 
     Forms: ``constant:<v>``, ``bangbang_t:<level>@<time>,...``,
     ``bangbang_x:<x_star>,<v_below>,<v_above>``, ``feedback_vxx`` (needs a
@@ -409,37 +425,11 @@ def parse_scenario(text: str, lyapunov: Expr | None = None) -> VolatilityScenari
     text = text.strip()
     kind, _, rest = text.partition(":")
     kind = kind.strip()
+    if kind not in KINDS:
+        raise ScenarioError(f"unknown scenario kind {kind!r}")
     try:
-        if kind == "constant":
-            return Constant(float(rest))
-        if kind == "bangbang_t":
-            levels = []
-            times = []
-            for pair in rest.split(","):
-                lv, sep, tm = pair.partition("@")
-                if not sep:
-                    raise ValueError(f"expected level@time, got {pair!r}")
-                levels.append(float(lv))
-                times.append(float(tm))
-            return BangBangInTime(tuple(times), tuple(levels))
-        if kind == "bangbang_x":
-            x_star, below, above = (float(p) for p in rest.split(","))
-            return BangBangInX(x_star, below, above)
-        if kind == "feedback_vxx":
-            if rest:
-                raise ValueError("feedback_vxx takes no parameters")
-            if lyapunov is None:
-                raise ScenarioError(
-                    "feedback_vxx requires a registered energy function"
-                )
-            return FeedbackSignVxx(lyapunov)
-        if kind == "piecewise_random":
-            key, _, val = rest.partition("=")
-            if key.strip() != "dwell":
-                raise ValueError(f"expected dwell=<value>, got {rest!r}")
-            return PiecewiseRandom(float(val))
+        return KINDS[kind].parse(rest, lyapunov)
     except ScenarioError:
         raise
     except ValueError as exc:
         raise ScenarioError(f"bad scenario text {text!r}: {exc}") from exc
-    raise ScenarioError(f"unknown scenario kind {kind!r}")

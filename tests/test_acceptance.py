@@ -24,7 +24,6 @@ from gsde.scenario import (
     Constant,
     PiecewiseRandom,
     enumerate_family,
-    sample_path,
     uniform_grid,
 )
 
@@ -109,9 +108,11 @@ def test_criterion_03_certificate_matches_simulation():
 def test_criterion_04_quadratic_variation_sandwich():
     # Every realized variance increment sits inside
     # [v_lower * dt, v_upper * dt] with zero tolerance, for 100 random
-    # scenario/seed/band combinations.  Budget 10 s.
+    # scenario/seed/band combinations, each integrated on dX = -X dt +
+    # X dB.  Budget 10 s.
     done = _timed(10.0)
     rng = np.random.default_rng(2026)
+    sde = SdeSpec(f=parse("-x"), g=parse("x"), x0=1.0)
     grid = uniform_grid(0.0, 2.0, 1e-3)
     dtau = np.diff(grid)
     for trial in range(100):
@@ -128,7 +129,8 @@ def test_criterion_04_quadratic_variation_sandwich():
             s = BangBangInTime(tuple(times), tuple(levels))
         else:
             s = PiecewiseRandom(dwell=float(rng.uniform(0.05, 0.5)))
-        bundle = sample_path(s, b, grid, seed=int(rng.integers(1 << 31)))
+        seed = int(rng.integers(1 << 31))
+        bundle = integrate(sde, s, b, grid, seed=seed).bundle
         assert np.all(bundle.dqv >= b.v_lower * dtau)
         assert np.all(bundle.dqv <= b.v_upper * dtau)
     elapsed = done()

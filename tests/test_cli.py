@@ -329,6 +329,12 @@ class TestExitCodes:
              "the time grid must be finite and strictly increasing"),
             ("sweep", SWEEP, "sweep.parameter = zz", [],
              "sweep.parameter: no config value contains {zz}"),
+            ("certify", CERT_GRANT, "grid.x_points = -1", [],
+             "grid.x_points must be >= 1"),
+            ("certify", CERT_GRANT, "grid.t_points = -1", [],
+             "grid.t_points must not be negative"),
+            ("certify", CERT_GRANT, "grid.x_points = 0", [],
+             "grid.x_points must be >= 1"),
         ],
     )
     def test_single_fault_message(

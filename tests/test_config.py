@@ -279,7 +279,9 @@ class TestBuilders:
             ("grid.t_points = 1", "at least 2 points"),
             ("grid.t_points = 0", "at least 2 points"),
             ("grid.t_span = 1e-20", "strictly increasing"),
-            ("grid.x_points = 0", "grid must be nonempty"),
+            ("grid.x_points = 0", "grid.x_points must be >= 1"),
+            ("grid.x_points = -1", "grid.x_points must be >= 1"),
+            ("grid.t_points = -1", "grid.t_points must not be negative"),
             ("grid.x_points = 2.5", "grid.x_points: not an integer: '2.5'"),
         ],
     )

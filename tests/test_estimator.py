@@ -33,7 +33,6 @@ from gsde.scenario import (
     PiecewiseRandom,
     ScenarioError,
     enumerate_family,
-    sample_path,
     uniform_grid,
 )
 
@@ -359,7 +358,6 @@ class TestExponent:
         run = dict(horizon=1.0, dt=0.1, n_paths=3, seed=0)
         calls = [
             lambda: integrate(spec, s, B, grid, seed=0),
-            lambda: sample_path(s, B, grid, seed=0),
             lambda: estimate_exponent(spec, [s], B, **run),
             lambda: estimate_sublinear_expectation(
                 "terminal_qv", spec, [s], B, **run),

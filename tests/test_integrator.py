@@ -22,7 +22,6 @@ from gsde.csvio import write_csv
 from gsde.scenario import (
     BangBangInTime,
     Constant,
-    sample_path,
     standard_increments,
     uniform_grid,
 )
@@ -74,7 +73,7 @@ class TestClosedForm:
 
     def test_closed_form_uses_bundle_driver(self):
         grid = uniform_grid(0.0, 2.0, 0.01)
-        pb = sample_path(Constant(1.0), B1, grid, seed=3)
+        pb = integrate(linear_spec(1.0, 0.5), Constant(1.0), B1, grid, seed=3).bundle
         X = linear_closed_form(1.0, 0.5, pb)
         # log X = -t - 0.5*0.25*qv + 0.5*B pathwise
         Bpath = np.concatenate([[0.0], np.cumsum(pb.dB)])
@@ -83,7 +82,7 @@ class TestClosedForm:
 
     def test_closed_form_scales_with_x0(self):
         grid = uniform_grid(0.0, 1.0, 0.01)
-        pb = sample_path(Constant(1.0), B1, grid, seed=3)
+        pb = integrate(linear_spec(1.0, 1.0), Constant(1.0), B1, grid, seed=3).bundle
         np.testing.assert_array_equal(
             linear_closed_form(1.0, 1.0, pb, x0=2.0),
             2.0 * linear_closed_form(1.0, 1.0, pb),

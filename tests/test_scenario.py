@@ -1,5 +1,6 @@
-"""Scenario sampling: quadratic variation bounds, reproducibility, the
-deterministic family recipe, textual round trips."""
+"""Scenarios: quadratic variation bounds of their driver paths,
+reproducibility, the deterministic family recipe, textual round trips and
+the one table of kinds."""
 
 import ast
 import re
@@ -11,6 +12,7 @@ import pytest
 import gsde
 from gsde.expr import EvalDomainError, parse
 from gsde.gcalc import AmbiguityBounds
+from gsde.integrator import SdeSpec, integrate
 from gsde.scenario import (
     BangBangInTime,
     BangBangInX,
@@ -20,13 +22,19 @@ from gsde.scenario import (
     ScenarioError,
     enumerate_family,
     parse_scenario,
-    sample_path,
     standard_increments,
     uniform_grid,
     variance_stream,
 )
 
 B = AmbiguityBounds(0.5, 1.0)
+# dX = 0: no step is flagged, so every rate of the bundle is the scenario's
+STILL = SdeSpec(f=parse("0"), g=parse("0"), x0=1.0)
+
+
+def driver(s, b, grid, seed, path_index=0):
+    """The driver path (grid, dW, v, dB, dqv, qv) of one integration."""
+    return integrate(STILL, s, b, grid, seed, path_index=path_index).bundle
 
 
 class TestGrid:
@@ -46,13 +54,13 @@ class TestGrid:
 class TestQuadraticVariation:
     def test_qv_exact_at_band_top(self):
         grid = uniform_grid(0.0, 200.0, 1e-3)
-        pb = sample_path(Constant(1.0), B, grid, seed=7)
+        pb = driver(Constant(1.0), B, grid, seed=7)
         # v = 1.0 makes dqv = dtau bitwise; grid increments telescope
         assert pb.qv[-1] == 200.0
 
     def test_qv_exact_at_band_bottom(self):
         grid = uniform_grid(0.0, 200.0, 1e-3)
-        pb = sample_path(Constant(0.25), B, grid, seed=7)
+        pb = driver(Constant(0.25), B, grid, seed=7)
         assert pb.qv[-1] == 50.0
 
     def test_per_step_sandwich_is_exact(self):
@@ -66,7 +74,7 @@ class TestQuadraticVariation:
             BangBangInTime((3.0, 7.0), (1.0, 0.25)),
             PiecewiseRandom(0.5),
         ):
-            pb = sample_path(s, B, grid, seed=42)
+            pb = driver(s, B, grid, seed=42)
             policy = variance_stream(s, B, grid, 42, 0)
             np.testing.assert_array_equal(
                 pb.v, [policy(i, grid[i], None) for i in range(dtau.size)]
@@ -76,8 +84,8 @@ class TestQuadraticVariation:
 
     def test_out_of_band_rate_is_clamped(self):
         grid = uniform_grid(0.0, 1.0, 0.1)
-        pb_low = sample_path(Constant(0.01), B, grid, seed=1)
-        pb_high = sample_path(Constant(50.0), B, grid, seed=1)
+        pb_low = driver(Constant(0.01), B, grid, seed=1)
+        pb_high = driver(Constant(50.0), B, grid, seed=1)
         assert np.all(pb_low.v == B.v_lower)
         assert np.all(pb_high.v == B.v_upper)
 
@@ -85,24 +93,24 @@ class TestQuadraticVariation:
 class TestReproducibility:
     def test_same_seed_same_path(self):
         grid = uniform_grid(0.0, 1.0, 0.01)
-        a = sample_path(PiecewiseRandom(0.1), B, grid, seed=3, path_index=5)
-        b = sample_path(PiecewiseRandom(0.1), B, grid, seed=3, path_index=5)
+        a = driver(PiecewiseRandom(0.1), B, grid, seed=3, path_index=5)
+        b = driver(PiecewiseRandom(0.1), B, grid, seed=3, path_index=5)
         np.testing.assert_array_equal(a.dW, b.dW)
         np.testing.assert_array_equal(a.v, b.v)
         np.testing.assert_array_equal(a.dB, b.dB)
 
     def test_different_paths_differ(self):
         grid = uniform_grid(0.0, 1.0, 0.01)
-        a = sample_path(Constant(1.0), B, grid, seed=3, path_index=0)
-        b = sample_path(Constant(1.0), B, grid, seed=3, path_index=1)
+        a = driver(Constant(1.0), B, grid, seed=3, path_index=0)
+        b = driver(Constant(1.0), B, grid, seed=3, path_index=1)
         assert not np.array_equal(a.dW, b.dW)
 
     def test_wiener_draws_independent_of_scenario(self):
         """Common random numbers: the Wiener stream never depends on the
         scenario, including level-drawing ones."""
         grid = uniform_grid(0.0, 1.0, 0.01)
-        a = sample_path(Constant(1.0), B, grid, seed=3)
-        b = sample_path(PiecewiseRandom(0.05), B, grid, seed=3)
+        a = driver(Constant(1.0), B, grid, seed=3)
+        b = driver(PiecewiseRandom(0.05), B, grid, seed=3)
         np.testing.assert_array_equal(a.dW, b.dW)
 
     def test_chunked_draws_match_whole_path(self):
@@ -128,7 +136,7 @@ class TestReproducibility:
     def test_increment_moments(self):
         grid = uniform_grid(0.0, 1.0, 0.5)
         zs = np.array(
-            [sample_path(Constant(1.0), B, grid, seed=0, path_index=p).dW[0]
+            [driver(Constant(1.0), B, grid, seed=0, path_index=p).dW[0]
              for p in range(10000)]
         )
         # dW ~ N(0, 0.5); mean within 4 standard errors
@@ -140,7 +148,7 @@ class TestScenarioKinds:
     def test_bangbang_time_levels(self):
         s = BangBangInTime((2.0, 5.0), (1.0, 0.25))
         grid = uniform_grid(0.0, 10.0, 1.0)
-        pb = sample_path(s, B, grid, seed=0)
+        pb = driver(s, B, grid, seed=0)
         # levels[j] applies for t < times[j]; last level holds afterwards
         np.testing.assert_array_equal(pb.v[:2], [1.0, 1.0])
         np.testing.assert_array_equal(pb.v[2:5], [0.25, 0.25, 0.25])
@@ -173,13 +181,13 @@ class TestScenarioKinds:
     def test_infinite_rate_clamps(self):
         grid = uniform_grid(0.0, 1.0, 0.1)
         np.testing.assert_array_equal(
-            sample_path(Constant(float("inf")), B, grid, seed=0).v, B.v_upper
+            driver(Constant(float("inf")), B, grid, seed=0).v, B.v_upper
         )
 
     def test_piecewise_random_dwell(self):
         s = PiecewiseRandom(0.25)
         grid = uniform_grid(0.0, 1.0, 0.05)
-        pb = sample_path(s, B, grid, seed=5)
+        pb = driver(s, B, grid, seed=5)
         # constant within each dwell block
         for blk in range(4):
             vals = pb.v[blk * 5 : (blk + 1) * 5]
@@ -189,13 +197,6 @@ class TestScenarioKinds:
     def test_piecewise_random_needs_positive_dwell(self):
         with pytest.raises(ValueError):
             PiecewiseRandom(0.0)
-
-    def test_feedback_kinds_rejected_standalone(self):
-        grid = uniform_grid(0.0, 1.0, 0.1)
-        with pytest.raises(ScenarioError, match="integrator"):
-            sample_path(BangBangInX(0.0, 0.25, 1.0), B, grid, seed=0)
-        with pytest.raises(ScenarioError, match="integrator"):
-            sample_path(FeedbackSignVxx(parse("x^2")), B, grid, seed=0)
 
     def test_state_feedback_stream(self):
         s = BangBangInX(0.0, 0.25, 1.0)
@@ -285,6 +286,7 @@ class TestTextualForms:
             ("bangbang_t:1@2,0.25@5", BangBangInTime((2.0, 5.0), (1.0, 0.25))),
             ("bangbang_x:0,0.25,1", BangBangInX(0.0, 0.25, 1.0)),
             ("piecewise_random:dwell=0.5", PiecewiseRandom(0.5)),
+            (" constant : 0.5 ", Constant(0.5)),
         ],
     )
     def test_parse(self, text, expected):
@@ -296,8 +298,9 @@ class TestTextualForms:
             BangBangInTime((5.0, 10.0), (1.0, 0.25)),
             BangBangInX(0.5, 0.25, 1.0),
             PiecewiseRandom(0.75),
+            FeedbackSignVxx(parse("x^2")),
         ):
-            assert parse_scenario(s.label()) == s
+            assert parse_scenario(s.label(), lyapunov=parse("x^2")) == s
 
     def test_feedback_requires_energy(self):
         with pytest.raises(ScenarioError, match="energy"):
@@ -305,17 +308,38 @@ class TestTextualForms:
         s = parse_scenario("feedback_vxx", lyapunov=parse("x^2"))
         assert isinstance(s, FeedbackSignVxx)
 
-    def test_bad_forms(self):
-        for text in (
-            "constant:abc",
-            "bangbang_t:1,2",
-            "bangbang_x:1,2",
-            "piecewise_random:0.5",
-            "nonsense:1",
-            "bangbang_t:",
-        ):
-            with pytest.raises(ScenarioError):
-                parse_scenario(text)
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("constant:abc", "bad scenario text 'constant:abc': "
+             "could not convert string to float: 'abc'"),
+            ("constant", "bad scenario text 'constant': "
+             "could not convert string to float: ''"),
+            ("constant:nan", "bad scenario text 'constant:nan': "
+             "scenario parameters must not be nan"),
+            ("bangbang_t:1,2", "bad scenario text 'bangbang_t:1,2': "
+             "expected level@time, got '1'"),
+            ("bangbang_t:", "bad scenario text 'bangbang_t:': "
+             "expected level@time, got ''"),
+            ("bangbang_t:1@2,0.5@1", "bad scenario text 'bangbang_t:1@2,0.5@1': "
+             "switch times must be strictly increasing"),
+            ("bangbang_x:1,2", "bad scenario text 'bangbang_x:1,2': "
+             "not enough values to unpack (expected 3, got 2)"),
+            ("feedback_vxx:1", "bad scenario text 'feedback_vxx:1': "
+             "feedback_vxx takes no parameters"),
+            ("feedback_vxx", "feedback_vxx requires a registered energy function"),
+            ("piecewise_random:0.5", "bad scenario text 'piecewise_random:0.5': "
+             "expected dwell=<value>, got '0.5'"),
+            ("piecewise_random:dwell=0", "bad scenario text "
+             "'piecewise_random:dwell=0': dwell must be positive"),
+            ("nonsense:1", "unknown scenario kind 'nonsense'"),
+        ],
+    )
+    def test_bad_forms(self, text, message):
+        """Each refusal is a ScenarioError with one pinned message."""
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert str(info.value) == message
 
 
 def test_input_rules_have_one_owner():
@@ -351,3 +375,29 @@ def test_input_rules_have_one_owner():
                     catchers.append(where)
     assert sorted(users) == ["cli._family", "estimator._run_grid"]
     assert sorted(set(catchers)) == ["cli.main", "config._refused", "config.load_config"]
+
+
+def test_each_kind_is_one_class():
+    """KINDS lists every VolatilityScenario subclass once, under the prefix
+    of its label(), and scenario.py tests no kind with isinstance except
+    check_levels: a kind's parse and variance stream live on its class."""
+    import gsde.scenario as sc
+
+    samples = [
+        Constant(0.625),
+        BangBangInTime((5.0, 10.0), (1.0, 0.25)),
+        BangBangInX(0.5, 0.25, 1.0),
+        FeedbackSignVxx(parse("x^2")),
+        PiecewiseRandom(0.75),
+    ]
+    kinds = sc.KINDS
+    assert len(set(kinds.values())) == len(kinds)
+    assert set(kinds.values()) == set(sc.VolatilityScenario.__subclasses__())
+    assert {s.label().partition(":")[0]: type(s) for s in samples} == kinds
+    users = [
+        fn.name
+        for fn in ast.parse(Path(sc.__file__).read_text()).body
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+    ]
+    assert users == ["check_levels"]

@@ -32,7 +32,7 @@ from .config import (
     load_config,
 )
 from .csvio import write_csv
-from .estimator import EstimationError, estimate_exponent
+from .estimator import EstimationError, check_x0, estimate_exponent
 from .expr import EvalDomainError
 from .integrator import integrate, write_path_csv
 from .lyapunov import (
@@ -131,6 +131,7 @@ def _estimate(cfg, args):
     """Estimate the configured family's rates; --seed overrides the
     config's seed."""
     bounds, sde, scenarios, num, _ = _family(cfg)
+    _refused(check_x0, sde.x0, message=lambda exc: f"sde.{exc}")
     return estimate_exponent(
         sde,
         scenarios,

@@ -11,16 +11,10 @@ All paths of all scenarios reuse the same per-path Wiener streams, so
 scenario comparisons are common-random-number comparisons and enlarging
 the family can only raise the estimated supremum.
 
-One lane engine, _run_lanes, serves every entry point: it advances all
-(scenario, path) pairs of a call as one scenario-major array of lanes,
-so a family of k scenarios on n paths steps k*n lanes at once.  A call
-holds at most 4000 lanes: the one group loop, _scenario_rows, runs a
-larger family in scenario groups (one scenario at least per group) and
-hands on each scenario's unflagged values.  Wiener normals come in
-lane-major Philox blocks of 256 steps, so a block stays within 8 MB
-unless a single scenario has more than 4000 paths.  While no lane is
-flagged a step checks for explosions with a single max of |X|, and masks
-appear only after the first flag.  A family run gives each scenario
+The lane engine, integrator._run_lanes, steps each run.  The one group
+loop, _scenario_rows, runs a family in calls of at most 4000 lanes (one
+scenario at least), so an engine block stays within 8 MB unless a single
+scenario has more than 4000 paths.  A family run gives each scenario
 exactly the numbers a run of that scenario alone gives.
 """
 
@@ -31,18 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, check_domain, compile_fn, free_variables
+from .expr import Expr, compile_fn, free_variables
 from .gcalc import AmbiguityBounds
-from .integrator import EXPLOSION_THRESHOLD, SdeSpec, _scheme
+from .integrator import SdeSpec, _run_lanes
 from .scenario import (
     BangBangInTime,
     VolatilityScenario,
-    WIENER_STREAM,
     check_streams,
     enumerate_family,
-    stream_generator,
     uniform_grid,
-    variance_stream,
 )
 
 __all__ = [
@@ -54,16 +45,14 @@ __all__ = [
     "MartingaleReport",
     "SearchResult",
     "FUNCTIONALS",
+    "check_x0",
     "estimate_exponent",
     "estimate_sublinear_expectation",
     "adversarial_search",
     "martingale_bound_check",
 ]
 
-# steps per Philox block: long enough that a standard_normal call's fixed
-# cost is small against its draws
-_BLOCK_STEPS = 256
-# lanes per engine call, so one block holds at most 256 * 4000 doubles
+# lanes per engine call, so one Philox block holds at most 256 * 4000 doubles
 _MAX_LANES = 4000
 _LOG_FLOOR = 1e-300
 # fraction of the horizon treated as the asymptotic tail
@@ -257,7 +246,7 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# lane engine
+# lane observers and the family runner
 
 class _ExponentObserver:
     """Per-lane running max of (log|X(t)| - log|x0|) / (t - t0) over the
@@ -356,96 +345,6 @@ class _MartingaleObserver:
             self.M[j] = self.runmax[float(self.gammas[j])]
 
 
-@dataclass
-class _LaneResult:
-    """Final state and flags of every lane, scenario-major."""
-
-    X: np.ndarray
-    flagged: np.ndarray
-
-
-def _run_lanes(
-    spec: SdeSpec,
-    scenarios,
-    b: AmbiguityBounds,
-    grid: np.ndarray,
-    seed: int,
-    n_paths: int,
-    method: str,
-    observers,
-) -> _LaneResult:
-    """Advance n_paths paths under every scenario together, one vectorized
-    step over all (scenario, path) lanes at a time.
-
-    Lanes are scenario-major: scenario q owns lanes q*n_paths to
-    (q+1)*n_paths - 1, and its variance policy is called once per step on
-    that slice of X.  Lane (q, p) draws path p's Wiener stream from its own
-    Philox generator and takes integrate's step (integrator._scheme), so
-    a family run equals its scenarios run one by one, bit for bit.
-    Normals come in lane-major blocks of _BLOCK_STEPS steps; step j of a
-    block reads column j.
-
-    alive is True until the first flag and ~flagged after it; observers
-    pass it as `where=` to their updates.  While it is True the only
-    explosion check is one max of |X|.  A lane whose state leaves
-    [-threshold, threshold] or turns non-finite is flagged and frozen at
-    NaN.  The non-finite lanes are first re-checked at their pre-step
-    states (check_domain), so a domain violation raises EvalDomainError
-    naming the node; overflow only flags the lane.  A lane is re-checked
-    at most once, as it is flagged afterwards.
-    """
-    step, exprs = _scheme(spec, method)
-    k = len(scenarios)
-    lanes = k * n_paths
-    n_steps = grid.size - 1
-    paths = np.arange(n_paths)
-    policies = [
-        (slice(q * n_paths, (q + 1) * n_paths),
-         variance_stream(s, b, grid, seed, paths))
-        for q, s in enumerate(scenarios)
-    ]
-    gens = [
-        stream_generator(seed, WIENER_STREAM, p)
-        for _ in range(k)
-        for p in range(n_paths)
-    ]
-    block = np.empty((lanes, min(_BLOCK_STEPS, n_steps)))
-
-    X = np.full(lanes, float(spec.x0))
-    v = np.empty(lanes)
-    alive = True
-    flagged = np.zeros(lanes, dtype=bool)
-    sqrt_dtau = np.sqrt(np.diff(grid))
-
-    with np.errstate(all="ignore"):
-        for i in range(n_steps):
-            j = i % _BLOCK_STEPS
-            if j == 0:
-                width = min(_BLOCK_STEPS, n_steps - i)
-                for row, gen in zip(block, gens):
-                    gen.standard_normal(out=row[:width])
-            t = grid[i]
-            dtau = grid[i + 1] - grid[i]
-            dW = block[:, j] * sqrt_dtau[i]
-            for lane_slice, var_fn in policies:
-                v[lane_slice] = var_fn(i, t, X[lane_slice])
-            dB = np.sqrt(v) * dW
-            for obs in observers:
-                obs.pre_step(i, t, X, v, dW, dB, dtau, alive)
-            Xn = step(X, t, dtau, v, dW, dB)
-            if alive is True and np.abs(Xn).max() <= EXPLOSION_THRESHOLD:
-                X = Xn
-            else:
-                bad = alive & ~(np.abs(Xn) <= EXPLOSION_THRESHOLD)
-                check_domain(exprs, X[bad & ~np.isfinite(Xn)], float(t))
-                flagged |= bad
-                alive = ~flagged
-                X = np.where(alive, Xn, np.nan)
-            for obs in observers:
-                obs.post_step(i, grid[i + 1], X, alive)
-    return _LaneResult(X=X, flagged=flagged)
-
-
 def _scenario_rows(
     spec, scenarios, b, grid, seed, n_paths, method, observer, values
 ):
@@ -458,18 +357,23 @@ def _scenario_rows(
     for start in range(0, len(scenarios), size):
         group = scenarios[start:start + size]
         obs = observer(len(group))
-        res = _run_lanes(spec, group, b, grid, seed, n_paths, method, [obs])
-        rows = values(res.X, obs).reshape(len(group), n_paths)
-        flags = res.flagged.reshape(len(group), n_paths)
+        X, flagged = _run_lanes(spec, group, b, grid, seed, n_paths, method, obs)
+        rows = values(X, obs).reshape(len(group), n_paths)
+        flags = flagged.reshape(len(group), n_paths)
         for q, (row, flagged) in enumerate(zip(rows, flags)):
             yield row[~flagged], int(flagged.sum()), obs, q
+
+
+def check_x0(x0: float) -> None:
+    """Refuse a start at 0, which no rate can be normalized by."""
+    if x0 == 0:
+        raise ValueError("x0 must be nonzero (rates normalize by |x0|)")
 
 
 def _run_grid(spec, horizon, dt, n_paths, seed) -> np.ndarray:
     """The run's uniform_grid (or its ScenarioError), once x0, the seed and
     n_paths pass."""
-    if spec.x0 == 0:
-        raise EstimationError("x0 must be nonzero (rates normalize by |x0|)")
+    check_x0(spec.x0)
     check_streams(seed, n_paths)
     return uniform_grid(spec.t0, horizon, dt)
 
@@ -742,7 +646,7 @@ def martingale_bound_check(
     )
     eta_fn = compile_fn(mspec.eta)
     obs = _MartingaleObserver(eta_fn, gammas, snap_steps, n_paths)
-    res = _run_lanes(spec, [scenario], b, grid, seed, n_paths, method, [obs])
+    _, flagged = _run_lanes(spec, [scenario], b, grid, seed, n_paths, method, obs)
 
     bounds = (mspec.theta / gammas) * np.log(mspec.growth_values())
     ok = obs.M <= bounds[:, None]
@@ -750,7 +654,7 @@ def martingale_bound_check(
     k0 = np.where(
         ok_suffix.any(axis=0), ok_suffix.argmax(axis=0) + 1, -1
     ).astype(np.int64)
-    unflagged = ~res.flagged
+    unflagged = ~flagged
     if not unflagged.any():
         raise EstimationError("every path was flagged; no martingale check")
     fraction = float(np.mean(k0[unflagged] != -1))
@@ -761,6 +665,6 @@ def martingale_bound_check(
         violation_fraction=violation,
         bounds=bounds,
         n_paths=n_paths,
-        n_flagged=int(res.flagged.sum()),
+        n_flagged=int(flagged.sum()),
         scenario_label=scenario.label(),
     )

@@ -488,16 +488,19 @@ def evaluate(e: Expr, x, t):
         return _eval(e, x, t)
 
 
-def check_domain(exprs, xs, t) -> None:
-    """Re-evaluate exprs at states whose compiled result was non-finite:
-    xs is one state or an array of states, all at time t.
+def check_domain(exprs, xs, t, values) -> None:
+    """Re-evaluate exprs at each finite state whose compiled value is
+    non-finite: xs is one state or an array of states, all at time t, and
+    values is what the compiled code gave there (broadcast against xs).  A
+    nan state (a flagged lane) is not re-checked.
 
     A domain violation raises EvalDomainError naming the offending node;
     plain overflow (EvalOverflowError) passes, so the caller can treat it
     as an explosion.  The states are checked one at a time, each against
     every expression in order, since one state's overflow must not hide
     another's domain violation."""
-    for x in np.ravel(xs).tolist():
+    xs, values = np.broadcast_arrays(xs, values)
+    for x in xs[np.isfinite(xs) & ~np.isfinite(values)].tolist():
         for e in exprs:
             try:
                 evaluate(e, x, t)

@@ -12,23 +12,35 @@ A run is truncated and flagged once |X| crosses the explosion threshold or
 turns non-finite; if the failure traces to an expression domain violation
 (log of a negative state, division by zero) the domain error is raised
 instead.
+
+integrate steps one path on Python floats.  The lane engine, _run_lanes,
+serves the estimator: it advances all (scenario, path) pairs of a call as
+one scenario-major array of lanes, so a family of k scenarios on n paths
+steps k*n lanes at once.  Wiener normals come in lane-major Philox blocks
+of 256 steps.  While no lane is flagged a step checks for explosions with
+a single max of |X|, and masks appear only after the first flag.  Both
+take the one step of _scheme, so lane (q, p) equals integrate's path p
+under scenario q, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .csvio import write_float_columns
 from .expr import Expr, _codegen, _compile, check_domain, differentiate
 from .gcalc import AmbiguityBounds
+# stream_generator and variance_stream are imported by name: perfbench's
+# tracer counts Philox draws and variance calls by patching this namespace
 from .scenario import (
-    PathBundle,
+    WIENER_STREAM,
     VolatilityScenario,
     _check_grid,
     standard_increments,
+    stream_generator,
     variance_stream,
 )
 
@@ -45,6 +57,10 @@ EXPLOSION_THRESHOLD = 1e12
 
 METHODS = ("euler", "milstein")
 
+# steps per Philox block of the lane engine: long enough that a
+# standard_normal call's fixed cost is small against its draws
+_BLOCK_STEPS = 256
+
 
 @dataclass(frozen=True)
 class SdeSpec:
@@ -54,6 +70,30 @@ class SdeSpec:
     g: Expr
     x0: float
     t0: float = 0.0
+
+
+@dataclass
+class PathBundle:
+    """One sampled driver path over a grid of N steps.
+
+    grid has N+1 points; dW, v, dB and dqv have N entries (per step); qv
+    has N+1 entries with qv[0] = 0 and qv = cumsum(dqv).  dqv_i = v_i *
+    dtau_i is derived from v here and stored explicitly: multiplication by
+    a positive step is monotone in v, so the band sandwich on per-step
+    increments is exact.  X is the integrated state at each grid point.
+    """
+
+    grid: np.ndarray
+    dW: np.ndarray
+    v: np.ndarray
+    dB: np.ndarray
+    X: np.ndarray
+    dqv: np.ndarray = field(init=False)
+    qv: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.dqv = self.v * np.diff(self.grid)
+        self.qv = np.concatenate([[0.0], np.cumsum(self.dqv)])
 
 
 @dataclass
@@ -126,8 +166,7 @@ def integrate(
             dB.append(dB_i)
             x_new = float(step(x, ti, dt_i, vi, dW_i, dB_i))
             if not math.isfinite(x_new) or abs(x_new) > EXPLOSION_THRESHOLD:
-                if not math.isfinite(x_new):
-                    check_domain(exprs, x, ti)
+                check_domain(exprs, x, ti, x_new)
                 first_bad = i + 1
                 X.append(x_new if math.isfinite(x_new) else math.nan)
                 break
@@ -140,6 +179,81 @@ def integrate(
     X = np.array(X + [math.nan] * tail)
     bundle = PathBundle(grid=grid, dW=dW, v=v, dB=dB, X=X)
     return SimulationRun(bundle=bundle, first_bad_index=first_bad)
+
+
+def _run_lanes(
+    spec: SdeSpec,
+    scenarios,
+    b: AmbiguityBounds,
+    grid: np.ndarray,
+    seed: int,
+    n_paths: int,
+    method: str,
+    observer,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance n_paths paths under every scenario together (see the module
+    docstring); returns the final state and the flags of every lane.
+
+    Scenario q owns lanes q*n_paths to (q+1)*n_paths - 1, and its variance
+    policy is called once per step on that slice of X.  Lane (q, p) draws
+    path p's Wiener stream from its own Philox generator; step j of a
+    block of _BLOCK_STEPS steps reads column j.
+
+    alive is True until the first flag and ~flagged after it; the observer
+    passes it as `where=` to its updates.  A lane whose state leaves
+    [-threshold, threshold] or turns non-finite is flagged and frozen at
+    NaN, once check_domain has re-checked its pre-step state: a domain
+    violation raises EvalDomainError naming the node, overflow only flags
+    the lane.
+    """
+    step, exprs = _scheme(spec, method)
+    k = len(scenarios)
+    lanes = k * n_paths
+    n_steps = grid.size - 1
+    paths = np.arange(n_paths)
+    policies = [
+        (slice(q * n_paths, (q + 1) * n_paths),
+         variance_stream(s, b, grid, seed, paths))
+        for q, s in enumerate(scenarios)
+    ]
+    gens = [
+        stream_generator(seed, WIENER_STREAM, p)
+        for _ in range(k)
+        for p in range(n_paths)
+    ]
+    block = np.empty((lanes, min(_BLOCK_STEPS, n_steps)))
+
+    X = np.full(lanes, float(spec.x0))
+    v = np.empty(lanes)
+    alive = True
+    flagged = np.zeros(lanes, dtype=bool)
+    sqrt_dtau = np.sqrt(np.diff(grid))
+
+    with np.errstate(all="ignore"):
+        for i in range(n_steps):
+            j = i % _BLOCK_STEPS
+            if j == 0:
+                width = min(_BLOCK_STEPS, n_steps - i)
+                for row, gen in zip(block, gens):
+                    gen.standard_normal(out=row[:width])
+            t = grid[i]
+            dtau = grid[i + 1] - grid[i]
+            dW = block[:, j] * sqrt_dtau[i]
+            for lane_slice, var_fn in policies:
+                v[lane_slice] = var_fn(i, t, X[lane_slice])
+            dB = np.sqrt(v) * dW
+            observer.pre_step(i, t, X, v, dW, dB, dtau, alive)
+            Xn = step(X, t, dtau, v, dW, dB)
+            if alive is True and np.abs(Xn).max() <= EXPLOSION_THRESHOLD:
+                X = Xn
+            else:
+                bad = alive & ~(np.abs(Xn) <= EXPLOSION_THRESHOLD)
+                check_domain(exprs, X[bad], float(t), Xn[bad])
+                flagged |= bad
+                alive = ~flagged
+                X = np.where(alive, Xn, np.nan)
+            observer.post_step(i, grid[i + 1], X, alive)
+    return X, flagged
 
 
 def linear_closed_form(

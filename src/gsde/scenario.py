@@ -2,11 +2,9 @@
 
 A scenario is an adapted volatility policy: a rule that fixes the variance
 rate v_i of each time step from information available at the step start
-(clock time, current state).  Integrating a path under a scenario yields a
-PathBundle: Wiener increments dW_i, variance rates v_i, ambiguous-driver
-increments dB_i = sqrt(v_i) dW_i, and the cumulative quadratic variation
-qv.  Every emitted rate is clamped into the ambiguity band, so increments
-of qv always sit between the band edges times elapsed time.
+(clock time, current state).  Every emitted rate is clamped into the
+ambiguity band, so the quadratic variation v_i dtau_i of each step sits
+between the band edges times the step.
 
 Randomness is counter-based: the Wiener draw for (seed, path p, step i) is
 the i-th value of a Philox stream keyed by (seed, stream id, p).  Streams
@@ -19,7 +17,7 @@ Wiener increments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,7 +34,6 @@ __all__ = [
     "FeedbackSignVxx",
     "PiecewiseRandom",
     "ScenarioError",
-    "PathBundle",
     "enumerate_family",
     "KINDS",
     "parse_scenario",
@@ -120,6 +117,15 @@ def uniform_grid(t0: float, horizon: float, dt: float) -> np.ndarray:
     if not math.isfinite(t0 + horizon):
         raise ScenarioError("grid must be finite and strictly increasing")
     return _check_grid(np.linspace(t0, t0 + horizon, round(horizon / dt) + 1))
+
+
+def _check_grid(grid: np.ndarray) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ScenarioError("grid must be one-dimensional with at least 2 points")
+    if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+        raise ScenarioError("grid must be finite and strictly increasing")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +274,7 @@ class FeedbackSignVxx(VolatilityScenario):
         def feedback(i, t, x):
             c = vxx_fn(x, t)
             if not np.isfinite(c).all():
-                # a flagged (nan) lane is not re-checked
-                xs, cs = np.broadcast_arrays(x, c)
-                live = xs[~np.isfinite(cs) & np.isfinite(xs)]
-                if live.size:
-                    check_domain((vxx,), live, t)
+                check_domain((vxx,), x, t, c)
             return np.where(c > 0, hi, lo)
 
         return feedback
@@ -343,42 +345,6 @@ def variance_stream(s: VolatilityScenario, b: AmbiguityBounds,
     # module's __all__, and its scenario.variance_calls count comes from
     # that wrapper
     return s.stream(b, grid, seed, paths)
-
-
-# ---------------------------------------------------------------------------
-# path bundles
-
-@dataclass
-class PathBundle:
-    """One sampled driver path over a grid of N steps.
-
-    grid has N+1 points; dW, v, dB and dqv have N entries (per step); qv
-    has N+1 entries with qv[0] = 0 and qv = cumsum(dqv).  dqv_i = v_i *
-    dtau_i is derived from v here and stored explicitly: multiplication by
-    a positive step is monotone in v, so the band sandwich on per-step
-    increments is exact.  X is the integrated state at each grid point.
-    """
-
-    grid: np.ndarray
-    dW: np.ndarray
-    v: np.ndarray
-    dB: np.ndarray
-    X: np.ndarray
-    dqv: np.ndarray = field(init=False)
-    qv: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.dqv = self.v * np.diff(self.grid)
-        self.qv = np.concatenate([[0.0], np.cumsum(self.dqv)])
-
-
-def _check_grid(grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ScenarioError("grid must be one-dimensional with at least 2 points")
-    if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
-        raise ScenarioError("grid must be finite and strictly increasing")
-    return grid
 
 
 # ---------------------------------------------------------------------------

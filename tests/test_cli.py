@@ -335,6 +335,11 @@ class TestExitCodes:
              "grid.t_points must not be negative"),
             ("certify", CERT_GRANT, "grid.x_points = 0", [],
              "grid.x_points must be >= 1"),
+            ("exponent", EXPONENT, "sde.x0 = 0", [],
+             "sde.x0 must be nonzero (rates normalize by |x0|)"),
+            ("sweep", SWEEP + "sweep.estimate = true\nscenarios.list = constant:1"
+             "\nnumerics.horizon = 1\nnumerics.dt = 0.1\nnumerics.n_paths = 2\n",
+             "sde.x0 = 0", [], "sde.x0 must be nonzero (rates normalize by |x0|)"),
         ],
     )
     def test_single_fault_message(

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gsde import estimator
+from gsde import estimator, integrator
 from gsde.estimator import (
     EstimationError,
     MartingaleCheckSpec,
@@ -166,15 +166,15 @@ class TestExponent:
                 for p in range(n_paths)
             ]
             rec = _PathRecorder(spec.x0)
-            res = estimator._run_lanes(
-                spec, [s], B, grid, seed, n_paths, method, [rec]
+            _, flagged = integrator._run_lanes(
+                spec, [s], B, grid, seed, n_paths, method, rec
             )
             for run, lane in zip(runs, np.array(rec.rows).T):
                 end = run.first_bad_index or lane.size
                 np.testing.assert_array_equal(lane[:end], run.bundle.X[:end])
                 assert np.isnan(lane[end:]).all()
             np.testing.assert_array_equal(
-                res.flagged, [run.exploded for run in runs]
+                flagged, [run.exploded for run in runs]
             )
             n_exploded += sum(run.exploded for run in runs)
         assert 0 < n_exploded < 24
@@ -236,7 +236,7 @@ class TestExponent:
 
     def test_argument_validation(self):
         spec = linear_spec(1.0, 1.0)
-        with pytest.raises(EstimationError, match="x0"):
+        with pytest.raises(ValueError, match="x0"):
             estimate_exponent(
                 linear_spec(1.0, 1.0, x0=0.0), [Constant(1.0)], B,
                 horizon=1.0, dt=0.1, n_paths=2, seed=0,
@@ -334,7 +334,7 @@ class TestExponent:
         [
             (dict(seed=-5), ScenarioError, r"seed must lie in \[0, 2\^64\)"),
             (dict(n_paths=0), ScenarioError, "n_paths must be >= 1"),
-            (dict(x0=0.0), EstimationError, "x0 must be nonzero"),
+            (dict(x0=0.0), ValueError, "x0 must be nonzero"),
         ],
         ids=["seed", "n_paths", "x0"],
     )
@@ -415,7 +415,7 @@ class TestFamilyEqualsSingles:
     def engine_sizes(self, request, monkeypatch):
         # 23-step normal blocks, which do not divide the 2500 steps; with 16
         # lanes per call the 8-path family runs as three pairs of scenarios
-        monkeypatch.setattr(estimator, "_BLOCK_STEPS", 23)
+        monkeypatch.setattr(integrator, "_BLOCK_STEPS", 23)
         monkeypatch.setattr(estimator, "_MAX_LANES", request.param)
 
     def check_exponent(self, spec, method, run):

@@ -15,6 +15,7 @@ from gsde.expr import (
     ParseError,
     Unary,
     Var,
+    check_domain,
     compile_fn,
     contains_nonsmooth,
     differentiate,
@@ -188,6 +189,60 @@ class TestEvaluation:
         xs = np.linspace(-3, 3, 11)
         ts = np.linspace(0, 5, 11)
         np.testing.assert_array_equal(fn(xs, ts), evaluate(e, xs, ts))
+
+
+class TestCheckDomain:
+    """check_domain re-evaluates exactly the finite states whose compiled
+    value is non-finite, and raises only on a domain violation."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        import gsde.expr as ex
+
+        seen = []
+        real = ex.evaluate
+
+        def spy(e, x, t):
+            seen.append(x)
+            return real(e, x, t)
+
+        monkeypatch.setattr(ex, "evaluate", spy)
+        return seen
+
+    def test_finite_values_evaluate_nothing(self, evaluated):
+        log = (parse("log(x)"),)
+        check_domain(log, -1.0, 0.0, 0.5)
+        check_domain(log, np.array([-1.0, 2.0]), 0.0, np.array([0.5, 0.7]))
+        assert evaluated == []
+
+    def test_nan_state_is_skipped(self, evaluated):
+        log = (parse("log(x)"),)
+        check_domain(log, np.nan, 0.0, np.nan)
+        check_domain(log, np.array([np.nan, 2.0]), 0.0, np.array([np.nan, 0.7]))
+        assert evaluated == []
+
+    def test_scalar_state_with_inf_value_rechecks(self, evaluated):
+        with pytest.raises(EvalDomainError, match="log"):
+            check_domain((parse("log(x)"),), -1.0, 0.0, -np.inf)
+        assert evaluated == [-1.0]
+
+    def test_array_rechecks_only_nonfinite_finite_states(self, evaluated):
+        xs = np.array([1.0, np.nan, -0.5, 3.0])
+        with pytest.raises(EvalDomainError, match="log"):
+            check_domain((parse("log(x)"),), xs, 0.0,
+                         np.array([0.0, np.nan, np.inf, 1.1]))
+        assert evaluated == [-0.5]
+        evaluated.clear()
+        # a value broadcast against the states (a kernel constant in x)
+        with pytest.raises(EvalDomainError, match="log"):
+            check_domain((parse("log(x)"),), xs, 0.0, np.inf)
+        assert evaluated == [1.0, -0.5]
+
+    def test_overflow_passes(self, evaluated):
+        exps = (parse("exp(100*x^2)"), parse("x"))
+        check_domain(exps, np.array([0.1, 3.0]), 0.0, np.array([1.0, np.inf]))
+        check_domain(exps, 3.0, 0.0, np.inf)
+        assert evaluated == [3.0, 3.0, 3.0, 3.0]
 
 
 class TestDifferentiation:

@@ -1,6 +1,7 @@
 """Path integration: deterministic limits, closed-form agreement, scheme
 order sanity, explosion flagging, CSV output."""
 
+import ast
 import csv
 import re
 from pathlib import Path
@@ -241,3 +242,48 @@ class TestPathCsv:
         write_path_csv(tmp_path / "a.csv", run)
         write_csv(tmp_path / "b.csv", header, zip(*(c.tolist() for c in columns)))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_integrator_alone_steps_paths():
+    """integrator is the one module that steps paths.  estimator.py names
+    neither the step, the explosion threshold, the domain re-check nor a
+    stream; scenario.py defines no path record; and in the package the
+    variance streams, standard_increments and the Wiener-stream Philox
+    generators are called only in integrator, besides the generator that
+    scenario.standard_increments builds.  Those calls are by bare name and
+    _run_lanes stays private, since perfbench's tracer counts draws and
+    variance calls by patching module namespaces and wraps __all__."""
+    src = Path(gsde.__file__).resolve().parent
+    named = re.findall(
+        r"\b(_scheme|EXPLOSION_THRESHOLD|check_domain|stream_generator"
+        r"|WIENER_STREAM|variance_stream)\b",
+        (src / "estimator.py").read_text(),
+    )
+    assert named == []
+    assert not re.search(r"^class PathBundle\b",
+                         (src / "scenario.py").read_text(), re.M)
+    assert "_run_lanes" not in gsde.integrator.__all__
+
+    def name_of(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    calls = set()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = name_of(node.func)
+                wiener = name == "stream_generator" and any(
+                    name_of(a) == "WIENER_STREAM" for a in node.args
+                )
+                if name in ("variance_stream", "standard_increments") or wiener:
+                    where = f"{path.stem}.{getattr(fn, 'name', None)}"
+                    calls.add((where, name, isinstance(node.func, ast.Name)))
+    assert calls == {
+        ("integrator.integrate", "variance_stream", True),
+        ("integrator.integrate", "standard_increments", True),
+        ("integrator._run_lanes", "variance_stream", True),
+        ("integrator._run_lanes", "stream_generator", True),
+        ("scenario.standard_increments", "stream_generator", True),
+    }

@@ -218,8 +218,6 @@ class TestScenarioKinds:
         """V_xx = 2 log(x) + 3: a live state outside the domain raises,
         while an overflowing V_xx, a flagged (nan) lane and a finite step
         pass, the last without any checked evaluation."""
-        import gsde.scenario as sc
-
         grid = uniform_grid(0.0, 1.0, 0.5)
         log_fn = variance_stream(
             FeedbackSignVxx(parse("x^2*log(x)")), B, grid, seed=0,
@@ -237,7 +235,7 @@ class TestScenarioKinds:
             exp_fn(0, 0.0, np.array([0.1, 3.0, np.nan])), [1.0, 1.0, 0.25]
         )
         calls = []
-        monkeypatch.setattr(sc, "check_domain", lambda *a: calls.append(a))
+        monkeypatch.setattr(gsde.expr, "evaluate", lambda *a: calls.append(a))
         np.testing.assert_array_equal(
             log_fn(0, 0.0, np.array([0.1, 1.0, np.nan])), [0.25, 1.0, 0.25]
         )

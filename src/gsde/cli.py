@@ -15,6 +15,7 @@ the same config and seed writes byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -213,6 +214,8 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
     if not param:
         raise ConfigError("sweep.parameter must be nonempty")
     values = _floats(cfg, "sweep.values", "no values given")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError("sweep.values: every value must be finite")
     flag = cfg.get("sweep.estimate", "false").strip().lower()
     if flag not in ("true", "false"):
         raise ConfigError("sweep.estimate must be true or false")

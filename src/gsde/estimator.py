@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, compile_fn, free_variables
+from .expr import Expr, compile_fn
 from .gcalc import AmbiguityBounds
 from .integrator import SdeSpec, _run_lanes
 from .scenario import (
@@ -181,8 +181,6 @@ class MartingaleCheckSpec:
             raise ValueError("theta must exceed 1")
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
-        if not free_variables(self.eta) <= {"x", "t"}:
-            raise ValueError("eta must be an expression in x and t")
         if self.gamma is not None:
             if len(self.gamma) != self.k_max or any(g <= 0 for g in self.gamma):
                 raise ValueError("gamma needs k_max positive entries")

@@ -7,7 +7,7 @@ recursive-descent parser onto an immutable tree, a checked numpy-backed
 evaluator, exact symbolic differentiation, a canonical serializer, and a
 codegen path for tight integration loops.
 
-Grammar (the textual contract)::
+Grammar (the textual contract, its tokens spelled by the operator table)::
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
@@ -15,7 +15,7 @@ Grammar (the textual contract)::
     power  := atom ('^' number)?
     atom   := number | 'x' | 't' | func '(' expr ')' | '(' expr ')'
     func   := 'exp'|'log'|'sin'|'cos'|'sqrt'|'abs'|'sign'
-    number := decimal literal with optional exponent
+    number := finite decimal literal with optional exponent
 
 Exponents are numeric literals only, so every power node has a constant
 exponent and differentiation stays closed over the node set.  Numeric
@@ -25,6 +25,7 @@ parsing; there are no free identifiers besides x and t.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -51,12 +52,7 @@ __all__ = [
     "free_variables",
 ]
 
-FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "abs", "sign")
 VARIABLES = ("x", "t")
-
-# Unary ops whose pointwise derivative does not exist everywhere; their
-# formal derivatives (sign(x), 0) are used and callers surface a caveat.
-NONSMOOTH_OPS = frozenset({"abs", "sign"})
 
 
 class ExprError(Exception):
@@ -103,6 +99,11 @@ class Const(Expr):
     value: float
     offset: int | None = field(default=None, compare=False)
 
+    def __post_init__(self):
+        # a non-finite constant has no source text the parser reads back
+        if not math.isfinite(self.value):
+            raise ValueError(f"constant {self.value!r} is not finite")
+
 
 @dataclass(frozen=True)
 class Var(Expr):
@@ -116,19 +117,25 @@ class Var(Expr):
 
 @dataclass(frozen=True)
 class Unary(Expr):
-    op: str  # 'neg' or one of FUNCTIONS
+    op: str  # a key of _UNARY
     child: Expr
     offset: int | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.op not in _UNARY:
+            raise ValueError(f"unknown unary op {self.op!r}")
 
 
 @dataclass(frozen=True)
 class Binary(Expr):
-    op: str  # 'add' | 'sub' | 'mul' | 'div' | 'pow'
+    op: str  # a key of _BINARY
     left: Expr
     right: Expr
     offset: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.op not in _BINARY:
+            raise ValueError(f"unknown binary op {self.op!r}")
         # pow exponents are constants by the grammar; keep programmatic
         # construction honest too.
         if self.op == "pow" and not isinstance(self.right, Const):
@@ -140,136 +147,6 @@ def _neg(child: Expr, offset: int | None = None) -> Expr:
     if isinstance(child, Const):
         return Const(-child.value, offset)
     return Unary("neg", child, offset)
-
-
-# ---------------------------------------------------------------------------
-# tokenizer / parser
-
-_TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^(),])"
-)
-
-
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        if source[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, off = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", off)
-        return self.advance()
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, text, off = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {text!r}", off)
-        return e
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, text, off = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Binary("add" if text == "+" else "sub", node, rhs, off)
-            else:
-                return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            kind, text, off = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = Binary("mul" if text == "*" else "div", node, rhs, off)
-            else:
-                return node
-
-    def factor(self) -> Expr:
-        kind, text, off = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return _neg(self.factor(), off)
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, text, off = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            nkind, ntext, noff = self.peek()
-            if nkind != "num":
-                raise ParseError("power exponent must be a numeric literal", noff)
-            self.advance()
-            return Binary("pow", base, Const(float(ntext), noff), off)
-        return base
-
-    def atom(self) -> Expr:
-        kind, text, off = self.advance()
-        if kind == "num":
-            return Const(float(text), off)
-        if kind == "ident":
-            if text in VARIABLES:
-                return Var(text, off)
-            if text in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                nkind, ntext, noff = self.peek()
-                if nkind == "op" and ntext == ",":
-                    raise ParseError(
-                        f"arity mismatch: {text} takes exactly one argument", noff
-                    )
-                self.expect_op(")")
-                return Unary(text, arg, off)
-            raise ParseError(f"unknown identifier {text!r}", off)
-        if kind == "op" and text == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError(f"expected expression, got {text!r}" if text else "expected expression", off)
-
-
-def parse(source: str) -> Expr:
-    """Parse source text to an expression tree.
-
-    Raises ParseError (with byte offset) on syntax errors, unknown
-    identifiers, arity mismatches, and non-constant power exponents.
-    """
-    return _Parser(source).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +179,9 @@ class _Op:
     fn; finite makes a non-finite result an EvalOverflowError.  d maps the
     operands followed by their derivatives to the derivative tree.
     rewrite maps simplified operands to a smaller tree by an exact
-    identity, or to None when none applies (see _simplify)."""
+    identity, or to None when none applies (see _simplify).  prec and sym
+    are the level and token the parser and to_source use; a unary row
+    without sym is a call.  smooth is False where d is only formal."""
 
     fn: Callable
     src: str
@@ -312,14 +191,15 @@ class _Op:
     prec: int = _PREC_ATOM
     sym: str = ""
     rewrite: Callable | None = None
+    smooth: bool = True
 
 
 _UNARY = {
     "neg": _Op(np.negative, "(-{0})", lambda u, du: _neg(du),
                prec=_PREC_NEG, sym="-"),
     "abs": _Op(np.abs, "np.abs({0})",
-               lambda u, du: Binary("mul", Unary("sign", u), du)),
-    "sign": _Op(np.sign, "np.sign({0})", lambda u, du: Const(0.0)),
+               lambda u, du: Binary("mul", Unary("sign", u), du), smooth=False),
+    "sign": _Op(np.sign, "np.sign({0})", lambda u, du: Const(0.0), smooth=False),
     "exp": _Op(np.exp, "np.exp({0})", lambda u, du: Binary("mul", Unary("exp", u), du),
                finite=True),
     "log": _Op(np.log, "np.log({0})", lambda u, du: Binary("div", du, u),
@@ -410,18 +290,161 @@ def _operands(e: Unary | Binary) -> tuple:
     return (e.child,) if isinstance(e, Unary) else (e.left, e.right)
 
 
+def _nodes(e: Expr):
+    """e and every node below it, in pre-order."""
+    yield e
+    for k in _operands(e) if isinstance(e, (Unary, Binary)) else ():
+        yield from _nodes(k)
+
+
 def _domain_free(e: Expr) -> bool:
     """True when no domain rule can fire anywhere in e: no log, sqrt or
     division, and no power with a fractional or negative exponent.  Such
     a tree can fail only by overflow."""
-    if isinstance(e, (Const, Var)):
-        return True
-    if isinstance(e, Binary) and e.op == "pow":
-        c = e.right.value  # type: ignore[union-attr]
-        free = c >= 0 and float(c).is_integer()
-    else:
-        free = not _row(e).domain
-    return free and all(_domain_free(k) for k in _operands(e))
+    for n in _nodes(e):
+        if isinstance(n, Binary) and n.op == "pow":
+            c = n.right.value  # type: ignore[union-attr]
+            if c < 0 or not float(c).is_integer():
+                return False
+        elif isinstance(n, (Unary, Binary)) and _row(n).domain:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# tokenizer / parser
+
+# the op tokens are the table's syms; power reads pow, whose exponent is a
+# literal, and expr the other binary rows by level, loosest first
+_SYMBOLS = "".join(row.sym.strip() for row in (*_UNARY.values(), *_BINARY.values()))
+_INFIX = {row.sym.strip(): op for op, row in _BINARY.items() if op != "pow"}
+_LEVELS = sorted({_BINARY[op].prec for op in _INFIX.values()})
+
+_TOKEN_RE = re.compile(
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<op>[{re.escape(_SYMBOLS)}(),])"
+)
+
+
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    n = len(source)
+    while pos < n:
+        if source[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN_RE.match(source, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {source[pos]!r}", pos)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op: str):
+        kind, text, off = self.peek()
+        if kind != "op" or text != op:
+            raise ParseError(f"expected {op!r}", off)
+        return self.advance()
+
+    def parse(self) -> Expr:
+        e = self.expr()
+        kind, text, off = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}", off)
+        return e
+
+    def expr(self, level: int = 0) -> Expr:
+        """A left-associative chain of the infix rows at _LEVELS[level],
+        each operand read at the next level; a factor past the last."""
+        if level == len(_LEVELS):
+            return self.factor()
+        node = self.expr(level + 1)
+        while True:
+            kind, text, off = self.peek()
+            op = _INFIX.get(text) if kind == "op" else None
+            if op is None or _BINARY[op].prec != _LEVELS[level]:
+                return node
+            self.advance()
+            node = Binary(op, node, self.expr(level + 1), off)
+
+    def factor(self) -> Expr:
+        kind, text, off = self.peek()
+        if kind == "op" and text == _UNARY["neg"].sym:
+            self.advance()
+            return _neg(self.factor(), off)
+        return self.power()
+
+    def power(self) -> Expr:
+        base = self.atom()
+        kind, text, off = self.peek()
+        if kind == "op" and text == _BINARY["pow"].sym:
+            self.advance()
+            nkind, ntext, noff = self.peek()
+            if nkind != "num":
+                raise ParseError("power exponent must be a numeric literal", noff)
+            self.advance()
+            return Binary("pow", base, _literal(ntext, noff), off)
+        return base
+
+    def atom(self) -> Expr:
+        kind, text, off = self.advance()
+        if kind == "num":
+            return _literal(text, off)
+        if kind == "ident":
+            if text in VARIABLES:
+                return Var(text, off)
+            if text in _UNARY and not _UNARY[text].sym:
+                self.expect_op("(")
+                arg = self.expr()
+                nkind, ntext, noff = self.peek()
+                if nkind == "op" and ntext == ",":
+                    raise ParseError(
+                        f"arity mismatch: {text} takes exactly one argument", noff
+                    )
+                self.expect_op(")")
+                return Unary(text, arg, off)
+            raise ParseError(f"unknown identifier {text!r}", off)
+        if kind == "op" and text == "(":
+            inner = self.expr()
+            self.expect_op(")")
+            return inner
+        raise ParseError(f"expected expression, got {text!r}" if text else "expected expression", off)
+
+
+def _literal(text: str, offset: int) -> Const:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParseError(f"number {text} is not finite", offset)
+    return Const(value, offset)
+
+
+def parse(source: str) -> Expr:
+    """Parse source text to an expression tree.
+
+    Raises ParseError (with byte offset) on syntax errors, unknown
+    identifiers, arity mismatches, non-constant power exponents, and
+    literals too large for a float.
+    """
+    return _Parser(source).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +471,7 @@ def to_source(e: Expr) -> str:
         return e.name
     row = _row(e)
     if isinstance(e, Unary):
-        if e.op == "neg":
+        if row.sym:
             return row.sym + _wrap(e.child, row.prec)
         return f"{e.op}({to_source(e.child)})"
     if e.op != "pow":
@@ -588,19 +611,10 @@ def _compile(params: str, body: str):
 # tree queries
 
 def contains_nonsmooth(e: Expr) -> bool:
-    """True when the tree uses abs or sign (non-differentiable at 0)."""
-    if isinstance(e, Unary):
-        return e.op in NONSMOOTH_OPS or contains_nonsmooth(e.child)
-    if isinstance(e, Binary):
-        return contains_nonsmooth(e.left) or contains_nonsmooth(e.right)
-    return False
+    """True when the tree uses a row that is not smooth (abs, sign)."""
+    return any(isinstance(n, (Unary, Binary)) and not _row(n).smooth
+               for n in _nodes(e))
 
 
 def free_variables(e: Expr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Unary):
-        return free_variables(e.child)
-    if isinstance(e, Binary):
-        return free_variables(e.left) | free_variables(e.right)
-    return set()
+    return {n.name for n in _nodes(e) if isinstance(n, Var)}

@@ -39,7 +39,7 @@ of grid time and their verdicts carry horizon_limited = True.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -246,14 +246,20 @@ TIME_WEIGHTS = ("phi", "phi1", "phi2")
 
 def validate_certificate(cert: CertificateSpec, b: AmbiguityBounds) -> None:
     """Reject malformed certificate parameter sets: missing fields for the
-    chosen template, out-of-range or non-finite parameters, state-dependent
-    time weights, or a lambda that breaks its template's rule."""
+    chosen template or fields it does not use (named as config keys),
+    out-of-range or non-finite parameters, state-dependent time weights,
+    or a lambda that breaks its template's rule."""
     tpl = _TEMPLATES.get(cert.theorem)
     if tpl is None:
         raise CertificateError(f"unknown certificate template {cert.theorem!r}")
     missing = [n for n in ("p", *tpl.fields) if getattr(cert, n) is None]
     if missing:
         raise CertificateError(f"{cert.theorem} needs fields {', '.join(missing)}")
+    unused = [CERT_PARAMS.get(f.name, (f.name,))[0] for f in fields(cert)
+              if f.name not in ("theorem", "p", "lam", *tpl.fields)
+              and getattr(cert, f.name) is not None]
+    if unused:
+        raise CertificateError(f"{cert.theorem} does not use {', '.join(unused)}")
     given = [(*row, getattr(cert, name)) for name, row in CERT_PARAMS.items()
              if getattr(cert, name) is not None]
     # a range that admits inf (all but beta_exp's) needs a finite check first

@@ -10,6 +10,7 @@ import pytest
 
 import gsde
 from gsde.cli import main
+from gsde.config import KNOWN_KEYS
 from gsde.lyapunov import LyapunovFn
 
 CERT_GRANT = """
@@ -65,6 +66,33 @@ certificate.p = 2
 sweep.parameter = alpha
 sweep.values = 0.3, 0.4, 0.5, 0.6, 0.7, 0.8
 """
+
+
+# A config every subcommand runs in well under a second (sweep adds its
+# placeholder); every count in it is at most 10, so no fault value below
+# can size a large array.
+FAULT_BASE = """
+ambiguity.sigma_lower = 0.5
+ambiguity.sigma_upper = 1.0
+sde.f = -x
+sde.g = x
+sde.x0 = 1.0
+lyapunov.v = x^2
+certificate.theorem = T33
+certificate.p = 2
+scenarios.list = constant:1
+numerics.dt = 0.1
+numerics.horizon = 1
+numerics.n_paths = 2
+grid.x_points = 5
+grid.t_points = 5
+"""
+
+FAULT_VALUES = [
+    "", "nan", "inf", "-inf", "1e400", "-1", "0", "1", "1e-300", "1e300",
+    "x", "t", "log(x)", "x^0.5", "1/x", "{a}", "T38", "constant:nan",
+    "feedback_vxx", "true", "1,2",
+]
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -340,18 +368,60 @@ class TestExitCodes:
             ("sweep", SWEEP + "sweep.estimate = true\nscenarios.list = constant:1"
              "\nnumerics.horizon = 1\nnumerics.dt = 0.1\nnumerics.n_paths = 2\n",
              "sde.x0 = 0", [], "sde.x0 must be nonzero (rates normalize by |x0|)"),
+            ("exponent", EXPONENT, "sde.f = -x+0*sin(1e400)", [],
+             "sde.f: number 1e400 is not finite (offset 9)"),
+            ("certify", CERT_GRANT, "certificate.theorem = T34\ncertificate.rho = 10"
+             "\ncertificate.kappa = 1\ncertificate.phi = 1e400", [],
+             "certificate.phi: number 1e400 is not finite (offset 0)"),
+            ("sweep", SWEEP, "sweep.values = 1,nan", [],
+             "sweep.values: every value must be finite"),
+            ("sweep", SWEEP, "sweep.values = 1,inf", [],
+             "sweep.values: every value must be finite"),
+            ("sweep", SWEEP, "sweep.values = 1,1e400", [],
+             "sweep.values: every value must be finite"),
+            ("certify", CERT_GRANT, "certificate.rho = 1\ncertificate.kappa = 1"
+             "\ncertificate.phi = 1", [], "T33 does not use rho, kappa, phi"),
+            ("certify", CERT_GRANT, "certificate.theorem = T35\n"
+             "certificate.nu_coeffs = 1,1\ncertificate.phi1 = 1\ncertificate.eta = 1",
+             [], "T35 does not use eta, phi1"),
         ],
     )
     def test_single_fault_message(
         self, tmp_path, capsys, recwarn, command, base, extra, flags, message
     ):
         """Each single-fault refusal of the library or the config exits 2
-        with one pinned line on stderr and no warning."""
+        with one pinned line on stderr, nothing on stdout and no warning."""
         cfg = write(tmp_path, base + extra + "\n")
         argv = [command, "--config", cfg, "--out", str(tmp_path)] + flags
         assert main(argv) == 2
-        assert capsys.readouterr().err.splitlines() == ["config error: " + message]
+        out, err = capsys.readouterr()
+        assert err.splitlines() == ["config error: " + message]
+        assert out == ""
         assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+    @pytest.mark.parametrize("command", ["certify", "exponent", "simulate", "sweep"])
+    def test_every_single_key_fault_exits_with_a_contract_code(
+        self, tmp_path, capsys, command
+    ):
+        """Every known key but output.dir, set in turn to each of a fixed
+        list of values on a tiny config that runs: main returns 0, 1, 2
+        or 3 and raises nothing."""
+        base = FAULT_BASE
+        if command == "sweep":
+            base = base.replace("sde.f = -x", "sde.f = -{a}*x") + (
+                "sweep.parameter = a\nsweep.values = 1\n")
+        failures = []
+        for key in sorted(KNOWN_KEYS - {"output.dir"}):
+            for value in FAULT_VALUES:
+                cfg = write(tmp_path, f"{base}{key} = {value}\n")
+                try:
+                    code = main([command, "--config", cfg, "--out", str(tmp_path)])
+                except Exception as exc:  # the contract maps every fault to a code
+                    code = repr(exc)
+                if code not in (0, 1, 2, 3):
+                    failures.append((key, value, code))
+                capsys.readouterr()
+        assert not failures
 
     @pytest.mark.parametrize(
         "drift, x0",

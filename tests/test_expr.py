@@ -1,6 +1,7 @@
 """Expression parsing, printing, differentiation, evaluation."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from gsde.expr import (
     parse,
     to_source,
 )
-from gsde.expr import _d, _simplify
+from gsde.expr import _BINARY, _UNARY, _d, _domain_free, _simplify
 
 
 class TestParsing:
@@ -522,3 +523,115 @@ class TestSimplifier:
         }
         for text, expected in cases.items():
             assert to_source(_simplify(parse(text))) == to_source(parse(expected)), text
+
+
+# ---------------------------------------------------------------------------
+# the operator table is the language
+
+FUNCTION_ROWS = sorted(op for op, row in _UNARY.items() if not row.sym)
+INFIX_ROWS = sorted(op for op in _BINARY if op != "pow")
+
+
+class TestOperatorTable:
+    @pytest.mark.parametrize("op", FUNCTION_ROWS)
+    def test_every_function_row_parses_as_a_call(self, op):
+        e = parse(f"{op}(x)")
+        assert e == Unary(op, Var("x"))
+        assert to_source(e) == f"{op}(x)"
+        assert parse(to_source(e)) == e
+
+    @pytest.mark.parametrize("outer", INFIX_ROWS)
+    @pytest.mark.parametrize("inner", INFIX_ROWS)
+    def test_every_infix_row_parses_from_its_sym_at_its_precedence(
+        self, outer, inner
+    ):
+        """x a t b x groups the tighter row first, and left to right
+        within a level."""
+        a, b = _BINARY[outer], _BINARY[inner]
+        e = parse(f"x{a.sym.strip()}t{b.sym.strip()}x")
+        x, t = Var("x"), Var("t")
+        if b.prec > a.prec:
+            assert e == Binary(outer, x, Binary(inner, t, x))
+        else:
+            assert e == Binary(inner, Binary(outer, x, t), x)
+        assert parse(to_source(e)) == e
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Unary("tan", Var("x")),
+            lambda: Binary("mod", Var("x"), Var("t")),
+            lambda: Const(math.inf),
+            lambda: Const(-math.inf),
+            lambda: Const(math.nan),
+        ],
+        ids=["tan", "mod", "inf", "-inf", "nan"],
+    )
+    def test_nodes_the_table_cannot_print_are_refused(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("1e400", 0), ("1e400*x", 0), ("x^1e400", 2), ("-x+0*sin(1e400)", 9)],
+    )
+    def test_literal_beyond_float_range_is_a_parse_error(self, text, offset):
+        with pytest.raises(ParseError, match="number 1e400 is not finite") as info:
+            parse(text)
+        assert info.value.offset == offset
+
+    def test_module_spells_no_second_operator_list(self):
+        import gsde.expr
+
+        assert not hasattr(gsde.expr, "FUNCTIONS")
+        assert not hasattr(gsde.expr, "NONSMOOTH_OPS")
+        assert "def term" not in Path(gsde.expr.__file__).read_text()
+
+
+def _free_variables_reference(e):
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, Unary):
+        return _free_variables_reference(e.child)
+    if isinstance(e, Binary):
+        return _free_variables_reference(e.left) | _free_variables_reference(e.right)
+    return set()
+
+
+def _contains_nonsmooth_reference(e):
+    if isinstance(e, Unary):
+        return e.op in ("abs", "sign") or _contains_nonsmooth_reference(e.child)
+    if isinstance(e, Binary):
+        return _contains_nonsmooth_reference(e.left) or _contains_nonsmooth_reference(
+            e.right
+        )
+    return False
+
+
+def _domain_free_reference(e):
+    if isinstance(e, (Const, Var)):
+        return True
+    if isinstance(e, Binary) and e.op == "pow":
+        c = e.right.value
+        free = c >= 0 and float(c).is_integer()
+        return free and _domain_free_reference(e.left)
+    if isinstance(e, Unary):
+        return e.op not in ("log", "sqrt") and _domain_free_reference(e.child)
+    return (
+        e.op != "div"
+        and _domain_free_reference(e.left)
+        and _domain_free_reference(e.right)
+    )
+
+
+@given(e=any_exprs())
+@example(e=parse("x*abs(t)"))
+@example(e=parse("exp(x)^2*(t-1)"))
+@example(e=parse("sin(x)/t"))
+@settings(max_examples=300, deadline=None)
+def test_tree_queries_match_their_recursive_definitions(e):
+    """The one pre-order walk gives what a hand-written recursion over
+    each query's own rule gives."""
+    assert free_variables(e) == _free_variables_reference(e)
+    assert contains_nonsmooth(e) == _contains_nonsmooth_reference(e)
+    assert _domain_free(e) == _domain_free_reference(e)

@@ -67,7 +67,6 @@ __all__ = [
     "CertificateReport",
     "CertificateError",
     "OperatorSample",
-    "THEOREMS",
     "sample_operators",
     "validate_certificate",
     "check_certificate",
@@ -325,7 +324,8 @@ class CertificateReport:
 
 def _pointwise(m: OperatorSample, name, lhs, rhs) -> HypothesisVerdict:
     """Check lhs <= rhs at the sample points with relative slack:
-    rel = (lhs - rhs) / max(1, |lhs|, |rhs|), in two grid-size arrays."""
+    rel = (lhs - rhs) / max(1, |lhs|, |rhs|), in two grid-size arrays.  rel
+    is nan exactly where a side is not finite: refused at its first point."""
     lhs = _full(lhs, m.x)
     rhs = _full(rhs, m.x)
     scale = np.abs(lhs)
@@ -334,15 +334,13 @@ def _pointwise(m: OperatorSample, name, lhs, rhs) -> HypothesisVerdict:
     np.maximum(1.0, scale, out=scale)
     np.subtract(lhs, rhs, out=rel)
     np.divide(rel, scale, out=rel)
-    k = int(np.argmax(rel))
+    k = int(np.argmax(rel))  # the first nan, if there is one
     worst = float(rel.flat[k])
-    return HypothesisVerdict(
-        name=name,
-        passed=worst <= REL_SLACK,
-        violation=worst,
-        worst_x=float(m.x.flat[k]),
-        worst_t=float(m.t.flat[k]),
-    )
+    if math.isnan(worst):
+        _refuse_at(m, np.isnan(rel), f"{name}: {lhs.flat[k]:.6g} <= "
+                   f"{rhs.flat[k]:.6g} is not finite")
+    return HypothesisVerdict(name, worst <= REL_SLACK, worst,
+                             float(m.x.flat[k]), float(m.t.flat[k]))
 
 
 def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -372,7 +370,10 @@ def _intercept(name, y, *columns) -> float:
 
 
 def _extrapolated(name, violation, worst_t, note) -> HypothesisVerdict:
-    """A horizon-limited verdict, passed within EXTRAPOLATION_SLACK."""
+    """A horizon-limited verdict, passed within EXTRAPOLATION_SLACK and
+    refused when nan (an overflowed integral)."""
+    if math.isnan(violation):
+        raise CertificateError(f"{name}: {note} is not finite")
     return HypothesisVerdict(name, violation <= EXTRAPOLATION_SLACK, violation,
                              None, worst_t, True, note)
 
@@ -422,6 +423,7 @@ def _t33(m, c, ts):
     if c.lam is not None:
         return c.lam, [_pointwise(m, "decay", L, -c.lam * m.V)]
     ratios = -L / m.V
+    _refuse_at(m, ~np.isfinite(ratios), "decay: -LV/V is not finite")
     k = int(np.argmin(ratios))
     best = float(ratios.flat[k])
     found = best > 0
@@ -531,12 +533,11 @@ _TEMPLATES = {
     ),
 }
 
-THEOREMS = tuple(_TEMPLATES)
-
 
 # ---------------------------------------------------------------------------
 # the checker
 
+@np.errstate(all="ignore")
 def check_certificate(
     lyap: LyapunovFn,
     spec: SdeSpec,
@@ -545,7 +546,9 @@ def check_certificate(
     grid: CheckGrid | None = None,
 ) -> CertificateReport:
     """Machine-check one certificate template; grant the implied rate bound
-    iff every hypothesis passes on the grid."""
+    iff every hypothesis passes on the grid.  A hypothesis whose comparison
+    is not finite raises CertificateError naming it and, where it has one,
+    its first grid point; numpy's floating-point warnings are off."""
     if grid is None:
         grid = CheckGrid.default(t0=spec.t0)
     validate_certificate(cert, b)
@@ -559,14 +562,10 @@ def check_certificate(
         for name, e in (("V", lyap.V), ("f", spec.f), ("g", spec.g))
         if contains_nonsmooth(e)
     )
-
-    with np.errstate(all="ignore"):
-        xp = np.abs(xs) ** cert.p * (np.exp(cert.lam * ts) if tpl.grows else 1.0)
-    weight = "|x|^p e^(lambda t)" if tpl.grows else "|x|^p"
-    _refuse_at(m, ~np.isfinite(xp), f"the envelope weight {weight} is not finite")
-    envelope = (m.V, xp) if tpl.unstable else (xp, m.V)
+    xp = np.abs(xs) ** cert.p * (np.exp(cert.lam * ts) if tpl.grows else 1.0)
+    envelope = _pointwise(m, "envelope", *((m.V, xp) if tpl.unstable else (xp, m.V)))
     lam, rest = tpl.hypotheses(m, cert, grid.ts)
-    hyps = (_pointwise(m, "envelope", *envelope), *rest)
+    hyps = (envelope, *rest)
     granted = all(h.passed for h in hyps)
     return CertificateReport(
         theorem=cert.theorem,

@@ -384,18 +384,37 @@ class TestExitCodes:
             ("certify", CERT_GRANT, "certificate.theorem = T35\n"
              "certificate.nu_coeffs = 1,1\ncertificate.phi1 = 1\ncertificate.eta = 1",
              [], "T35 does not use eta, phi1"),
+            ("certify", CERT_GRANT.replace("lyapunov.v = x^2\n", ""), "", [],
+             "lyapunov.v is required for this command"),
+            ("sweep", SWEEP.replace("lyapunov.v = x^2\n", ""), "", [],
+             "lyapunov.v is required for this command"),
+            # runtime refusals: exit 3 with an "error: " line
+            ("certify", CERT_GRANT, "certificate.theorem = T34\ncertificate.rho = 10"
+             "\ncertificate.kappa = 1\ncertificate.phi = sin(t)", [],
+             "error: time weight 'sin(t)' must be nonnegative on the grid"),
+            ("certify", CERT_GRANT.replace("certificate.lambda = 1.0\n", ""),
+             "sde.g = 1e300", [], "error: decay: -LV/V is not finite at x=-10, t=0"),
+            ("certify", CERT_GRANT, "sde.g = 1e200*x", [],
+             "error: decay: inf <= -100 is not finite at x=-10, t=0"),
+            ("certify", CERT_GRANT, "certificate.theorem = T34\n"
+             "certificate.lambda = -1e-300\ncertificate.rho = 1e-299\n"
+             "certificate.kappa = 1\ncertificate.phi = 1e308", [],
+             "error: time_average: extrapolated Cesaro limit nan vs required 1 "
+             "is not finite"),
         ],
     )
     def test_single_fault_message(
         self, tmp_path, capsys, recwarn, command, base, extra, flags, message
     ):
-        """Each single-fault refusal of the library or the config exits 2
-        with one pinned line on stderr, nothing on stdout and no warning."""
+        """Each single-fault refusal of the library or the config exits with
+        one pinned line on stderr, nothing on stdout and no warning: 3 for a
+        runtime refusal (a message given with its "error: " prefix), else 2."""
         cfg = write(tmp_path, base + extra + "\n")
         argv = [command, "--config", cfg, "--out", str(tmp_path)] + flags
-        assert main(argv) == 2
+        runtime = message.startswith("error: ")
+        assert main(argv) == (3 if runtime else 2)
         out, err = capsys.readouterr()
-        assert err.splitlines() == ["config error: " + message]
+        assert err.splitlines() == [message if runtime else "config error: " + message]
         assert out == ""
         assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
@@ -907,22 +926,31 @@ def test_feedback_reads_v_without_certificate_partials(
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, line",
     [
-        CERT_GRANT.replace("certificate.p = 2", "certificate.p = 400"),
-        PIN_T36.replace("certificate.lambda = 1\n", "certificate.lambda = 60\n"),
+        (CERT_GRANT.replace("certificate.p = 2", "certificate.p = 400"),
+         "error: envelope: inf <= 100 is not finite at x=-10, t=0"),
+        (PIN_T36.replace("certificate.lambda = 1\n", "certificate.lambda = 60\n"),
+         "error: envelope: inf <= 3.06073e+07 is not finite at x=-10, t=12.6316"),
     ],
     ids=["t33_p400", "t36_lambda60"],
 )
-def test_overflowing_envelope_is_3(tmp_path, capsys, recwarn, text):
+def test_overflowing_envelope_is_3(tmp_path, capsys, recwarn, text, line):
     """An envelope weight |x|^p (times e^(lambda t) for T36 and T37) that
     overflows on the grid is refused at the point where it overflows,
     instead of being checked into a nan verdict."""
     cfg = write(tmp_path, text)
     assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:"), err
-    assert "envelope weight" in err[0] and "not finite at x=" in err[0]
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+
+def test_overflow_in_an_uncompared_operator_is_harmless(tmp_path, capsys, recwarn):
+    """H = g^2 V_x^2 overflows for V = 1e300 x^2, but T33 never compares
+    H, so the certificate is granted as for V = x^2, without a warning."""
+    cfg = write(tmp_path, CERT_GRANT + "lyapunov.v = 1e300*x^2\n")
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "T33: granted (limsup rate <= -0.5)\n"
     assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
 

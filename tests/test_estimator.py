@@ -234,6 +234,22 @@ class TestExponent:
                 seed=0,
             )
 
+    def test_all_flagged_refused_by_every_estimator(self):
+        """x' = x^3 from 10 blows up in the first step: the sublinear
+        expectation and the martingale check refuse instead of reporting."""
+        spec = SdeSpec(f=parse("x^3"), g=parse("0"), x0=10.0)
+        with pytest.raises(EstimationError, match="every scenario was fully flagged"):
+            estimate_sublinear_expectation(
+                "terminal_abs_pow", spec, [Constant(1.0)], B1, horizon=5.0,
+                dt=0.1, n_paths=4, seed=0,
+            )
+        with pytest.raises(EstimationError,
+                           match="every path was flagged; no martingale check"):
+            martingale_bound_check(
+                MartingaleCheckSpec(eta=parse("1"), k_max=5), spec,
+                Constant(1.0), B1, n_paths=4, seed=0, dt=0.1,
+            )
+
     def test_argument_validation(self):
         spec = linear_spec(1.0, 1.0)
         with pytest.raises(ValueError, match="x0"):
@@ -699,6 +715,20 @@ class TestMartingaleBound:
                 Constant(1.0), B, n_paths=40, seed=3, dt=0.5,
             )
             for t0 in (0.0, 3.0)
+        ]
+        for field in dataclasses.fields(reports[0]):
+            a, b = (getattr(r, field.name) for r in reports)
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
+
+    def test_custom_tau_matching_the_default(self):
+        """Checkpoints given as tau = (1, 2, 3) run the custom branch and
+        report exactly what the default tau_k = k does."""
+        reports = [
+            martingale_bound_check(
+                MartingaleCheckSpec(eta=parse("1"), k_max=3, tau=tau), self.SPEC,
+                Constant(1.0), B, n_paths=20, seed=4, dt=0.1,
+            )
+            for tau in (None, (1.0, 2.0, 3.0))
         ]
         for field in dataclasses.fields(reports[0]):
             a, b = (getattr(r, field.name) for r in reports)

@@ -104,6 +104,11 @@ class TestParsing:
         else:
             raise AssertionError("expected ParseError")
 
+    @pytest.mark.parametrize("text, offset", [("exp(x", 5), ("(x+1", 4)])
+    def test_unclosed_parenthesis_offset(self, text, offset):
+        with pytest.raises(ParseError, match=rf"^expected '\)' \(offset {offset}\)$"):
+            parse(text)
+
     def test_free_variables(self):
         assert free_variables(parse("exp(-2*t)*x^2")) == {"x", "t"}
         assert free_variables(parse("3.5")) == set()

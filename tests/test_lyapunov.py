@@ -204,7 +204,8 @@ def _pointwise_reference(m, name, lhs, rhs):
 def test_pointwise_matches_reference_formula():
     """The in-place _pointwise returns the verdict of the plain formula on
     full arrays, broadcast columns, rows and scalars, with nan, +-inf,
-    signed zeros and ties among the values."""
+    signed zeros and ties among the values; where the formula's worst
+    value is nan (a side is not finite), it refuses at that point."""
     rng = np.random.default_rng(7)
     x, t = np.broadcast_arrays(np.linspace(-3, 3, 7)[:, None],
                                np.linspace(0, 4, 5)[None, :])
@@ -225,8 +226,14 @@ def test_pointwise_matches_reference_formula():
                 for rs in shapes:
                     lhs = operand(ls)
                     rhs = lhs.copy() if ls == rs and rng.random() < 0.3 else operand(rs)
-                    got = lyapunov._pointwise(m, "h", lhs, rhs)
-                    assert repr(got) == repr(_pointwise_reference(m, "h", lhs, rhs))
+                    want = _pointwise_reference(m, "h", lhs, rhs)
+                    if np.isnan(want.violation):
+                        at = f"at x={want.worst_x:.6g}, t={want.worst_t:.6g}$"
+                        with pytest.raises(CertificateError, match=at):
+                            lyapunov._pointwise(m, "h", lhs, rhs)
+                    else:
+                        got = lyapunov._pointwise(m, "h", lhs, rhs)
+                        assert repr(got) == repr(want)
                     checked += 1
     assert checked == 40 * 16
 

@@ -332,11 +332,14 @@ class _MartingaleObserver:
 
     def pre_step(self, i, t, X, v, dW, dB, dtau, alive):
         eta = self.eta_fn(X, t)
-        np.add(self.N, eta * dB, out=self.N, where=alive)
-        np.add(self.Q, eta * eta * v * dtau, out=self.Q, where=alive)
-        for g in self.distinct:
-            stat = self.N - 0.5 * g * self.Q
-            np.maximum(self.runmax[g], stat, out=self.runmax[g], where=alive)
+        # KERNEL_MODE raises on invalid for the kernels only: an overflowing
+        # eta is no domain error, and its inf * 0 and inf - inf sums stay nan
+        with np.errstate(invalid="ignore"):
+            np.add(self.N, eta * dB, out=self.N, where=alive)
+            np.add(self.Q, eta * eta * v * dtau, out=self.Q, where=alive)
+            for g in self.distinct:
+                stat = self.N - 0.5 * g * self.Q
+                np.maximum(self.runmax[g], stat, out=self.runmax[g], where=alive)
 
     def post_step(self, i, t_next, X, alive):
         for j in np.nonzero(self.snap_steps == i)[0]:

@@ -48,6 +48,7 @@ __all__ = [
     "differentiate",
     "to_source",
     "compile_fn",
+    "KERNEL_MODE",
     "contains_nonsmooth",
     "free_variables",
 ]
@@ -485,19 +486,27 @@ def to_source(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # checked evaluation
 
-def _eval(e: Expr, x, t):
+def _eval(e: Expr, x, t, keep=None):
+    """The checked walk.  keep, if given, masks the states (x and t have its
+    shape): the domain rules read the kept states only, and a kept state
+    leaves where a finite row overflows instead of raising."""
     if isinstance(e, Const):
         return np.float64(e.value)
     if isinstance(e, Var):
         return x if e.name == "x" else t
     row = _row(e)
-    args = [_eval(child, x, t) for child in _operands(e)]
+    args = [_eval(child, x, t, keep) for child in _operands(e)]
+    kept = args if keep is None else [a[keep] if np.ndim(a) else a for a in args]
     for bad, message in row.domain:
-        if bad(*args):
+        if bad(*kept):
             raise EvalDomainError(message, e)
     val = row.fn(*args)
-    if row.finite and not np.all(np.isfinite(val)):
-        raise EvalOverflowError("non-finite result", e)
+    if row.finite:
+        ok = np.isfinite(val)
+        if keep is not None:
+            keep &= ok
+        elif not np.all(ok):
+            raise EvalOverflowError("non-finite result", e)
     return val
 
 
@@ -511,24 +520,18 @@ def evaluate(e: Expr, x, t):
         return _eval(e, x, t)
 
 
-def check_domain(exprs, xs, t, values) -> None:
-    """Re-evaluate exprs at each finite state whose compiled value is
-    non-finite: xs is one state or an array of states, all at time t, and
-    values is what the compiled code gave there (broadcast against xs).  A
-    nan state (a flagged lane) is not re-checked.
+def check_domain(exprs, x, t) -> None:
+    """Re-check exprs at every finite state of x (one state or an array of
+    states, at time t); a nan state (a flagged lane) is skipped.
 
     A domain violation raises EvalDomainError naming the offending node;
-    plain overflow (EvalOverflowError) passes, so the caller can treat it
-    as an explosion.  The states are checked one at a time, each against
-    every expression in order, since one state's overflow must not hide
-    another's domain violation."""
-    xs, values = np.broadcast_arrays(xs, values)
-    for x in xs[np.isfinite(xs) & ~np.isfinite(values)].tolist():
+    plain overflow passes, so the caller can treat it as an explosion.
+    Each expression is one masked walk (_eval) over all states, so one
+    state's overflow cannot hide another's domain violation."""
+    xs, ts = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)), t)
+    with np.errstate(all="ignore"):
         for e in exprs:
-            try:
-                evaluate(e, x, t)
-            except EvalOverflowError:
-                pass
+            _eval(e, xs, ts, np.isfinite(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -591,20 +594,38 @@ def _codegen(e: Expr) -> str:
     return _row(e).src.format(*(_codegen(k) for k in _operands(e)))
 
 
+# The numpy mode of the stepping loops.  Every domain rule of the operator
+# table sets the divide or invalid flag where it fires, so a kernel that
+# raises one re-checks itself; overflow is left to the explosion threshold.
+KERNEL_MODE = {"divide": "raise", "invalid": "raise", "over": "ignore", "under": "ignore"}
+
+_KERNEL = """def kernel({params}):
+    try:
+        return {body}
+    except FloatingPointError:
+        check_domain(exprs, x, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return {body}
+"""
+
+
 def compile_fn(e: Expr):
-    """Compile to an unchecked vectorized callable (x, t) -> value.
-
-    Used inside integration loops where per-node domain checks would
-    dominate; callers watch for non-finite states instead and fall back
-    to evaluate() to attribute failures.  Wherever evaluate succeeds the
-    callable returns the same bits, for Python floats and arrays alike.
-    """
-    return _compile("x, t", _codegen(e))
+    """Compile to a vectorized kernel (x, t) -> value, for the stepping
+    loops, where per-node checks would dominate.  Wherever evaluate
+    succeeds it returns the same bits, for Python floats and arrays alike;
+    under KERNEL_MODE it raises where evaluate raises a domain error at
+    some state, and returns the unchecked value where evaluate overflows."""
+    return _compile("x, t", _codegen(e), (e,))
 
 
-def _compile(params: str, body: str):
-    """`lambda params: body` over _codegen output; numpy is its one global."""
-    return eval(f"lambda {params}: {body}", {"np": np, "__builtins__": {}})
+def _compile(params: str, body: str, exprs):
+    """_KERNEL over _codegen output: a call that raises numpy's divide or
+    invalid flag runs check_domain(exprs, x, t), then recomputes body with
+    both flags ignored."""
+    scope = {"np": np, "check_domain": check_domain, "exprs": exprs,
+             "FloatingPointError": FloatingPointError, "__builtins__": {}}
+    exec(_KERNEL.format(params=params, body=body), scope)
+    return scope["kernel"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ adapted by construction.  Schemes:
               symbolically
 
 A run is truncated and flagged once |X| crosses the explosion threshold or
-turns non-finite; if the failure traces to an expression domain violation
-(log of a negative state, division by zero) the domain error is raised
-instead.
+turns non-finite.  Both stepping loops run under expr.KERNEL_MODE, so a step
+or a policy or observer kernel that leaves an expression's domain (log of a
+negative state, division by zero) raises EvalDomainError naming the node,
+even where its value comes out finite; the kernels re-check themselves.
 
 integrate steps one path on Python floats.  The lane engine, _run_lanes,
 serves the estimator: it advances all (scenario, path) pairs of a call as
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import write_float_columns
-from .expr import Expr, _codegen, _compile, check_domain, differentiate
+from .expr import KERNEL_MODE, Expr, _codegen, _compile, differentiate
 from .gcalc import AmbiguityBounds
 # stream_generator and variance_stream are imported by name: perfbench's
 # tracer counts Philox draws and variance calls by patching this namespace
@@ -107,12 +108,13 @@ class SimulationRun:
 
 
 def _scheme(spec: SdeSpec, method: str):
-    """The step of integrate and of the lane engine: (step, exprs).
+    """The step of integrate and of the lane engine.
 
-    step(x, t, dtau, v, dW, dB) is one generated lambda, the same bits on
+    step(x, t, dtau, v, dW, dB) is one generated kernel, the same bits on
     Python floats and on lane arrays; it evaluates g once and squares dW
-    as a product (libm pow can differ in the last bit).  exprs (f, g and
-    Milstein's g_x) are what a non-finite step re-checks (check_domain)."""
+    as a product (libm pow can differ in the last bit).  Like every
+    compiled kernel it re-checks itself under KERNEL_MODE, against f, g
+    and Milstein's g_x."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     exprs = (spec.f, spec.g) + (
@@ -122,7 +124,7 @@ def _scheme(spec: SdeSpec, method: str):
     body = f"x + {f} * dtau + (g := {g}) * dB"
     if gx:
         body += f" + 0.5 * g * {gx[0]} * v * (dW * dW - dtau)"
-    return _compile("x, t, dtau, v, dW, dB", body), exprs
+    return _compile("x, t, dtau, v, dW, dB", body, exprs)
 
 
 def integrate(
@@ -139,7 +141,7 @@ def integrate(
     The Wiener stream is keyed by (seed, path_index), so the same call is
     bitwise reproducible and distinct paths are independent.
     """
-    step, exprs = _scheme(spec, method)
+    step = _scheme(spec, method)
     grid = _check_grid(grid)
     if not math.isclose(float(grid[0]), spec.t0, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("grid must start at the spec's t0")
@@ -155,7 +157,7 @@ def integrate(
     v, dB, X = [], [], [float(spec.x0)]
     first_bad = None
     x = X[0]
-    with np.errstate(all="ignore"):
+    with np.errstate(**KERNEL_MODE):
         for i in range(n):
             ti = ts[i]
             dt_i = dts[i]
@@ -166,7 +168,6 @@ def integrate(
             dB.append(dB_i)
             x_new = float(step(x, ti, dt_i, vi, dW_i, dB_i))
             if not math.isfinite(x_new) or abs(x_new) > EXPLOSION_THRESHOLD:
-                check_domain(exprs, x, ti, x_new)
                 first_bad = i + 1
                 X.append(x_new if math.isfinite(x_new) else math.nan)
                 break
@@ -202,11 +203,11 @@ def _run_lanes(
     alive is True until the first flag and ~flagged after it; the observer
     passes it as `where=` to its updates.  A lane whose state leaves
     [-threshold, threshold] or turns non-finite is flagged and frozen at
-    NaN, once check_domain has re-checked its pre-step state: a domain
-    violation raises EvalDomainError naming the node, overflow only flags
-    the lane.
+    NaN.  The loop runs under KERNEL_MODE: a kernel (the step, a feedback
+    policy's, an observer's) that leaves its domain at a live lane raises
+    EvalDomainError naming the node, and overflow only flags the lane.
     """
-    step, exprs = _scheme(spec, method)
+    step = _scheme(spec, method)
     k = len(scenarios)
     lanes = k * n_paths
     n_steps = grid.size - 1
@@ -229,7 +230,7 @@ def _run_lanes(
     flagged = np.zeros(lanes, dtype=bool)
     sqrt_dtau = np.sqrt(np.diff(grid))
 
-    with np.errstate(all="ignore"):
+    with np.errstate(**KERNEL_MODE):
         for i in range(n_steps):
             j = i % _BLOCK_STEPS
             if j == 0:
@@ -247,9 +248,7 @@ def _run_lanes(
             if alive is True and np.abs(Xn).max() <= EXPLOSION_THRESHOLD:
                 X = Xn
             else:
-                bad = alive & ~(np.abs(Xn) <= EXPLOSION_THRESHOLD)
-                check_domain(exprs, X[bad], float(t), Xn[bad])
-                flagged |= bad
+                flagged |= alive & ~(np.abs(Xn) <= EXPLOSION_THRESHOLD)
                 alive = ~flagged
                 X = np.where(alive, Xn, np.nan)
             observer.post_step(i, grid[i + 1], X, alive)

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .csvio import fmt
-from .expr import Expr, check_domain, compile_fn, differentiate
+from .expr import Expr, compile_fn, differentiate
 from .gcalc import AmbiguityBounds
 
 __all__ = [
@@ -268,16 +268,8 @@ class FeedbackSignVxx(VolatilityScenario):
 
     def stream(self, b, grid, seed, paths):
         lo, hi = b.v_lower, b.v_upper
-        vxx = self.vxx()
-        vxx_fn = compile_fn(vxx)
-
-        def feedback(i, t, x):
-            c = vxx_fn(x, t)
-            if not np.isfinite(c).all():
-                check_domain((vxx,), x, t, c)
-            return np.where(c > 0, hi, lo)
-
-        return feedback
+        vxx_fn = compile_fn(self.vxx())
+        return lambda i, t, x: np.where(vxx_fn(x, t) > 0, hi, lo)
 
 
 @dataclass(frozen=True)
@@ -359,7 +351,9 @@ def enumerate_family(
     equally spaced interior constants, alternating band-edge switching
     scenarios with 2..richness switches (at t = 5, 10, ...), and the
     curvature-feedback policy when an energy function is supplied.
-    richness=1 therefore yields [lower edge, upper edge, midpoint].
+    richness=1 therefore yields [lower edge, upper edge, midpoint].  A
+    label is listed once, at its first place: on a degenerate band the
+    constants coincide.
     """
     if richness < 1:
         raise ValueError("richness must be >= 1")
@@ -374,7 +368,10 @@ def enumerate_family(
         fam.append(BangBangInTime(times, levels))
     if lyapunov is not None:
         fam.append(FeedbackSignVxx(lyapunov))
-    return fam
+    unique: dict[str, VolatilityScenario] = {}
+    for s in fam:
+        unique.setdefault(s.label(), s)
+    return list(unique.values())
 
 
 # ---------------------------------------------------------------------------

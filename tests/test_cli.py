@@ -401,6 +401,15 @@ class TestExitCodes:
              "certificate.kappa = 1\ncertificate.phi = 1e308", [],
              "error: time_average: extrapolated Cesaro limit nan vs required 1 "
              "is not finite"),
+            # the kernel's value at the violation is finite: exp(-inf) = 0
+            ("simulate", SIMULATE, "sde.f = exp(-1/x^2)\nsde.g = 1\nsde.x0 = 0\n"
+             "scenarios.list = constant:1\nnumerics.dt = 0.1\n"
+             "numerics.horizon = 1\nnumerics.n_paths = 1", [],
+             "error: division by zero in '(-1.0)/x^2.0' at offset 6"),
+            ("exponent", SIMULATE, "sde.f = -x + exp(-1/x^2)\nsde.g = 0\n"
+             "sde.x0 = 1\nscenarios.list = constant:1\nnumerics.dt = 1\n"
+             "numerics.horizon = 5\nnumerics.n_paths = 2", [],
+             "error: division by zero in '(-1.0)/x^2.0' at offset 11"),
         ],
     )
     def test_single_fault_message(

@@ -412,10 +412,16 @@ class TestFamilyEqualsSingles:
     what a run of that scenario alone gives, including with flagged lanes:
     dX = 2X dt + 2X dB explodes at the band floor v = 0.0625 (every path),
     partly under the floor-then-top schedule and the random levels, and
-    not at all elsewhere.  dX = -X dt + X dB flags no path, so its family
-    run never leaves the unmasked path."""
+    not at all elsewhere.  The escaping drift 0.025 exp(X^2) - X flags
+    some paths at the upper rates, each after a step whose inf - inf sets
+    numpy's invalid flag, so the step re-checks and recomputes its lanes.
+    dX = -X dt + X dB flags no path, so its family run never leaves the
+    unmasked path."""
 
     SPEC = SdeSpec(f=parse("2*x"), g=parse("2*x"), x0=1.0)
+    ESCAPING = SdeSpec(
+        f=parse("0.05*exp(x^2) - 0.025*exp(x^2) - x"), g=parse("x"), x0=1.0
+    )
     BAND = AmbiguityBounds(0.25, 1.0)
     FAMILY = (
         Constant(0.0625),
@@ -449,12 +455,15 @@ class TestFamilyEqualsSingles:
         return [s.n_flagged for s in est.scenarios]
 
     @pytest.mark.parametrize("method", ["euler", "milstein"])
-    @pytest.mark.parametrize("overflowing", [True, False])
-    def test_exponent(self, method, overflowing):
-        spec = self.SPEC if overflowing else linear_spec(1.0, 1.0)
+    @pytest.mark.parametrize("sde", ["overflowing", "escaping", "stable"])
+    def test_exponent(self, method, sde):
+        spec = {"overflowing": self.SPEC, "escaping": self.ESCAPING,
+                "stable": linear_spec(1.0, 1.0)}[sde]
         flagged = self.check_exponent(spec, method, self.RUN)
-        if overflowing:
+        if sde == "overflowing":
             assert flagged[0] == 8 and 0 < flagged[1] < 8 and flagged[-1] == 0
+        elif sde == "escaping":
+            assert flagged[0] == 0 and 0 < flagged[-1] < 8
         else:
             assert not any(flagged)
 
@@ -681,6 +690,27 @@ class TestMartingaleBound:
         )
         assert rep.fraction_satisfied >= 0.95
         assert rep.n_flagged == 0
+
+    def test_integrand_domain_violation_raises(self):
+        """eta = log(x) on the negative states of dX = -X dt + X dB from
+        x0 = -1 is refused by name, not read as a failed bound."""
+        spec = SdeSpec(f=parse("-x"), g=parse("x"), x0=-1.0)
+        with pytest.raises(EvalDomainError, match="log of a non-positive value"):
+            martingale_bound_check(
+                MartingaleCheckSpec(eta=parse("log(x)")), spec, Constant(1.0), B,
+                n_paths=4, seed=0, dt=0.01,
+            )
+
+    def test_overflowing_integrand_fails_the_bound(self):
+        """eta = exp(x^2) overflows at x = 27 without leaving its domain:
+        N and Q turn non-finite and no path satisfies the bound."""
+        spec = SdeSpec(f=parse("0"), g=parse("0.01"), x0=27.0)
+        rep = martingale_bound_check(
+            MartingaleCheckSpec(eta=parse("exp(x^2)"), k_max=2), spec,
+            Constant(1.0), B, n_paths=4, seed=0, dt=0.01,
+        )
+        assert rep.fraction_satisfied == 0.0 and rep.n_flagged == 0
+        assert np.all(rep.violation_fraction == 1.0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="theta"):

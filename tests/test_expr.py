@@ -13,6 +13,7 @@ from gsde.expr import (
     Const,
     EvalDomainError,
     EvalOverflowError,
+    KERNEL_MODE,
     ParseError,
     Unary,
     Var,
@@ -198,57 +199,39 @@ class TestEvaluation:
 
 
 class TestCheckDomain:
-    """check_domain re-evaluates exactly the finite states whose compiled
-    value is non-finite, and raises only on a domain violation."""
+    """check_domain re-checks every finite state, whatever a kernel gave
+    there, and raises only on a domain violation."""
 
-    @pytest.fixture
-    def evaluated(self, monkeypatch):
-        import gsde.expr as ex
+    LOG = (parse("log(x)"),)
 
-        seen = []
-        real = ex.evaluate
-
-        def spy(e, x, t):
-            seen.append(x)
-            return real(e, x, t)
-
-        monkeypatch.setattr(ex, "evaluate", spy)
-        return seen
-
-    def test_finite_values_evaluate_nothing(self, evaluated):
-        log = (parse("log(x)"),)
-        check_domain(log, -1.0, 0.0, 0.5)
-        check_domain(log, np.array([-1.0, 2.0]), 0.0, np.array([0.5, 0.7]))
-        assert evaluated == []
-
-    def test_nan_state_is_skipped(self, evaluated):
-        log = (parse("log(x)"),)
-        check_domain(log, np.nan, 0.0, np.nan)
-        check_domain(log, np.array([np.nan, 2.0]), 0.0, np.array([np.nan, 0.7]))
-        assert evaluated == []
-
-    def test_scalar_state_with_inf_value_rechecks(self, evaluated):
+    def test_every_finite_state_is_rechecked(self):
         with pytest.raises(EvalDomainError, match="log"):
-            check_domain((parse("log(x)"),), -1.0, 0.0, -np.inf)
-        assert evaluated == [-1.0]
-
-    def test_array_rechecks_only_nonfinite_finite_states(self, evaluated):
-        xs = np.array([1.0, np.nan, -0.5, 3.0])
+            check_domain(self.LOG, -1.0, 0.0)
         with pytest.raises(EvalDomainError, match="log"):
-            check_domain((parse("log(x)"),), xs, 0.0,
-                         np.array([0.0, np.nan, np.inf, 1.1]))
-        assert evaluated == [-0.5]
-        evaluated.clear()
-        # a value broadcast against the states (a kernel constant in x)
-        with pytest.raises(EvalDomainError, match="log"):
-            check_domain((parse("log(x)"),), xs, 0.0, np.inf)
-        assert evaluated == [1.0, -0.5]
+            check_domain(self.LOG, np.array([2.0, 3.0, -0.5]), 0.0)
+        # at x = 0, exp(-1/x^2) compiles to the finite 0
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            check_domain((parse("exp(-1/x^2)"),), np.array([1.0, 0.0]), 0.0)
+        check_domain(self.LOG, np.array([2.0, 3.0]), np.array([0.0, 1.0]))
 
-    def test_overflow_passes(self, evaluated):
-        exps = (parse("exp(100*x^2)"), parse("x"))
-        check_domain(exps, np.array([0.1, 3.0]), 0.0, np.array([1.0, np.inf]))
-        check_domain(exps, 3.0, 0.0, np.inf)
-        assert evaluated == [3.0, 3.0, 3.0, 3.0]
+    def test_nan_state_is_skipped(self):
+        check_domain(self.LOG, np.nan, 0.0)
+        check_domain(self.LOG, np.array([np.nan, 2.0]), 0.0)
+
+    def test_overflow_does_not_hide_another_state(self):
+        """State 3 overflows at exp before state -0.5 reaches log, in one
+        expression and across two."""
+        xs = np.array([3.0, -0.5])
+        for exprs in ((parse("exp(100*x^2) + log(x)"),),
+                      (parse("exp(100*x^2)"), parse("log(x)"))):
+            with pytest.raises(EvalDomainError, match="log") as info:
+                check_domain(exprs, xs, 0.0)
+            assert type(info.value) is EvalDomainError
+
+    def test_overflow_passes(self):
+        check_domain((parse("exp(100*x^2)"), parse("x")), np.array([0.1, 3.0]), 0.0)
+        # the overflow at exp comes before the state's own log violation
+        check_domain((parse("exp(100*x^2) * log(x)"),), -3.0, 0.0)
 
 
 class TestDifferentiation:
@@ -379,31 +362,60 @@ def _bits(v):
     return np.asarray(v, dtype=np.float64).tobytes()
 
 
+def _scalar_outcome(e, x, t):
+    """evaluate's value at one state, or its refusal."""
+    try:
+        return evaluate(e, x, t)
+    except EvalDomainError as exc:
+        return exc
+
+
 @given(
     e=any_exprs(),
     xs=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5),
     ts=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=5),
+    mode=st.sampled_from([{}, KERNEL_MODE]),
 )
-@example(e=parse("x^3"), xs=[0.664], ts=[0.0])
-@settings(max_examples=300, deadline=None)
-def test_compile_matches_evaluate_bitwise(e, xs, ts):
+@example(e=parse("x^3"), xs=[0.664], ts=[0.0], mode={})
+@example(e=parse("exp(-1/x^2)"), xs=[0.0, 1.0], ts=[0.0, 0.0], mode=KERNEL_MODE)
+@example(e=parse("sign(log(x)) + exp(x*x*200)"), xs=[2.0, 0.0], ts=[0.0, 0.0],
+         mode=KERNEL_MODE)
+@example(e=parse("exp(200*x^2) * log(x)"), xs=[-3.0, 2.0], ts=[0.0, 0.0],
+         mode=KERNEL_MODE)
+@settings(max_examples=600, deadline=None)
+def test_compile_matches_evaluate_bitwise(e, xs, ts, mode):
     """Wherever the checked evaluator succeeds, the compiled kernel gives
     the same bits, on Python floats (as integrate calls it) and on arrays
-    (as the lane engine does)."""
+    (as the lane engine does).  Under KERNEL_MODE, the stepping loops'
+    numpy mode, the kernel also raises EvalDomainError exactly where
+    evaluate raises a domain error at some state, with evaluate's message
+    at a single state, and returns where evaluate only overflows."""
     fn = compile_fn(e)
     n = min(len(xs), len(ts))
-    for x, t in zip(xs[:n], ts[:n]):
+    outcomes = [_scalar_outcome(e, x, t) for x, t in zip(xs[:n], ts[:n])]
+    with np.errstate(**mode):
+        for x, t, expected in zip(xs[:n], ts[:n], outcomes):
+            if not isinstance(expected, EvalDomainError):
+                assert _bits(fn(x, t)) == _bits(expected), (to_source(e), x, t)
+            elif isinstance(expected, EvalOverflowError):
+                if mode:
+                    fn(x, t)
+            elif mode:
+                with pytest.raises(EvalDomainError) as info:
+                    fn(x, t)
+                assert str(info.value) == str(expected)
+        x, t = np.array(xs[:n]), np.array(ts[:n])
+        if mode and any(type(o) is EvalDomainError for o in outcomes):
+            with pytest.raises(EvalDomainError):
+                fn(x, t)
+            return
         try:
             expected = evaluate(e, x, t)
         except EvalDomainError:
-            continue
-        assert _bits(fn(x, t)) == _bits(expected), (to_source(e), x, t)
-    x, t = np.array(xs[:n]), np.array(ts[:n])
-    try:
-        expected = evaluate(e, x, t)
-    except EvalDomainError:
-        return
-    assert _bits(fn(x, t)) == _bits(expected), to_source(e)
+            if mode:
+                fn(x, t)
+            return
+        assert _bits(fn(x, t)) == _bits(expected), to_source(e)
 
 
 # A sign-symmetric grid like the certifier's, with axis lengths that are not

@@ -287,3 +287,20 @@ def test_integrator_alone_steps_paths():
         ("integrator._run_lanes", "stream_generator", True),
         ("scenario.standard_increments", "stream_generator", True),
     }
+
+
+def test_kernels_alone_trigger_the_domain_recheck():
+    """The one trigger of a domain re-check is numpy's divide or invalid
+    flag inside a compiled kernel: only expr.py names check_domain, only
+    integrator.py enters KERNEL_MODE (once in each stepping loop), and no
+    variance stream of scenario.py tests its values with isfinite."""
+    src = Path(gsde.__file__).resolve().parent
+    texts = {path.stem: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert [m for m, text in texts.items()
+            if re.search(r"\bcheck_domain\b", text)] == ["expr"]
+    modes = {m: text.count("errstate(**KERNEL_MODE)") for m, text in texts.items()}
+    assert {m: n for m, n in modes.items() if n} == {"integrator": 2}
+    streams = [fn for fn in ast.walk(ast.parse(texts["scenario"]))
+               if isinstance(fn, ast.FunctionDef) and fn.name == "stream"]
+    assert len(streams) == len(gsde.scenario.KINDS)
+    assert not [fn for fn in streams if "isfinite" in ast.unparse(fn)]

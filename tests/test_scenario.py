@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gsde
-from gsde.expr import EvalDomainError, parse
+from gsde.expr import KERNEL_MODE, EvalDomainError, parse
 from gsde.gcalc import AmbiguityBounds
 from gsde.integrator import SdeSpec, integrate
 from gsde.scenario import (
@@ -213,37 +213,34 @@ class TestScenarioKinds:
             fn(0, 0.0, np.array([-1.0, 1.0])), [1.0, 1.0]
         )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan from log(x < 0)
-    def test_curvature_feedback_rechecks_only_nonfinite_states(self, monkeypatch):
-        """V_xx = 2 log(x) + 3: a live state outside the domain raises,
-        while an overflowing V_xx, a flagged (nan) lane and a finite step
-        pass, the last without any checked evaluation."""
+    def test_curvature_feedback_rechecks_under_kernel_mode(self):
+        """Under the stepping loops' KERNEL_MODE, a live state outside V_xx's
+        domain raises, also where V_xx comes out finite (2 sign(log(x)) is
+        -2 at x = 0), while an overflowing V_xx and a flagged (nan) lane
+        pass."""
         grid = uniform_grid(0.0, 1.0, 0.5)
-        log_fn = variance_stream(
-            FeedbackSignVxx(parse("x^2*log(x)")), B, grid, seed=0,
-            paths=np.arange(3),
+
+        def policy(v):
+            return variance_stream(
+                FeedbackSignVxx(parse(v)), B, grid, seed=0, paths=np.arange(3)
+            )
+
+        log_fn, sign_fn, exp_fn = map(
+            policy, ("x^2*log(x)", "x^2*sign(log(x))", "exp(100*x^2)")
         )
-        with pytest.raises(EvalDomainError, match="log"):
-            log_fn(0, 0.0, np.array([1.0, -0.5, np.nan]))
-        with pytest.raises(EvalDomainError, match="log"):
-            log_fn(0, 0.0, -0.5)
-        exp_fn = variance_stream(
-            FeedbackSignVxx(parse("exp(100*x^2)")), B, grid, seed=0,
-            paths=np.arange(3),
-        )
-        np.testing.assert_array_equal(
-            exp_fn(0, 0.0, np.array([0.1, 3.0, np.nan])), [1.0, 1.0, 0.25]
-        )
-        calls = []
-        monkeypatch.setattr(gsde.expr, "evaluate", lambda *a: calls.append(a))
-        np.testing.assert_array_equal(
-            log_fn(0, 0.0, np.array([0.1, 1.0, np.nan])), [0.25, 1.0, 0.25]
-        )
-        assert calls == []
-        np.testing.assert_array_equal(
-            log_fn(0, 0.0, np.array([2.0, 3.0])), [1.0, 1.0]
-        )
-        assert calls == []
+        with np.errstate(**KERNEL_MODE):
+            with pytest.raises(EvalDomainError, match="log"):
+                log_fn(0, 0.0, np.array([1.0, -0.5, np.nan]))
+            with pytest.raises(EvalDomainError, match="log"):
+                log_fn(0, 0.0, -0.5)
+            with pytest.raises(EvalDomainError, match="log"):
+                sign_fn(0, 0.0, np.array([2.0, 0.0, np.nan]))
+            np.testing.assert_array_equal(
+                exp_fn(0, 0.0, np.array([0.1, 3.0, np.nan])), [1.0, 1.0, 0.25]
+            )
+            np.testing.assert_array_equal(
+                log_fn(0, 0.0, np.array([0.1, 1.0, np.nan])), [0.25, 1.0, 0.25]
+            )
 
 
 class TestFamily:
@@ -274,6 +271,19 @@ class TestFamily:
     def test_richness_validation(self):
         with pytest.raises(ValueError):
             enumerate_family(B, 0)
+
+    def test_degenerate_band_lists_each_label_once(self):
+        """With sigma_lower = sigma_upper = 0.7 the five constants share one
+        label; the first is kept, and the switching schedules, whose labels
+        differ, follow in order."""
+        fam = enumerate_family(AmbiguityBounds(0.7, 0.7), 3)
+        v = 0.7 * 0.7
+        assert fam == [
+            Constant(v),
+            BangBangInTime((5.0, 10.0), (v, v)),
+            BangBangInTime((5.0, 10.0, 15.0), (v, v, v)),
+        ]
+        assert len({s.label() for s in fam}) == len(fam)
 
 
 class TestTextualForms:

@@ -214,6 +214,7 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
     if not param:
         raise ConfigError("sweep.parameter must be nonempty")
     values = _floats(cfg, "sweep.values", "no values given")
+    texts = [c.strip() for c in cfg["sweep.values"].split(",") if c.strip()]
     if not all(map(math.isfinite, values)):
         raise ConfigError("sweep.values: every value must be finite")
     flag = cfg.get("sweep.estimate", "false").strip().lower()
@@ -226,9 +227,9 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
         raise ConfigError(f"sweep.parameter: no config value contains {placeholder}")
 
     rows = []
-    for v in values:
+    for v, text in zip(values, texts):
         sub = {
-            k: (val if k.startswith("sweep.") else val.replace(placeholder, repr(v)))
+            k: (val if k.startswith("sweep.") else val.replace(placeholder, text))
             for k, val in cfg.items()
         }
         report = _check(sub)

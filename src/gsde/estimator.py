@@ -1,21 +1,26 @@
 """Monte Carlo estimation over scenario families.
 
-The empirical counterpart of the certificates: simulate many paths of the
-same SDE under each volatility scenario in a family, estimate the pathwise
-exponential rate per scenario, and report the family supremum.  The same
-engine estimates worst-case expectations of path functionals (the
-empirical sublinear expectation: a max of per-scenario means) and checks
-the exponential martingale inequality used by the pathwise arguments.
+The empirical counterpart of the certificates.  Each entry point asks one
+question of one family run, many paths of the same SDE under each
+volatility scenario: the pathwise exponential rate and its family
+supremum (estimate_exponent), the worst-case mean of a path functional,
+an empirical sublinear expectation (estimate_sublinear_expectation), the
+scenario with the largest mean rate (adversarial_search), and the
+exponential martingale inequality of the pathwise arguments
+(martingale_bound_check, on a one-scenario family).
+
+A run has one prologue, _run_grid, which lists the family and checks the
+seed, the path count and the run grid.  It has one engine call: the group
+loop _scenario_rows steps at most 4000 lanes (one scenario at least) per
+integrator._run_lanes call, so an engine block stays within 8 MB unless a
+single scenario has more than 4000 paths.  One rule, _worst, picks the
+worst scenario.  Only a rate divides by log|x0|, so only the exponent
+observer refuses x0 = 0.
 
 All paths of all scenarios reuse the same per-path Wiener streams, so
-scenario comparisons are common-random-number comparisons and enlarging
-the family can only raise the estimated supremum.
-
-The lane engine, integrator._run_lanes, steps each run.  The one group
-loop, _scenario_rows, runs a family in calls of at most 4000 lanes (one
-scenario at least), so an engine block stays within 8 MB unless a single
-scenario has more than 4000 paths.  A family run gives each scenario
-exactly the numbers a run of that scenario alone gives.
+scenario comparisons are common-random-number comparisons, enlarging the
+family can only raise the estimated supremum, and a family run gives each
+scenario exactly the numbers a run of that scenario alone gives.
 """
 
 from __future__ import annotations
@@ -118,24 +123,18 @@ class ExponentEstimate:
     family_sup takes the worst single path over all scenarios (max of
     per-scenario maxima); family_sup_mean takes the worst scenario-average
     rate (max of per-scenario means) and is the quantity certificates
-    bound.  Scenarios whose every path was flagged carry NaN statistics
-    and do not enter either supremum.
+    bound; argmax_label is the first scenario with that mean.  Scenarios
+    whose every path was flagged carry NaN statistics and do not enter
+    either supremum.
     """
 
     scenarios: tuple[ScenarioExponent, ...]
     family_sup: float
     family_sup_mean: float
+    argmax_label: str
     n_paths: int
     horizon: float
     dt: float
-
-    @property
-    def argmax_label(self) -> str:
-        best = max(
-            (s for s in self.scenarios if not math.isnan(s.mean)),
-            key=lambda s: s.mean,
-        )
-        return best.label
 
 
 @dataclass(frozen=True)
@@ -252,6 +251,7 @@ class _ExponentObserver:
     drift of the cross-path mean of log|X|."""
 
     def __init__(self, x0, t0, horizon, n_scenarios, n_paths):
+        check_x0(x0)
         self.t0 = t0
         self.window_start = t0 + _TAIL_FRACTION * horizon
         self.log_x0 = math.log(abs(x0))
@@ -351,7 +351,7 @@ def _scenario_rows(
 ):
     """Run a family through the lane engine, at most _MAX_LANES lanes and
     at least one scenario per call, and yield per scenario in order its
-    unflagged values, its flag count, its group's observer and its index
+    unflagged values, its flag row, its group's observer and its index
     there.  observer(k) builds a k-scenario group's observer; values(X,
     obs) gives one value per lane from the final state and that observer."""
     size = max(1, _MAX_LANES // n_paths)
@@ -362,7 +362,7 @@ def _scenario_rows(
         rows = values(X, obs).reshape(len(group), n_paths)
         flags = flagged.reshape(len(group), n_paths)
         for q, (row, flagged) in enumerate(zip(rows, flags)):
-            yield row[~flagged], int(flagged.sum()), obs, q
+            yield row[~flagged], flagged, obs, q
 
 
 def check_x0(x0: float) -> None:
@@ -371,12 +371,23 @@ def check_x0(x0: float) -> None:
         raise ValueError("x0 must be nonzero (rates normalize by |x0|)")
 
 
-def _run_grid(spec, horizon, dt, n_paths, seed) -> np.ndarray:
-    """The run's uniform_grid (or its ScenarioError), once x0, the seed and
-    n_paths pass."""
-    check_x0(spec.x0)
+def _run_grid(spec, scenarios, horizon, dt, n_paths, seed):
+    """The family as a list, refused when empty, and the run's uniform_grid
+    (or its ScenarioError), once the seed and n_paths pass."""
+    scenarios = list(scenarios)
+    if not scenarios:
+        raise EstimationError("need at least one scenario")
     check_streams(seed, n_paths)
-    return uniform_grid(spec.t0, horizon, dt)
+    return scenarios, uniform_grid(spec.t0, horizon, dt)
+
+
+def _worst(means, labels, refusal: str) -> tuple[float, str]:
+    """The largest non-nan mean and the first label that has it; a family
+    without one is refused with `refusal`."""
+    value = max((m for m in means if not math.isnan(m)), default=math.nan)
+    if math.isnan(value):
+        raise EstimationError(refusal)
+    return value, labels[means.index(value)]
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +411,9 @@ def _scenario_exponents(
             stderr=_stderr(vals),
             slope=obs.slope(q) if vals.size else float("nan"),
             n_paths=n_paths,
-            n_flagged=n_flagged,
+            n_flagged=int(flagged.sum()),
         )
-        for s, (vals, n_flagged, obs, q) in zip(scenarios, rows)
+        for s, (vals, flagged, obs, q) in zip(scenarios, rows)
     ]
 
 
@@ -424,23 +435,19 @@ def estimate_exponent(
     was flagged are reported with NaN statistics; if that happens for the
     whole family the estimate is refused.
     """
-    grid = _run_grid(spec, horizon, dt, n_paths, seed)
-    scenarios = list(scenarios)
-    if not scenarios:
-        raise EstimationError("need at least one scenario")
+    scenarios, grid = _run_grid(spec, scenarios, horizon, dt, n_paths, seed)
     per = _scenario_exponents(
         spec, scenarios, b, grid, seed, n_paths, method, horizon
     )
-    means = [s.mean for s in per if not math.isnan(s.mean)]
-    maxes = [s.max for s in per if not math.isnan(s.max)]
-    if not means:
-        raise EstimationError(
-            "every path of every scenario was flagged; no rate estimate"
-        )
+    sup_mean, argmax = _worst(
+        [s.mean for s in per], [s.label for s in per],
+        "every path of every scenario was flagged; no rate estimate",
+    )
     return ExponentEstimate(
         scenarios=tuple(per),
-        family_sup=max(maxes),
-        family_sup_mean=max(means),
+        family_sup=max(s.max for s in per if not math.isnan(s.max)),
+        family_sup_mean=sup_mean,
+        argmax_label=argmax,
         n_paths=n_paths,
         horizon=horizon,
         dt=dt,
@@ -474,37 +481,24 @@ def estimate_sublinear_expectation(
     """
     if functional not in FUNCTIONALS:
         raise EstimationError(f"unknown functional {functional!r}")
-    scenarios = list(scenarios)
-    if not scenarios:
-        raise EstimationError("need at least one scenario")
+    scenarios, grid = _run_grid(spec, scenarios, horizon, dt, n_paths, seed)
     labels = tuple(s.label() for s in scenarios)
-    grid = _run_grid(spec, horizon, dt, n_paths, seed)
     if functional == "constant":
         c, k = float(constant_value), len(scenarios)
-        return SublinearEstimate(
-            value=c,
-            argmax_label=labels[0],
-            functional=functional,
-            labels=labels,
-            means=(c,) * k,
-            stderrs=(0.0,) * k,
-            n_flagged=(0,) * k,
-            n_paths=n_paths,
-        )
-    of_path = _FUNCTIONALS[functional]
-    means, stderrs, n_flagged = zip(*(
-        (_centered_mean(vals), _stderr(vals), flags)
-        for vals, flags, _, _ in _scenario_rows(
-            spec, scenarios, b, grid, seed, n_paths, method,
-            lambda k: _FunctionalObserver(spec.x0, k * n_paths),
-            lambda X, obs: of_path(X, obs, p),
-        )
-    ))
-    finite = [m for m in means if not math.isnan(m)]
-    if not finite:
-        raise EstimationError("every scenario was fully flagged")
-    value = max(finite)
-    argmax = labels[means.index(value)]
+        if math.isnan(c):
+            raise ValueError("constant_value must not be nan")
+        means, stderrs, n_flagged = (c,) * k, (0.0,) * k, (0,) * k
+    else:
+        of_path = _FUNCTIONALS[functional]
+        means, stderrs, n_flagged = zip(*(
+            (_centered_mean(vals), _stderr(vals), int(flagged.sum()))
+            for vals, flagged, _, _ in _scenario_rows(
+                spec, scenarios, b, grid, seed, n_paths, method,
+                lambda k: _FunctionalObserver(spec.x0, k * n_paths),
+                lambda X, obs: of_path(X, obs, p),
+            )
+        ))
+    value, argmax = _worst(means, labels, "every scenario was fully flagged")
     return SublinearEstimate(
         value=value,
         argmax_label=argmax,
@@ -547,7 +541,9 @@ def adversarial_search(
         raise ValueError("budget must be >= 1")
     if not (1 <= max_switches <= 4):
         raise ValueError("max_switches must be in 1..4")
-    grid = _run_grid(spec, horizon, dt, n_paths, seed)
+    family, grid = _run_grid(
+        spec, enumerate_family(b, richness), horizon, dt, n_paths, seed
+    )
     evaluations = 0
     best: tuple[float, VolatilityScenario] | None = None
 
@@ -567,7 +563,6 @@ def adversarial_search(
                 best = (val, s)
         return vals
 
-    family = enumerate_family(b, richness)
     score(family[:budget])
     baseline_complete = evaluations >= len(family)
 
@@ -637,7 +632,7 @@ def martingale_bound_check(
     taus = mspec.taus()
     gammas = mspec.gammas()
     horizon = float(taus[-1])
-    grid = _run_grid(spec, horizon, dt, n_paths, seed)
+    scenarios, grid = _run_grid(spec, [scenario], horizon, dt, n_paths, seed)
     dt_actual = horizon / (grid.size - 1)
     # checkpoint j lands after the step ending nearest t0 + tau_j
     snap_steps = np.clip(
@@ -646,8 +641,11 @@ def martingale_bound_check(
         grid.size - 2,
     )
     eta_fn = compile_fn(mspec.eta)
-    obs = _MartingaleObserver(eta_fn, gammas, snap_steps, n_paths)
-    _, flagged = _run_lanes(spec, [scenario], b, grid, seed, n_paths, method, obs)
+    [(_, flagged, obs, _)] = _scenario_rows(
+        spec, scenarios, b, grid, seed, n_paths, method,
+        lambda k: _MartingaleObserver(eta_fn, gammas, snap_steps, k * n_paths),
+        lambda X, obs: X,
+    )
 
     bounds = (mspec.theta / gammas) * np.log(mspec.growth_values())
     ok = obs.M <= bounds[:, None]

@@ -666,6 +666,29 @@ class TestSweep:
         assert "alpha=0.5: withheld" in text
         assert "alpha=0.6: granted" in text
 
+    @pytest.mark.parametrize(
+        "key, values, extra",
+        [
+            ("grid.x_points", "10, 20", ""),
+            ("numerics.seed", "1, 2, 3", "sweep.estimate = true\n"
+             "scenarios.list = constant:1\nnumerics.horizon = 1\n"
+             "numerics.dt = 0.1\nnumerics.n_paths = 4\n"),
+        ],
+        ids=["x_points", "seed"],
+    )
+    def test_integer_key(self, tmp_path, key, values, extra):
+        """Each value's own text replaces the placeholder, so an integer
+        key can be swept: 10 stays 10, not 10.0."""
+        cfg = write(tmp_path, SWEEP.replace("{alpha}", "0.7").replace(
+            "sweep.parameter = alpha", "sweep.parameter = n").replace(
+            "sweep.values = 0.3, 0.4, 0.5, 0.6, 0.7, 0.8",
+            f"sweep.values = {values}\n{key} = {{n}}\n{extra}"))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:3] for r in rows] == [
+            ["n", v.strip(), "true"] for v in values.split(",")]
+
     def test_missing_sweep_keys(self, tmp_path):
         cfg = write(tmp_path, CERT_GRANT)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -252,11 +252,13 @@ class TestExponent:
 
     def test_argument_validation(self):
         spec = linear_spec(1.0, 1.0)
+        at_zero = linear_spec(1.0, 1.0, x0=0.0)
         with pytest.raises(ValueError, match="x0"):
-            estimate_exponent(
-                linear_spec(1.0, 1.0, x0=0.0), [Constant(1.0)], B,
-                horizon=1.0, dt=0.1, n_paths=2, seed=0,
-            )
+            estimate_exponent(at_zero, [Constant(1.0)], B, horizon=1.0,
+                              dt=0.1, n_paths=2, seed=0)
+        with pytest.raises(ValueError, match="x0"):
+            adversarial_search(at_zero, B, budget=3, horizon=1.0, dt=0.1,
+                               n_paths=2, seed=0)
         with pytest.raises(ScenarioError, match="n_paths must be >= 1"):
             estimate_exponent(
                 spec, [Constant(1.0)], B, horizon=1.0, dt=0.1, n_paths=0,
@@ -350,19 +352,44 @@ class TestExponent:
         [
             (dict(seed=-5), ScenarioError, r"seed must lie in \[0, 2\^64\)"),
             (dict(n_paths=0), ScenarioError, "n_paths must be >= 1"),
-            (dict(x0=0.0), ValueError, "x0 must be nonzero"),
         ],
-        ids=["seed", "n_paths", "x0"],
+        ids=["seed", "n_paths"],
     )
     def test_constant_functional_obeys_run_rules(self, functional, bad, error,
                                                  message):
         """The constant functional simulates nothing, yet its run is refused
         by the rules every other functional's run obeys."""
-        run = {**dict(horizon=1.0, dt=0.1, n_paths=3, seed=0, x0=1.0), **bad}
-        spec = linear_spec(1.0, 1.0, x0=run.pop("x0"))
+        run = {**dict(horizon=1.0, dt=0.1, n_paths=3, seed=0), **bad}
         with pytest.raises(error, match=message):
             estimate_sublinear_expectation(
-                functional, spec, [Constant(1.0)], B, **run)
+                functional, linear_spec(1.0, 1.0), [Constant(1.0)], B, **run)
+
+    def test_g_normal_variance_from_zero(self):
+        """Peng's first identity, E[B_T^2] = sigma_upper^2 T from B_0 = 0:
+        dX = dB from x0 = 0 over constant rates 0.25, 0.5, 1 and T = 2.
+        Nothing but a rate divides by x0, so the functionals and the
+        martingale check run from 0."""
+        spec = SdeSpec(f=parse("0"), g=parse("1"), x0=0.0)
+        family = [Constant(0.25), Constant(0.5), Constant(1.0)]
+        run = dict(horizon=2.0, dt=0.01, n_paths=4000, seed=3)
+        qv = estimate_sublinear_expectation("terminal_qv", spec, family, B, **run)
+        assert qv.means == (0.5, 1.0, 2.0)
+        sq = estimate_sublinear_expectation(
+            "terminal_abs_pow", spec, family, B, p=2.0, **run)
+        assert sq.argmax_label == "constant:1"
+        assert abs(sq.value - 2.0) <= 3 * sq.stderrs[2]
+        const = estimate_sublinear_expectation("constant", spec, family, B, **run)
+        assert const.value == 1.0 and const.argmax_label == "constant:0.25"
+        rep = martingale_bound_check(
+            MartingaleCheckSpec(eta=parse("1"), k_max=2), spec, Constant(1.0),
+            B, n_paths=4, seed=3, dt=0.01)
+        assert rep.n_flagged == 0
+
+    def test_nan_constant_refused_by_name(self):
+        with pytest.raises(ValueError, match="constant_value must not be nan"):
+            estimate_sublinear_expectation(
+                "constant", linear_spec(1.0, 1.0), [Constant(1.0)], B,
+                horizon=1.0, dt=0.1, n_paths=3, seed=0, constant_value=math.nan)
 
     def test_level_count_beyond_limit_refused_everywhere(self):
         """A piecewise_random dwell giving 2^53 or more levels over the run
@@ -660,6 +687,26 @@ def test_search_pinned(max_switches, budget):
     assert got == SEARCH_PINS[max_switches, budget]
 
 
+def test_search_beats_the_family_out_of_sample():
+    """The schedule the search finds at m3-budget20 is no artifact of its 6
+    in-sample paths: on 400 fresh paths (seed 101) its mean rate exceeds
+    every member of the richness-2 family by more than 3 combined standard
+    errors, so the search finds what the family lacks."""
+    spec = SdeSpec(f=parse("-x*sign(7 - t)"), g=parse("x + 1"), x0=1.0)
+    found = adversarial_search(
+        spec, B, budget=20, horizon=14.0, dt=0.05, n_paths=6, seed=8,
+        richness=2, max_switches=3,
+    ).scenario
+    est = estimate_exponent(
+        spec, [found, *enumerate_family(B, 2)], B, horizon=14.0, dt=0.05,
+        n_paths=400, seed=101,
+    )
+    best, *family = est.scenarios
+    assert est.argmax_label == best.label == found.label()
+    for s in family:
+        assert best.mean - s.mean > 3 * math.hypot(best.stderr, s.stderr), s.label
+
+
 class TestMartingaleBound:
     SPEC = linear_spec(1.0, 0.5)
 
@@ -778,18 +825,28 @@ class TestMartingaleBound:
 
 
 def test_family_setup_lives_in_one_place():
-    """Every entry point builds its grid in _run_grid and runs its family
-    through the one group loop: estimator.py calls uniform_grid only in
-    _run_grid, and _run_lanes only in _scenario_rows and in
-    martingale_bound_check (a single scenario, no groups)."""
-    tree = ast.parse(open(estimator.__file__).read())
-    callers = {"uniform_grid": [], "_run_lanes": []}
-    for fn in tree.body:
-        for node in ast.walk(fn):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id in callers):
-                callers[node.func.id].append(getattr(fn, "name", None))
+    """Every entry point is one family run: estimator.py lists the family
+    and calls uniform_grid only in the prologue _run_grid, and calls
+    _run_lanes only in the group loop _scenario_rows.  Only a rate divides
+    by log|x0|, so in the package check_x0 is named only by
+    _ExponentObserver and by cli._estimate's exit-2 pre-check."""
+    from gsde import cli
+
+    callers = {"uniform_grid": [], "_run_lanes": [], "list": [], "check_x0": []}
+    for module in (estimator, cli):
+        name = module.__name__.rsplit(".", 1)[1]
+        for fn in ast.parse(open(module.__file__).read()).body:
+            where = f"{name}.{getattr(fn, 'name', None)}"
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name) and node.id == "check_x0":
+                    callers["check_x0"].append(where)
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in ("uniform_grid", "_run_lanes", "list")
+                        and name == "estimator"):
+                    callers[node.func.id].append(where)
     assert callers == {
-        "uniform_grid": ["_run_grid"],
-        "_run_lanes": ["_scenario_rows", "martingale_bound_check"],
+        "uniform_grid": ["estimator._run_grid"],
+        "_run_lanes": ["estimator._scenario_rows"],
+        "list": ["estimator._run_grid"],
+        "check_x0": ["estimator._ExponentObserver", "cli._estimate"],
     }

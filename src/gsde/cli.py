@@ -15,13 +15,11 @@ the same config and seed writes byte-identical files.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from .config import (
     ConfigError,
-    _floats,
     _refused,
     build_bounds,
     build_certificate,
@@ -30,7 +28,9 @@ from .config import (
     build_numerics,
     build_scenarios,
     build_sde,
+    build_sweep,
     load_config,
+    make_output_dir,
 )
 from .csvio import write_csv
 from .estimator import EstimationError, check_x0, estimate_exponent
@@ -77,10 +77,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             _refused(check_streams, args.seed, message=lambda exc: f"--{exc}")
         cfg = load_config(args.config)
-        out_dir = Path(
-            args.out if args.out is not None else cfg.get("output.dir", ".")
-        )
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = make_output_dir(cfg, args.out)
         handler = {
             "certify": _cmd_certify,
             "exponent": _cmd_exponent,
@@ -208,32 +205,12 @@ def _cmd_simulate(cfg, args, out_dir: Path) -> int:
 
 
 def _cmd_sweep(cfg, args, out_dir: Path) -> int:
-    if "sweep.parameter" not in cfg or "sweep.values" not in cfg:
-        raise ConfigError("sweep needs sweep.parameter and sweep.values")
-    param = cfg["sweep.parameter"].strip()
-    if not param:
-        raise ConfigError("sweep.parameter must be nonempty")
-    values = _floats(cfg, "sweep.values", "no values given")
-    texts = [c.strip() for c in cfg["sweep.values"].split(",") if c.strip()]
-    if not all(map(math.isfinite, values)):
-        raise ConfigError("sweep.values: every value must be finite")
-    flag = cfg.get("sweep.estimate", "false").strip().lower()
-    if flag not in ("true", "false"):
-        raise ConfigError("sweep.estimate must be true or false")
-    with_estimate = flag == "true"
-    placeholder = "{" + param + "}"
-    if not any(placeholder in val for k, val in cfg.items()
-               if not k.startswith("sweep.")):
-        raise ConfigError(f"sweep.parameter: no config value contains {placeholder}")
-
+    sweep = build_sweep(cfg)
+    param = sweep.parameter
     rows = []
-    for v, text in zip(values, texts):
-        sub = {
-            k: (val if k.startswith("sweep.") else val.replace(placeholder, text))
-            for k, val in cfg.items()
-        }
+    for v, sub in sweep.points(cfg):
         report = _check(sub)
-        exponent = _estimate(sub, args).family_sup_mean if with_estimate else None
+        exponent = _estimate(sub, args).family_sup_mean if sweep.estimate else None
         rows.append((param, v, report.granted, report.bound, exponent))
         print(
             f"{param}={v:g}: "

@@ -12,6 +12,7 @@ import inspect
 import math
 import re
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 from .expr import Expr, ParseError, free_variables, parse
 from .gcalc import AmbiguityBounds
@@ -40,6 +41,7 @@ __all__ = [
     "Numerics",
     "parse_config_text",
     "load_config",
+    "make_output_dir",
     "build_bounds",
     "build_sde",
     "build_lyapunov",
@@ -47,6 +49,8 @@ __all__ = [
     "build_scenarios",
     "build_grid",
     "build_numerics",
+    "Sweep",
+    "build_sweep",
 ]
 
 
@@ -124,24 +128,34 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config(path) -> dict[str, str]:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    text = _refused(Path(path).read_text,
+                    message=lambda exc: f"cannot read config {path}: {exc}")
     return parse_config_text(text)
+
+
+def make_output_dir(cfg: dict, out: str | None) -> Path:
+    """The output directory, made if absent: `out` (the --out flag) if
+    given, else output.dir, else the working directory.  One that cannot
+    be made, such as a path that names a file or lies below one, is
+    refused naming where it came from."""
+    key, path = ("--out", out) if out is not None else (
+        "output.dir", cfg.get("output.dir", "."))
+    _refused(Path(path).mkdir, parents=True, exist_ok=True,
+             message=lambda exc: f"{key}: cannot create directory: {exc}")
+    return Path(path)
 
 
 # ---------------------------------------------------------------------------
 # typed accessors
 
 def _refused(fn, *args, message=str, **kwargs):
-    """fn(*args, **kwargs), with a library refusal of the value (a
-    ValueError, which ScenarioError is, a CertificateError or a ParseError)
-    raised as a ConfigError; message(refusal) names the key."""
+    """fn(*args, **kwargs), with a refusal of the value (a ValueError, which
+    ScenarioError is, a CertificateError, a ParseError, or the file
+    system's OSError) raised as a ConfigError; message(refusal) names the
+    key."""
     try:
         return fn(*args, **kwargs)
-    except (ValueError, CertificateError, ParseError) as exc:
+    except (ValueError, CertificateError, ParseError, OSError) as exc:
         raise ConfigError(message(exc)) from exc
 
 
@@ -287,3 +301,47 @@ def build_numerics(cfg: dict, scenarios=()) -> Numerics:
         raise ConfigError(_in_numerics(f"method must be one of {METHODS}"))
     _refused(check_levels, scenarios, num.horizon, message=_in_numerics)
     return num
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """A sweep: the values of one placeholder {parameter}, each with the
+    text it was given in, which replaces the placeholder."""
+
+    parameter: str
+    values: tuple[float, ...]
+    texts: tuple[str, ...]
+    estimate: bool  # estimate the family's rate at each value too
+
+    def points(self, cfg: dict):
+        """(value, config) for each value: cfg with the value's text in
+        place of the placeholder in every key outside sweep."""
+        placeholder = "{" + self.parameter + "}"
+        for v, text in zip(self.values, self.texts):
+            yield v, {k: (val if k.startswith("sweep.")
+                          else val.replace(placeholder, text))
+                      for k, val in cfg.items()}
+
+
+def build_sweep(cfg: dict) -> Sweep:
+    """The configured sweep, refused unless both sweep keys are present,
+    the parameter is nonempty, every value is a finite number,
+    sweep.estimate is true or false and some value outside sweep holds
+    the placeholder."""
+    if "sweep.parameter" not in cfg or "sweep.values" not in cfg:
+        raise ConfigError("sweep needs sweep.parameter and sweep.values")
+    param = cfg["sweep.parameter"].strip()
+    if not param:
+        raise ConfigError("sweep.parameter must be nonempty")
+    values = _floats(cfg, "sweep.values", "no values given")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError("sweep.values: every value must be finite")
+    flag = cfg.get("sweep.estimate", "false").strip().lower()
+    if flag not in ("true", "false"):
+        raise ConfigError("sweep.estimate must be true or false")
+    placeholder = "{" + param + "}"
+    if not any(placeholder in val for k, val in cfg.items()
+               if not k.startswith("sweep.")):
+        raise ConfigError(f"sweep.parameter: no config value contains {placeholder}")
+    texts = tuple(c.strip() for c in cfg["sweep.values"].split(",") if c.strip())
+    return Sweep(param, values, texts, flag == "true")

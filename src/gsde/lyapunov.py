@@ -10,7 +10,9 @@ volatility band, the grid operators are
 L dominates the drift of V under every admissible variance rate and
 L_lower is dominated by it, so pointwise inequalities on these operators
 certify pathwise decay (or growth) bounds that hold across the whole
-ambiguity band at once.  All three come from one sample_operators pass.
+ambiguity band at once.  All three come from one sample_operators pass,
+and check_certificate reuses the last check's pass when its inputs are
+bit-equal, so a sweep over a certificate parameter samples once.
 
 check_certificate machine-checks the hypothesis set of one of six
 certificate templates (ids T33..T38) on a deterministic grid and, when
@@ -548,13 +550,15 @@ def check_certificate(
     """Machine-check one certificate template; grant the implied rate bound
     iff every hypothesis passes on the grid.  A hypothesis whose comparison
     is not finite raises CertificateError naming it and, where it has one,
-    its first grid point; numpy's floating-point warnings are off."""
+    its first grid point; numpy's floating-point warnings are off.  A check
+    whose V, partials, f, g, band and grid are bit-equal to the last
+    check's reuses that check's operator sample."""
     if grid is None:
         grid = CheckGrid.default(t0=spec.t0)
     validate_certificate(cert, b)
     tpl = _TEMPLATES[cert.theorem]
     xs, ts = grid.xs[:, None], grid.ts[None, :]
-    m = sample_operators(lyap, spec, b, xs, ts)
+    m = _grid_sample(lyap, spec, b, grid)
     _refuse_at(m, m.V <= 0, "V must be positive away from x = 0; V <= 0")
     caveats = tuple(
         f"{name} uses abs/sign: derivatives are formal and do not "
@@ -576,6 +580,49 @@ def check_certificate(
         p=cert.p,
         caveats=caveats,
     )
+
+
+# The last check's operator sample and the inputs it came from (_inputs);
+# a check on bit-equal inputs returns it instead of sampling again.  It is
+# module state so that every check of a process shares it, and it is a
+# pure function of its key, so no caller can see whose check left it.
+_held: tuple | None = None
+
+
+def _inputs(lyap: LyapunovFn, spec: SdeSpec, b: AmbiguityBounds,
+            grid: CheckGrid) -> tuple:
+    """What the grid sample depends on, in a form that is equal only for
+    bit-equal inputs.  Each expression is held as its source text, which
+    tells Const(-0.0) from Const(0.0) where tree equality does not, and as
+    its tree, which tells x^-c from 1/x^c where to_source does not.  The
+    band's floats are positive and finite, so their equality is bit
+    equality; the grid is compared by shape and bytes."""
+    exprs = (lyap.V, lyap.V_t, lyap.V_x, lyap.V_xx, spec.f, spec.g)
+    return (*((to_source(e), e) for e in exprs), b,
+            *((a.shape, a.tobytes()) for a in (grid.xs, grid.ts)))
+
+
+def _grid_sample(lyap, spec, b, grid) -> OperatorSample:
+    """sample_operators on the grid axes, or the held sample when the last
+    check's inputs were bit-equal.  The sample is held with read-only
+    arrays on copies of the axes, so neither a template nor a caller
+    that writes to its grid can change it."""
+    global _held
+    key = _inputs(lyap, spec, b, grid)
+    # a sampling that raises holds nothing; otherwise the old sample lives
+    # on in `last` until the new one replaces it
+    last, _held = _held, None
+    if last is not None and last[0] == key:
+        _held = last
+        return last[1]
+    m = sample_operators(lyap, spec, b, grid.xs[:, None].copy(),
+                         grid.ts[None, :].copy())
+    for f in fields(m):
+        a = getattr(m, f.name)
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    _held = key, m
+    return m
 
 
 def _refuse_at(m: OperatorSample, bad, what: str) -> None:

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import gsde
+from gsde import cli
 from gsde.cli import main
 from gsde.config import KNOWN_KEYS
-from gsde.lyapunov import LyapunovFn
+from gsde.lyapunov import CheckGrid, LyapunovFn
 
 CERT_GRANT = """
 ambiguity.sigma_lower = 0.5
@@ -109,6 +110,12 @@ class TestExitCodes:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "no.cfg")]) == 2
+
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        assert main(["certify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {cfg}")
 
     def test_runtime_error_is_3(self, tmp_path, capsys):
         # log(x) on the certify grid hits x < 0: domain failure at run time
@@ -427,6 +434,30 @@ class TestExitCodes:
         assert out == ""
         assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
+    @pytest.mark.parametrize(
+        "extra, flags, message",
+        [
+            ("output.dir = afile", [],
+             "output.dir: cannot create directory: [Errno 17] File exists: 'afile'"),
+            ("", ["--out", "afile/sub"],
+             "--out: cannot create directory: [Errno 20] Not a directory: "
+             "'afile/sub'"),
+        ],
+        ids=["output_dir_is_a_file", "out_below_a_file"],
+    )
+    def test_output_dir_that_cannot_be_made(
+        self, tmp_path, monkeypatch, capsys, extra, flags, message
+    ):
+        """An output directory that names an existing file, or lies below
+        one, is a config error naming its key, not a withheld certificate."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        cfg = write(tmp_path, CERT_GRANT + extra + "\n")
+        assert main(["certify", "--config", cfg] + flags) == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines() == ["config error: " + message]
+        assert out == ""
+
     @pytest.mark.parametrize("command", ["certify", "exponent", "simulate", "sweep"])
     def test_every_single_key_fault_exits_with_a_contract_code(
         self, tmp_path, capsys, command
@@ -688,6 +719,24 @@ class TestSweep:
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         assert [r.split(",")[:3] for r in rows] == [
             ["n", v.strip(), "true"] for v in values.split(",")]
+
+    def test_each_value_is_one_check_on_its_grid(self, tmp_path, monkeypatch):
+        """A sweep calls check_certificate once per value, with the grid as
+        its fifth argument: the call perfbench's tracer counts checks and
+        grid points from."""
+        calls = []
+        real = cli.check_certificate
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_certificate", spy)
+        cfg = write(tmp_path, SWEEP)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 6
+        assert all(len(args) == 5 and not kwargs and isinstance(args[4], CheckGrid)
+                   for args, kwargs in calls)
 
     def test_missing_sweep_keys(self, tmp_path):
         cfg = write(tmp_path, CERT_GRANT)

@@ -356,8 +356,7 @@ def test_input_rules_have_one_owner():
     spells no certificate key that lyapunov's table names and no grid or
     numerics key, in the package only estimator._run_grid and cli._family use
     uniform_grid, and a refusal becomes a ConfigError in one place: in
-    config only the helper _refused and load_config catch, in cli only
-    main."""
+    config only the helper _refused catches, in cli only main."""
     src = Path(gsde.__file__).resolve().parent
     modules = {p.stem: p.read_text() for p in sorted(src.glob("*.py"))}
     offenders = [
@@ -382,7 +381,7 @@ def test_input_rules_have_one_owner():
                 if isinstance(node, ast.ExceptHandler) and name in ("config", "cli"):
                     catchers.append(where)
     assert sorted(users) == ["cli._family", "estimator._run_grid"]
-    assert sorted(set(catchers)) == ["cli.main", "config._refused", "config.load_config"]
+    assert sorted(set(catchers)) == ["cli.main", "config._refused"]
 
 
 def test_each_kind_is_one_class():

@@ -105,8 +105,6 @@ def _check(cfg):
     bounds = build_bounds(cfg)
     sde = build_sde(cfg)
     lyap = build_lyapunov(cfg)
-    if lyap is None:
-        raise ConfigError("lyapunov.v is required for this command")
     cert = build_certificate(cfg, bounds)
     grid = build_grid(cfg, sde.t0)
     return check_certificate(lyap, sde, bounds, cert, grid)

@@ -231,9 +231,9 @@ def build_sde(cfg: dict) -> SdeSpec:
     return SdeSpec(f=f, g=g, x0=x0, t0=t0)
 
 
-def build_lyapunov(cfg: dict) -> LyapunovFn | None:
+def build_lyapunov(cfg: dict) -> LyapunovFn:
     if "lyapunov.v" not in cfg:
-        return None
+        raise ConfigError("lyapunov.v is required for this command")
     return LyapunovFn.from_expr(_expr(cfg, "lyapunov.v", {"x", "t"}))
 
 

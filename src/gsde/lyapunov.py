@@ -160,9 +160,11 @@ class CheckGrid:
 
 @dataclass(frozen=True)
 class OperatorSample:
-    """V and its operators at the broadcast points (x, t), from a single
-    evaluation of each input: V and H = g^2 V_x^2 at the full shape, and
-    the parts that drift() combines into L or L_lower."""
+    """V and its operators at the points (x, t), from a single evaluation
+    of each input: V, H = g^2 V_x^2 and the parts that drift() combines
+    into L or L_lower, each at the shape its expression evaluates to (a
+    column on the grid axes when it depends on x alone); x and t are the
+    broadcast points."""
 
     x: np.ndarray
     t: np.ndarray
@@ -176,12 +178,7 @@ class OperatorSample:
     def drift(self, envelope) -> np.ndarray:
         """V_t + f V_x + g^2 envelope(V_xx): the worst-case drift L with
         g_upper, the best-case drift L_lower with g_lower."""
-        L = self.first_order + self.g2 * envelope(self.V_xx, self.b)
-        return _full(L, self.x)
-
-
-def _full(val, like) -> np.ndarray:
-    return np.broadcast_to(np.asarray(val, dtype=float), np.shape(like))
+        return self.first_order + self.g2 * envelope(self.V_xx, self.b)
 
 
 def sample_operators(
@@ -197,9 +194,7 @@ def sample_operators(
     )
     x, t = np.broadcast_arrays(x, t)
     g2 = g * g
-    return OperatorSample(
-        x, t, b, _full(V, x), _full(g2 * V_x * V_x, x), V_t + f * V_x, g2, V_xx
-    )
+    return OperatorSample(x, t, b, V, g2 * V_x * V_x, V_t + f * V_x, g2, V_xx)
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +319,42 @@ class CertificateReport:
         raise KeyError(name)
 
 
+# The most grid points a comparison works on at once: 128 KB for each
+# float temporary, so a block's arithmetic stays in cache.
+_BLOCK_POINTS = 16384
+
+
 def _pointwise(m: OperatorSample, name, lhs, rhs) -> HypothesisVerdict:
     """Check lhs <= rhs at the sample points with relative slack:
-    rel = (lhs - rhs) / max(1, |lhs|, |rhs|), in two grid-size arrays.  rel
-    is nan exactly where a side is not finite: refused at its first point."""
-    lhs = _full(lhs, m.x)
-    rhs = _full(rhs, m.x)
-    scale = np.abs(lhs)
-    rel = np.abs(rhs)
-    np.maximum(scale, rel, out=scale)
-    np.maximum(1.0, scale, out=scale)
-    np.subtract(lhs, rhs, out=rel)
-    np.divide(rel, scale, out=rel)
-    k = int(np.argmax(rel))  # the first nan, if there is one
-    worst = float(rel.flat[k])
-    if math.isnan(worst):
-        _refuse_at(m, np.isnan(rel), f"{name}: {lhs.flat[k]:.6g} <= "
-                   f"{rhs.flat[k]:.6g} is not finite")
+    rel = (lhs - rhs) / max(1, |lhs|, |rhs|), at the broadcast shape of the
+    two sides (padded to 2-D), in blocks of rows of at most _BLOCK_POINTS
+    points and two block-size buffers.  The first maximum in row-major
+    order is the worst point, as argmax on the full grid gives it.  rel is
+    nan exactly where a side is not finite: refused at its first point."""
+    lhs, rhs = np.broadcast_arrays(np.atleast_2d(lhs), np.atleast_2d(rhs))
+    rows, cols = lhs.shape
+    step = max(1, _BLOCK_POINTS // cols)
+    scale = np.empty((min(step, rows), cols))
+    rel = np.empty_like(scale)
+    worst, at = -math.inf, 0  # where every rel is -inf, the first point
+    for r0 in range(0, rows, step):
+        lo, hi = lhs[r0:r0 + step], rhs[r0:r0 + step]
+        s, q = scale[:len(lo)], rel[:len(lo)]
+        np.abs(lo, out=s)
+        np.abs(hi, out=q)
+        np.maximum(s, q, out=s)
+        np.maximum(1.0, s, out=s)
+        np.subtract(lo, hi, out=q)
+        np.divide(q, s, out=q)
+        k = int(np.argmax(q))  # the first nan, if there is one
+        v = float(q.flat[k])
+        if math.isnan(v):  # earlier blocks had none
+            _refuse_at(m, ~(np.isfinite(lhs) & np.isfinite(rhs)),
+                       f"{name}: {lo.flat[k]:.6g} <= {hi.flat[k]:.6g} is not finite")
+        if v > worst:
+            worst, at = v, r0 * cols + k
     return HypothesisVerdict(name, worst <= REL_SLACK, worst,
-                             float(m.x.flat[k]), float(m.t.flat[k]))
+                             *_point(m, lhs.shape, at))
 
 
 def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -424,7 +436,7 @@ def _t33(m, c, ts):
     L = m.drift(g_upper)
     if c.lam is not None:
         return c.lam, [_pointwise(m, "decay", L, -c.lam * m.V)]
-    ratios = -L / m.V
+    ratios = np.atleast_2d(-L / m.V)
     _refuse_at(m, ~np.isfinite(ratios), "decay: -LV/V is not finite")
     k = int(np.argmin(ratios))
     best = float(ratios.flat[k])
@@ -433,7 +445,7 @@ def _t33(m, c, ts):
             else f"no positive rate: inf(-LV/V) = {best:.12g}")
     decay = HypothesisVerdict(
         "decay", found, 0.0 if found else -best,
-        float(m.x.flat[k]), float(m.t.flat[k]), note=note,
+        *_point(m, ratios.shape, k), note=note,
     )
     return (best if found else None), [decay]
 
@@ -449,7 +461,7 @@ def _t34(m, c, ts):
 
 
 def _t35(m, c, ts):
-    nu = np.polynomial.polynomial.polyval(ts, np.asarray(c.nu_coeffs))
+    nu = _polyval(c.nu_coeffs, ts)
     nu_decay = nu[None, :] * np.exp(-c.lam * ts)[None, :]
     return c.lam, [
         _pointwise(m, "drift", m.drift(g_upper), -c.lam * m.V + nu_decay),
@@ -625,16 +637,35 @@ def _grid_sample(lyap, spec, b, grid) -> OperatorSample:
     return m
 
 
+def _point(m: OperatorSample, shape, k) -> tuple[float, float]:
+    """The grid point (x, t) of flat index k of a 2-D array whose shape
+    broadcasts to the grid's.  Row i of an x-only array is grid point
+    (i, 0) and column j of a t-only array is (0, j): the first occurrences
+    in row-major order, as argmax or argmin on the full grid gives them."""
+    at = np.unravel_index(k, shape)
+    return float(m.x[at]), float(m.t[at])
+
+
 def _refuse_at(m: OperatorSample, bad, what: str) -> None:
-    """Raise CertificateError naming the first grid point where bad."""
-    bad = np.broadcast_to(bad, m.x.shape)
+    """Raise CertificateError naming the first grid point where bad, an
+    array whose shape broadcasts to the grid's."""
+    bad = np.atleast_2d(bad)
     if np.any(bad):
-        k = int(np.argmax(bad))
-        raise CertificateError(f"{what} at x={m.x.flat[k]:.6g}, t={m.t.flat[k]:.6g}")
+        x, t = _point(m, bad.shape, int(np.argmax(bad)))
+        raise CertificateError(f"{what} at x={x:.6g}, t={t:.6g}")
+
+
+def _polyval(coeffs, t):
+    """sum_i coeffs[i] t^i by Horner's rule, in the operation order of
+    numpy.polynomial.polynomial.polyval (which numpy imports lazily)."""
+    val = coeffs[-1] + t * 0
+    for c in coeffs[-2::-1]:
+        val = c + val * t
+    return val
 
 
 def _time_weight(e: Expr, ts: np.ndarray) -> np.ndarray:
-    vals = _full(evaluate(e, 0.0, ts), ts)
+    vals = np.broadcast_to(evaluate(e, 0.0, ts), ts.shape)
     if np.any(vals < 0):
         raise CertificateError(
             f"time weight {to_source(e)!r} must be nonnegative on the grid"

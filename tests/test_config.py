@@ -109,8 +109,10 @@ class TestBuilders:
                 parse_config_text("sde.f = x +\nsde.g = x\nsde.x0 = 1\n")
             )
 
-    def test_lyapunov_optional(self):
-        assert build_lyapunov(parse_config_text(BASE)) is None
+    def test_lyapunov_required(self):
+        message = "^lyapunov.v is required for this command$"
+        with pytest.raises(ConfigError, match=message):
+            build_lyapunov(parse_config_text(BASE))
         lyap = build_lyapunov(parse_config_text("lyapunov.v = x^2\n"))
         assert lyap is not None
 

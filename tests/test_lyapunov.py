@@ -287,11 +287,14 @@ def _pointwise_reference(m, name, lhs, rhs):
     )
 
 
-def test_pointwise_matches_reference_formula():
-    """The in-place _pointwise returns the verdict of the plain formula on
+@pytest.mark.parametrize("block", [1, 5, 10, 12, lyapunov._BLOCK_POINTS])
+def test_pointwise_matches_reference_formula(monkeypatch, block):
+    """The blocked _pointwise returns the verdict of the plain formula on
     full arrays, broadcast columns, rows and scalars, with nan, +-inf,
     signed zeros and ties among the values; where the formula's worst
-    value is nan (a side is not finite), it refuses at that point."""
+    value is nan (a side is not finite), it refuses at that point.  Small
+    blocks put ties, signed zeros and the first nan across block edges."""
+    monkeypatch.setattr(lyapunov, "_BLOCK_POINTS", block)
     rng = np.random.default_rng(7)
     x, t = np.broadcast_arrays(np.linspace(-3, 3, 7)[:, None],
                                np.linspace(0, 4, 5)[None, :])
@@ -322,6 +325,69 @@ def test_pointwise_matches_reference_formula():
                         assert repr(got) == repr(want)
                     checked += 1
     assert checked == 40 * 16
+
+
+# The six templates at a granted and a withheld value, as the certify
+# benchmark sweeps them: (V, f, g, band, granted cert, withheld cert).
+_T34 = CertificateSpec("T34", 2.0, lam=-1.0, rho=4.0, kappa=1.0, phi=parse("1"))
+_T35 = CertificateSpec("T35", 2.0, lam=1.0, nu_coeffs=(400.0, 1.0))
+_T36 = CertificateSpec("T36", 2.0, lam=1.0, eta=1.0, q=1.0, beta_exp=0.0,
+                       phi=parse("20050"))
+_T37 = CertificateSpec("T37", 2.0, lam=2.0, eta=1.0, q=1.5, beta_exp=0.0,
+                       phi1=parse("40100*exp(0.5*t)"), phi2=parse("0"))
+_T38 = CertificateSpec("T38", 2.0, lam=2.0625, rho=1.0, kappa=1.0, phi=parse("1"))
+TEMPLATE_CASES = {
+    "T33": ("(1+exp(-t))*x^2+x^4", "-0.6*x-x^3", "x", B,
+            CertificateSpec("T33", 2.0), CertificateSpec("T33", 2.0, lam=0.7)),
+    "T34": ("x^2", "-x", "x", B, _T34, replace(_T34, rho=5.0)),
+    "T35": ("x^2", "-x", "exp(-t)*x", B1, _T35, replace(_T35, nu_coeffs=(400.0, 0.5))),
+    "T36": ("exp(t)*x^2", "-0.5*x", "exp(-t)*x", B1, _T36,
+            replace(_T36, phi=parse("10000"))),
+    "T37": ("exp(2*t)*x^2", "-x", "exp(-t)*x", B1, _T37,
+            replace(_T37, phi1=parse("20000*exp(0.5*t)"))),
+    "T38": ("x^2", "x", "0.5*x", B, _T38, replace(_T38, lam=2.5)),
+}
+
+
+class TestComparisonShapes:
+    """Comparisons run at the broadcast shape of their sides, in blocks of
+    rows, with the reports of a whole-grid comparison."""
+
+    @pytest.mark.parametrize("theorem", sorted(TEMPLATE_CASES))
+    def test_report_does_not_depend_on_the_block(self, monkeypatch, theorem):
+        v, f, g, band, *certs = TEMPLATE_CASES[theorem]
+        lyap = LyapunovFn.from_expr(parse(v))
+        spec = SdeSpec(f=parse(f), g=parse(g), x0=1.0)
+        nx, nt = GRID.xs.size, GRID.ts.size
+        # one row, 7 rows of a t-only or 7 of an x-only side, 7 full rows,
+        # the whole grid
+        blocks = (1, 7, 7 * nt, nx * nt)
+        reports = []
+        for block in blocks:
+            monkeypatch.setattr(lyapunov, "_BLOCK_POINTS", block)
+            reports.append([repr(check_certificate(lyap, spec, band, c, GRID))
+                            for c in certs])
+        assert all(r == reports[-1] for r in reports)
+        assert ["granted=True" in r for r in reports[-1]] == [True, False]
+
+    def test_operators_keep_the_shape_of_their_expressions(self):
+        m = sample_operators(V2, linear_spec(1.0, 1.0), B, GRID.xs[:, None],
+                             GRID.ts[None, :])
+        column = (GRID.xs.size, 1)
+        assert np.shape(m.V) == np.shape(m.H) == column
+        assert m.drift(g_upper).shape == column
+        assert m.x.shape == m.t.shape == (GRID.xs.size, GRID.ts.size)
+
+
+def test_nu_polynomial_matches_numpy_polyval():
+    """T35's nu(t) is bit-equal to numpy's polyval."""
+    rng = np.random.default_rng(11)
+    ts = GRID.ts
+    for degree in range(1, 7):
+        for _ in range(20):
+            coeffs = tuple(rng.uniform(1e-3, 1e3, size=degree + 1))
+            want = np.polynomial.polynomial.polyval(ts, np.asarray(coeffs))
+            assert lyapunov._polyval(coeffs, ts).tobytes() == want.tobytes()
 
 
 class TestValidation:

@@ -31,8 +31,9 @@ from .config import (
     build_sweep,
     load_config,
     make_output_dir,
+    single_scenario,
 )
-from .csvio import write_csv
+from .csvio import float_cells, write_csv
 from .estimator import EstimationError, check_x0, estimate_exponent
 from .expr import EvalDomainError
 from .integrator import integrate, write_path_csv
@@ -182,19 +183,18 @@ def _cmd_exponent(cfg, args, out_dir: Path) -> int:
 
 def _cmd_simulate(cfg, args, out_dir: Path) -> int:
     bounds, sde, scenarios, num, grid = _family(cfg)
-    if len(scenarios) != 1:
-        raise ConfigError(
-            f"simulate needs exactly one scenario, got {len(scenarios)}"
-        )
+    scenario = single_scenario(scenarios)
     seed = num.seed if args.seed is None else args.seed
+    # every path of the call runs on grid: its t column is formatted once
+    time_cells = float_cells(grid)
     n_exploded = 0
     for p in range(num.n_paths):
         run = integrate(
-            sde, scenarios[0], bounds, grid, seed, method=num.method, path_index=p
+            sde, scenario, bounds, grid, seed, method=num.method, path_index=p
         )
         n_exploded += int(run.exploded)
-        write_path_csv(out_dir / f"path_{p:03d}.csv", run)
-    label = scenarios[0].label()
+        write_path_csv(out_dir / f"path_{p:03d}.csv", run, time_cells)
+    label = scenario.label()
     msg = f"wrote {num.n_paths} path file(s) for scenario {label} to {out_dir}"
     if n_exploded:
         msg += f" ({n_exploded} flagged)"

@@ -47,6 +47,7 @@ __all__ = [
     "build_lyapunov",
     "build_certificate",
     "build_scenarios",
+    "single_scenario",
     "build_grid",
     "build_numerics",
     "Sweep",
@@ -273,6 +274,14 @@ def build_scenarios(cfg: dict, bounds: AmbiguityBounds):
         return out
     richness = _value(cfg, "scenarios.richness", int, 3)
     return _refused(enumerate_family, bounds, richness, lyapunov=lyapunov)
+
+
+def single_scenario(scenarios):
+    """The one scenario simulate runs, refused unless the configured
+    family has exactly one."""
+    if len(scenarios) != 1:
+        raise ConfigError(f"simulate needs exactly one scenario, got {len(scenarios)}")
+    return scenarios[0]
 
 
 def build_grid(cfg: dict, t0: float) -> CheckGrid:

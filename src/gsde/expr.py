@@ -175,7 +175,9 @@ class _Op:
     `+ - *` emit Python operators, which are IEEE-identical to numpy's and
     cost a twentieth of a ufunc call on the scalar integration loop; `/`
     and `^` emit np.divide and np.power, since Python's raise on zero
-    division and overflow and use a different pow.  domain lists
+    division and overflow and use a different pow.  A src that starts
+    with `np.` is one numpy call, which _codegen's scalar form wraps in
+    float().  domain lists
     (predicate, message) pairs over the operands, checked in order before
     fn; finite makes a non-finite result an EvalOverflowError.  d maps the
     operands followed by their derivatives to the derivative tree.
@@ -586,12 +588,18 @@ def _simplify(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # codegen for hot loops
 
-def _codegen(e: Expr) -> str:
+def _codegen(e: Expr, scalar: bool = False) -> str:
+    """The source of e over x and t.  scalar wraps each numpy call in
+    float(): a ufunc returns np.float64 even on Python floats, and the `+ -
+    *` after it would run on np.float64 at several times the cost.  The
+    conversion is exact and `+ - *` are IEEE-identical on both types, so
+    on Python floats both forms give the same bits."""
     if isinstance(e, Const):
         return f"({float(e.value)!r})"
     if isinstance(e, Var):
         return e.name
-    return _row(e).src.format(*(_codegen(k) for k in _operands(e)))
+    src = _row(e).src.format(*(_codegen(k, scalar) for k in _operands(e)))
+    return f"float({src})" if scalar and src.startswith("np.") else src
 
 
 # The numpy mode of the stepping loops.  Every domain rule of the operator
@@ -623,7 +631,8 @@ def _compile(params: str, body: str, exprs):
     invalid flag runs check_domain(exprs, x, t), then recomputes body with
     both flags ignored."""
     scope = {"np": np, "check_domain": check_domain, "exprs": exprs,
-             "FloatingPointError": FloatingPointError, "__builtins__": {}}
+             "FloatingPointError": FloatingPointError, "float": float,
+             "__builtins__": {}}
     exec(_KERNEL.format(params=params, body=body), scope)
     return scope["kernel"]
 

@@ -107,12 +107,14 @@ class SimulationRun:
         return self.first_bad_index is not None
 
 
-def _scheme(spec: SdeSpec, method: str):
-    """The step of integrate and of the lane engine.
+def _scheme(spec: SdeSpec, method: str, scalar: bool):
+    """The step of integrate (scalar) and of the lane engine.
 
-    step(x, t, dtau, v, dW, dB) is one generated kernel, the same bits on
-    Python floats and on lane arrays; it evaluates g once and squares dW
-    as a product (libm pow can differ in the last bit).  Like every
+    step(x, t, dtau, v, dW, dB) is one generated kernel body, the same
+    bits on Python floats and on lane arrays; it evaluates g once and
+    squares dW as a product (libm pow can differ in the last bit).  The
+    scalar form converts each numpy call's result to float (see
+    _codegen), so on Python floats it returns a Python float.  Like every
     compiled kernel it re-checks itself under KERNEL_MODE, against f, g
     and Milstein's g_x."""
     if method not in METHODS:
@@ -120,7 +122,7 @@ def _scheme(spec: SdeSpec, method: str):
     exprs = (spec.f, spec.g) + (
         (differentiate(spec.g, "x"),) if method == "milstein" else ()
     )
-    f, g, *gx = map(_codegen, exprs)
+    f, g, *gx = (_codegen(e, scalar) for e in exprs)
     body = f"x + {f} * dtau + (g := {g}) * dB"
     if gx:
         body += f" + 0.5 * g * {gx[0]} * v * (dW * dW - dtau)"
@@ -141,7 +143,7 @@ def integrate(
     The Wiener stream is keyed by (seed, path_index), so the same call is
     bitwise reproducible and distinct paths are independent.
     """
-    step = _scheme(spec, method)
+    step = _scheme(spec, method, scalar=True)
     grid = _check_grid(grid)
     if not math.isclose(float(grid[0]), spec.t0, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("grid must start at the spec's t0")
@@ -166,7 +168,7 @@ def integrate(
             dW_i = dWs[i]
             dB_i = math.sqrt(vi) * dW_i
             dB.append(dB_i)
-            x_new = float(step(x, ti, dt_i, vi, dW_i, dB_i))
+            x_new = step(x, ti, dt_i, vi, dW_i, dB_i)
             if not math.isfinite(x_new) or abs(x_new) > EXPLOSION_THRESHOLD:
                 first_bad = i + 1
                 X.append(x_new if math.isfinite(x_new) else math.nan)
@@ -207,7 +209,7 @@ def _run_lanes(
     policy's, an observer's) that leaves its domain at a live lane raises
     EvalDomainError naming the node, and overflow only flags the lane.
     """
-    step = _scheme(spec, method)
+    step = _scheme(spec, method, scalar=False)
     k = len(scenarios)
     lanes = k * n_paths
     n_steps = grid.size - 1
@@ -271,17 +273,19 @@ def linear_closed_form(
     )
 
 
-def write_path_csv(path, run: SimulationRun) -> None:
+def write_path_csv(path, run: SimulationRun, time_cells=None) -> None:
     """Write one run as CSV with columns t, W, v, B, qv, X.
 
     W and B are the cumulative Wiener and ambiguous-driver paths.  v on row
     k is the rate of the step starting at t_k; the final row repeats the
     last step's rate.  Floats carry 17 significant digits so replays are
-    byte-identical.
+    byte-identical.  time_cells, if given, must be float_cells of the
+    run's grid: the runs of one grid share them, so a caller writing many
+    paths formats the t column once.
     """
     bundle = run.bundle
     columns = (
-        bundle.grid,
+        bundle.grid if time_cells is None else time_cells,
         np.concatenate([[0.0], np.cumsum(bundle.dW)]),
         np.concatenate([bundle.v, bundle.v[-1:]]),
         np.concatenate([[0.0], np.cumsum(bundle.dB)]),

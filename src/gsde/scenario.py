@@ -308,6 +308,11 @@ class PiecewiseRandom(VolatilityScenario):
         for k, p in np.ndenumerate(idx):
             gen = stream_generator(seed, LEVEL_STREAM, int(p))
             levels[(slice(None),) + k] = b.clamp(gen.uniform(lo, hi, n_levels))
+        if idx.ndim == 0:
+            # one path: a per-step list hands the scalar loop Python
+            # floats; for many paths it would hold steps x paths floats
+            per_step = levels[step_idx].tolist()
+            return lambda i, t, x: per_step[i]
         return lambda i, t, x: levels[step_idx[i]]
 
 

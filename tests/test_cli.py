@@ -325,6 +325,8 @@ class TestExitCodes:
              "could not convert string to float: 'abc'"),
             ("simulate", SIMULATE, "scenarios.list = feedback_vxx", [],
              "feedback_vxx requires a registered energy function"),
+            ("simulate", SIMULATE, "scenarios.list = constant:0.5;constant:1", [],
+             "simulate needs exactly one scenario, got 2"),
             ("certify", CERT_GRANT, "grid.x_min = 0", [],
              "need 0 < x_min < x_max and a finite t_span > 0"),
             ("exponent", EXPONENT, "numerics.seed = -1", [],
@@ -672,6 +674,36 @@ class TestSimulate:
             ),
         )
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_grids_in_one_process_write_fresh_process_bytes(self, tmp_path):
+        """Two simulate runs of one process on different grids (another dt
+        and horizon) each write the bytes of the same run in a fresh
+        process: the formatted t column belongs to its call."""
+        src = str(Path(gsde.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        second = SIMULATE.replace("numerics.dt = 0.01", "numerics.dt = 0.02").replace(
+            "numerics.horizon = 2", "numerics.horizon = 3"
+        )
+        for name, text in (("a", SIMULATE), ("b", second)):
+            cfg = write(tmp_path, text, name=f"{name}.cfg")
+            here, fresh = tmp_path / f"{name}_here", tmp_path / f"{name}_fresh"
+            assert main(["simulate", "--config", cfg, "--out", str(here)]) == 0
+            proc = subprocess.run(
+                [sys.executable, "-m", "gsde.cli", "simulate", "--config", cfg,
+                 "--out", str(fresh)],
+                cwd=tmp_path, env=env, capture_output=True, timeout=60,
+            )
+            assert proc.returncode == 0
+            names = sorted(p.name for p in here.iterdir())
+            assert names == sorted(p.name for p in fresh.iterdir())
+            for n in names:
+                assert (here / n).read_bytes() == (fresh / n).read_bytes()
+        a = (tmp_path / "a_here" / "path_000.csv").read_text().splitlines()
+        b = (tmp_path / "b_here" / "path_000.csv").read_text().splitlines()
+        assert (len(a), len(b)) == (202, 152)
 
 
 class TestSweep:

@@ -137,8 +137,15 @@ class TestExponent:
         ** 2 and a product differ in the last bit.  Then the level-stream
         and the two feedback policies under both schemes, and a drift
         where some paths explode: X agrees up to first_bad_index, and
-        the engine flags exactly the exploded runs."""
+        the engine flags exactly the exploded runs.  Last, f and g use
+        every operator that emits a numpy call, which integrate's step
+        converts to float and the engine's keeps as arrays."""
         varied = SdeSpec(f=parse("-0.5*x"), g=parse("0.8*x + 0.2*sin(x)"), x0=1.0)
+        numpy_calls = SdeSpec(
+            f=parse("-x + 0.5*sin(t) + 0.1*log(1 + x^2)/(2 + cos(t))"),
+            g=parse("0.5*x*exp(-t) + 0.1*sqrt(1 + x^2) + 0.1*sign(x)*abs(x)^1.5"),
+            x0=-0.5,
+        )
         cases = [
             (linear_spec(1.0, 1.0), Constant(0.25), 2.0, 0.01, 13, 4, "euler"),
             (SdeSpec(f=parse("-0.01*x"), g=parse("0.01*x^1.5"), x0=100.0),
@@ -156,6 +163,10 @@ class TestExponent:
         ] + [
             (SdeSpec(f=parse("x*x*x"), g=parse("2*x"), x0=0.5),
              Constant(1.0), 2.0, 0.01, 8, 12, method)
+            for method in ("euler", "milstein")
+        ] + [
+            (numpy_calls, BangBangInTime((0.5, 1.2), (1.0, 0.25)),
+             2.0, 0.01, 9, 6, method)
             for method in ("euler", "milstein")
         ]
         n_exploded = 0

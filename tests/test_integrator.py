@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gsde
+from gsde import integrator
 from gsde.expr import EvalDomainError, parse
 from gsde.gcalc import AmbiguityBounds
 from gsde.integrator import (
@@ -23,8 +24,10 @@ from gsde.csvio import write_csv
 from gsde.scenario import (
     BangBangInTime,
     Constant,
+    PiecewiseRandom,
     standard_increments,
     uniform_grid,
+    variance_stream,
 )
 
 B1 = AmbiguityBounds(1.0, 1.0)
@@ -195,6 +198,21 @@ class TestExplosion:
         grid = uniform_grid(1.0, 1.0, 0.1)
         with pytest.raises(ValueError, match="t0"):
             integrate(spec, Constant(1.0), B1, grid, seed=0)
+
+
+def test_scalar_step_and_piecewise_stream_hand_python_floats():
+    """integrate's step converts each numpy call (here np.sin) to float,
+    and the single-path piecewise_random stream hands out Python floats,
+    so the scalar loop never computes on np.float64."""
+    spec = SdeSpec(f=parse("-x + 0.5*sin(t)"), g=parse("x"), x0=1.0)
+    for method in ("euler", "milstein"):
+        step = integrator._scheme(spec, method, scalar=True)
+        assert type(step(1.0, 0.5, 0.01, 0.5, 0.1, 0.07)) is float
+    grid = uniform_grid(0.0, 1.0, 0.1)
+    rate = variance_stream(PiecewiseRandom(0.3), B, grid, 3, 0)
+    assert [type(rate(i, grid[i], 1.0)) for i in range(grid.size - 1)] == [
+        float
+    ] * (grid.size - 1)
 
 
 class TestPathCsv:

@@ -12,7 +12,8 @@ exponential martingale inequality of the pathwise arguments
 A run has one prologue, _run_grid, which lists the family and checks the
 seed, the path count and the run grid.  It has one engine call: the group
 loop _scenario_rows steps at most 4000 lanes (one scenario at least) per
-integrator._run_lanes call, so an engine block stays within 8 MB unless a
+integrator._run_lanes call, so its step-major Wiener block (256 steps by
+the call's lanes) stays within 8 MB, beside a 256 KB draw stage, unless a
 single scenario has more than 4000 paths.  One rule, _worst, picks the
 worst scenario.  Only a rate divides by log|x0|, so only the exponent
 observer refuses x0 = 0.
@@ -57,7 +58,8 @@ __all__ = [
     "martingale_bound_check",
 ]
 
-# lanes per engine call, so one Philox block holds at most 256 * 4000 doubles
+# lanes per engine call, so one step-major Philox block holds at most
+# 256 steps * 4000 lanes of doubles (8 MB); the draw stage adds 256 KB
 _MAX_LANES = 4000
 _LOG_FLOOR = 1e-300
 # fraction of the horizon treated as the asymptotic tail

@@ -17,11 +17,13 @@ even where its value comes out finite; the kernels re-check themselves.
 integrate steps one path on Python floats.  The lane engine, _run_lanes,
 serves the estimator: it advances all (scenario, path) pairs of a call as
 one scenario-major array of lanes, so a family of k scenarios on n paths
-steps k*n lanes at once.  Wiener normals come in lane-major Philox blocks
-of 256 steps.  While no lane is flagged a step checks for explosions with
-a single max of |X|, and masks appear only after the first flag.  Both
-take the one step of _scheme, so lane (q, p) equals integrate's path p
-under scenario q, bit for bit.
+steps k*n lanes at once.  Wiener normals come in step-major Philox blocks
+of 256 steps, so each step reads one contiguous row; each lane's
+generator draws its row of a cache-sized stage, and every 128 lanes the
+stage is copied transposed into the block.  While no lane is flagged a
+step checks for explosions with a single max of |X|, and masks appear
+only after the first flag.  Both take the one step of _scheme, so lane
+(q, p) equals integrate's path p under scenario q, bit for bit.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ METHODS = ("euler", "milstein")
 # steps per Philox block of the lane engine: long enough that a
 # standard_normal call's fixed cost is small against its draws
 _BLOCK_STEPS = 256
+# lanes drawn into the stage before it is copied transposed into the
+# block: 128 rows of 256 doubles (256 KB) stay in cache for the copy
+_STAGE_LANES = 128
 
 
 @dataclass(frozen=True)
@@ -199,8 +204,10 @@ def _run_lanes(
 
     Scenario q owns lanes q*n_paths to (q+1)*n_paths - 1, and its variance
     policy is called once per step on that slice of X.  Lane (q, p) draws
-    path p's Wiener stream from its own Philox generator; step j of a
-    block of _BLOCK_STEPS steps reads column j.
+    path p's Wiener stream from its own Philox generator.  A block holds
+    _BLOCK_STEPS steps by lanes: each generator draws its lane's steps into
+    a row of the stage, and every _STAGE_LANES lanes the stage is copied
+    transposed into the block's columns, so step j of a block reads row j.
 
     alive is True until the first flag and ~flagged after it; the observer
     passes it as `where=` to its updates.  A lane whose state leaves
@@ -224,7 +231,8 @@ def _run_lanes(
         for _ in range(k)
         for p in range(n_paths)
     ]
-    block = np.empty((lanes, min(_BLOCK_STEPS, n_steps)))
+    block = np.empty((min(_BLOCK_STEPS, n_steps), lanes))
+    stage = np.empty((min(_STAGE_LANES, lanes), block.shape[0]))
 
     X = np.full(lanes, float(spec.x0))
     v = np.empty(lanes)
@@ -237,11 +245,16 @@ def _run_lanes(
             j = i % _BLOCK_STEPS
             if j == 0:
                 width = min(_BLOCK_STEPS, n_steps - i)
-                for row, gen in zip(block, gens):
-                    gen.standard_normal(out=row[:width])
+                for start in range(0, lanes, _STAGE_LANES):
+                    run = gens[start:start + _STAGE_LANES]
+                    for row, gen in zip(stage, run):
+                        gen.standard_normal(out=row[:width])
+                    block[:width, start:start + len(run)] = (
+                        stage[:len(run), :width].T
+                    )
             t = grid[i]
             dtau = grid[i + 1] - grid[i]
-            dW = block[:, j] * sqrt_dtau[i]
+            dW = block[j] * sqrt_dtau[i]
             for lane_slice, var_fn in policies:
                 v[lane_slice] = var_fn(i, t, X[lane_slice])
             dB = np.sqrt(v) * dW

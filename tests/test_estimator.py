@@ -59,7 +59,68 @@ class _PathRecorder:
         self.rows.append(X.copy())
 
 
+# Two-sided Student t quantile with 9 degrees of freedom (10 batch means)
+# at Bonferroni level 1% / 12, one share for each of the 12 chain-rate
+# comparisons (2 methods x 3 dt x 2 band edges): t_9(1 - 0.01/24) = 4.912.
+_FAMILY_T9 = 4.92
+
+
+def _chain_rate(dt, v, method, nodes=200, span=12.0):
+    """E log|factor| / dt for the one-step factor of f = -x, g = x at rate
+    v, 1 - dt + sqrt(v dt) xi under Euler plus 0.5 v dt (xi^2 - 1) under
+    Milstein, xi standard normal: the exact rate of the discrete chain.
+    Gauss-Legendre on [-span, span], split at the factor's real roots,
+    with nodes clustered at each piece's ends, where log|factor| has its
+    integrable singularities."""
+    coeffs = np.array([0.0, math.sqrt(v * dt), 1.0 - dt])
+    if method == "milstein":
+        coeffs += [0.5 * v * dt, 0.0, -0.5 * v * dt]
+    roots = np.roots(np.trim_zeros(coeffs, "f"))
+    real = np.sort(roots[np.isreal(roots)].real)
+    edges = np.concatenate([[-span], real[np.abs(real) < span], [span]])
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    s = (u + 1) / 2
+    shape, dshape = (1 - np.cos(np.pi * s)) / 2, np.pi * np.sin(np.pi * s) / 4
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        xi = a + (b - a) * shape
+        density = np.exp(-0.5 * xi * xi) / math.sqrt(2 * math.pi)
+        log_factor = np.log(np.abs(np.polyval(coeffs, xi)))
+        total += np.sum(w * (b - a) * dshape * density * log_factor)
+    return total / dt
+
+
 class TestExponent:
+    @pytest.mark.parametrize("method", ["euler", "milstein"])
+    def test_slope_matches_the_discrete_chain_rate(self, method):
+        """On f = -x, g = x each step multiplies X by an i.i.d. factor, so
+        the cross-path mean of log|X| drifts at exactly E log|factor| / dt
+        per unit time, at any dt.  slope at both band edges must match that
+        quadrature within _FAMILY_T9 standard errors of batch means over 10
+        seeds: the tolerance holds for the 12 comparisons together, so
+        correct code whose Wiener streams are re-drawn fails with
+        probability at most 1%.  At dt 0.05 the chain (-1.167 under Euler
+        at v = 0.25) lies about 7 errors from the SDE's -1.125, so this
+        checks the engine's draws and step against its own law, not
+        against the SDE's."""
+        spec = linear_spec(1.0, 1.0)
+        edges = [Constant(B.v_lower), Constant(B.v_upper)]
+        for dt in (0.2, 0.1, 0.05):
+            slopes = np.array([
+                [s.slope for s in estimate_exponent(
+                    spec, edges, B, horizon=100.0, dt=dt, n_paths=100,
+                    seed=seed, method=method,
+                ).scenarios]
+                for seed in range(10)
+            ])
+            se = slopes.std(axis=0, ddof=1) / math.sqrt(len(slopes))
+            exact = [_chain_rate(dt, s.v, method) for s in edges]
+            assert np.all(
+                np.abs(slopes.mean(axis=0) - exact) <= _FAMILY_T9 * se
+            ), (
+                dt, slopes.mean(axis=0), exact, se
+            )
+
     def test_noise_free_rate_matches_euler_logarithm(self):
         """beta = 0 collapses all paths onto the deterministic Euler orbit
         x -> x (1 - a dt): every path reports exactly log(1 - a dt)/dt,
@@ -137,9 +198,11 @@ class TestExponent:
         ** 2 and a product differ in the last bit.  Then the level-stream
         and the two feedback policies under both schemes, and a drift
         where some paths explode: X agrees up to first_bad_index, and
-        the engine flags exactly the exploded runs.  Last, f and g use
-        every operator that emits a numpy call, which integrate's step
-        converts to float and the engine's keeps as arrays."""
+        the engine flags exactly the exploded runs.  The 300-path,
+        600-step calls cross the engine's real stage edges (128 + 128 +
+        44 lanes) and block edges (256 + 256 + 88 steps).  Last, f and g
+        use every operator that emits a numpy call, which integrate's
+        step converts to float and the engine's keeps as arrays."""
         varied = SdeSpec(f=parse("-0.5*x"), g=parse("0.8*x + 0.2*sin(x)"), x0=1.0)
         numpy_calls = SdeSpec(
             f=parse("-x + 0.5*sin(t) + 0.1*log(1 + x^2)/(2 + cos(t))"),
@@ -159,6 +222,9 @@ class TestExponent:
                 BangBangInX(1.0, 0.25, 1.0),
                 FeedbackSignVxx(parse("x^4 - 3*x^2")),
             )
+            for method in ("euler", "milstein")
+        ] + [
+            (varied, PiecewiseRandom(0.3), 6.0, 0.01, 4, 300, method)
             for method in ("euler", "milstein")
         ] + [
             (SdeSpec(f=parse("x*x*x"), g=parse("2*x"), x0=0.5),
@@ -474,8 +540,11 @@ class TestFamilyEqualsSingles:
     @pytest.fixture(autouse=True, params=[4000, 16], ids=["one_call", "pairs"])
     def engine_sizes(self, request, monkeypatch):
         # 23-step normal blocks, which do not divide the 2500 steps; with 16
-        # lanes per call the 8-path family runs as three pairs of scenarios
+        # lanes per call the 8-path family runs as three pairs of scenarios;
+        # 5-lane draw stages, which divide neither 16 nor the 48 lanes of
+        # one call, so a stage edge falls inside a scenario
         monkeypatch.setattr(integrator, "_BLOCK_STEPS", 23)
+        monkeypatch.setattr(integrator, "_STAGE_LANES", 5)
         monkeypatch.setattr(estimator, "_MAX_LANES", request.param)
 
     def check_exponent(self, spec, method, run):

@@ -4,6 +4,7 @@ order sanity, explosion flagging, CSV output."""
 import ast
 import csv
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,39 @@ def test_scalar_step_and_piecewise_stream_hand_python_floats():
     assert [type(rate(i, grid[i], 1.0)) for i in range(grid.size - 1)] == [
         float
     ] * (grid.size - 1)
+
+
+class _NullObserver:
+    def pre_step(self, i, t, X, v, dW, dB, dtau, alive):
+        pass
+
+    def post_step(self, i, t_next, X, alive):
+        pass
+
+
+def test_lane_engine_holds_one_wiener_block():
+    """A 4000-lane, 512-step engine call allocates at most one Wiener
+    block (256 steps by 4000 lanes), the draw stage and 1 KB a lane for
+    the lane arrays and the lanes' Philox generators (about 600 bytes
+    each); a second block would add 2 KB a lane."""
+    spec = linear_spec(1.0, 1.0)
+    grid = uniform_grid(0.0, 0.512, 1e-3)
+    lanes = 4000
+    block = integrator._BLOCK_STEPS * lanes * 8
+    stage = integrator._STAGE_LANES * integrator._BLOCK_STEPS * 8
+    def run(n_paths):
+        integrator._run_lanes(
+            spec, [Constant(0.25)], B, grid, 1, n_paths, "euler", _NullObserver()
+        )
+
+    run(2)  # warm numpy's first-call allocations outside the traced call
+    tracemalloc.start()
+    try:
+        run(lanes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block < peak <= block + stage + 1024 * lanes
 
 
 class TestPathCsv:

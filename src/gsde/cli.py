@@ -15,6 +15,7 @@ the same config and seed writes byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -36,9 +37,10 @@ from .config import (
 from .csvio import float_cells, write_csv
 from .estimator import EstimationError, check_x0, estimate_exponent
 from .expr import EvalDomainError
-from .integrator import integrate, write_path_csv
+from .integrator import EXPLOSION_THRESHOLD, integrate, write_path_csv
 from .lyapunov import (
     CertificateError,
+    SampleHolder,
     check_certificate,
     verdict_line,
     write_certificate_csv,
@@ -101,14 +103,16 @@ def entry() -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _check(cfg):
-    """Check the configured certificate and return its report."""
+def _check(cfg, held=None):
+    """Check the configured certificate and return its report; held, the
+    SampleHolder of a sweep, lets the check reuse its last point's
+    operator sample."""
     bounds = build_bounds(cfg)
     sde = build_sde(cfg)
     lyap = build_lyapunov(cfg)
     cert = build_certificate(cfg, bounds)
     grid = build_grid(cfg, sde.t0)
-    return check_certificate(lyap, sde, bounds, cert, grid)
+    return check_certificate(lyap, sde, bounds, cert, grid, held=held)
 
 
 def _family(cfg):
@@ -124,12 +128,16 @@ def _family(cfg):
     return bounds, sde, scenarios, num, grid
 
 
-def _estimate(cfg, args):
+def _estimate(cfg, args, point=""):
     """Estimate the configured family's rates; --seed overrides the
-    config's seed."""
+    config's seed.  Each scenario with flagged paths gets a stderr line,
+    after point (a sweep's "param=value: ", so the line names its point):
+    its statistics, and so the family sup, cover its unflagged paths only,
+    and a path flagged at |X| > EXPLOSION_THRESHOLD had a rate of at least
+    log(EXPLOSION_THRESHOLD/|x0|)/horizon at its flag time."""
     bounds, sde, scenarios, num, _ = _family(cfg)
     _refused(check_x0, sde.x0, message=lambda exc: f"sde.{exc}")
-    return estimate_exponent(
+    est = estimate_exponent(
         sde,
         scenarios,
         bounds,
@@ -139,6 +147,17 @@ def _estimate(cfg, args):
         seed=num.seed if args.seed is None else args.seed,
         method=num.method,
     )
+    floor = ""
+    if abs(sde.x0) < EXPLOSION_THRESHOLD:
+        rate = math.log(EXPLOSION_THRESHOLD / abs(sde.x0)) / num.horizon
+        floor = (f"; a path flagged at |X| > {EXPLOSION_THRESHOLD:g} had a rate "
+                 f"of at least {rate:.6g} at its flag time")
+    for s in est.scenarios:
+        if s.n_flagged:
+            print(f"note: {point}scenario {s.label} flagged {s.n_flagged} of {s.n_paths} "
+                  f"paths; its statistics and the family sup cover the survivors "
+                  f"only{floor}", file=sys.stderr)
+    return est
 
 
 def _cmd_certify(cfg, args, out_dir: Path) -> int:
@@ -206,9 +225,11 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
     sweep = build_sweep(cfg)
     param = sweep.parameter
     rows = []
+    held = SampleHolder()  # each point's check hands its sample to the next
     for v, sub in sweep.points(cfg):
-        report = _check(sub)
-        exponent = _estimate(sub, args).family_sup_mean if sweep.estimate else None
+        report = _check(sub, held)
+        exponent = (_estimate(sub, args, f"{param}={v:g}: ").family_sup_mean
+                    if sweep.estimate else None)
         rows.append((param, v, report.granted, report.bound, exponent))
         print(
             f"{param}={v:g}: "

@@ -10,9 +10,11 @@ volatility band, the grid operators are
 L dominates the drift of V under every admissible variance rate and
 L_lower is dominated by it, so pointwise inequalities on these operators
 certify pathwise decay (or growth) bounds that hold across the whole
-ambiguity band at once.  All three come from one sample_operators pass,
-and check_certificate reuses the last check's pass when its inputs are
-bit-equal, so a sweep over a certificate parameter samples once.
+ambiguity band at once.  All three come from one sample_operators pass.
+A caller that checks many certificates, such as a sweep, passes
+check_certificate one SampleHolder, which keeps the last check's pass and
+hands it to a check whose inputs are bit-equal, so a sweep over a
+certificate parameter samples once; a check without a holder samples.
 
 check_certificate machine-checks the hypothesis set of one of six
 certificate templates (ids T33..T38) on a deterministic grid and, when
@@ -69,6 +71,7 @@ __all__ = [
     "CertificateReport",
     "CertificateError",
     "OperatorSample",
+    "SampleHolder",
     "sample_operators",
     "validate_certificate",
     "check_certificate",
@@ -195,6 +198,16 @@ def sample_operators(
     x, t = np.broadcast_arrays(x, t)
     g2 = g * g
     return OperatorSample(x, t, b, V, g2 * V_x * V_x, V_t + f * V_x, g2, V_xx)
+
+
+@dataclass(eq=False)
+class SampleHolder:
+    """One slot for the operator sample of a run of checks, such as one
+    sweep: last is the last check's inputs (_inputs) and sample, or None.
+    The sample is a pure function of those inputs, so no check can see
+    whose check left it."""
+
+    last: tuple[tuple, OperatorSample] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -558,19 +571,22 @@ def check_certificate(
     b: AmbiguityBounds,
     cert: CertificateSpec,
     grid: CheckGrid | None = None,
+    held: SampleHolder | None = None,
 ) -> CertificateReport:
     """Machine-check one certificate template; grant the implied rate bound
     iff every hypothesis passes on the grid.  A hypothesis whose comparison
     is not finite raises CertificateError naming it and, where it has one,
-    its first grid point; numpy's floating-point warnings are off.  A check
-    whose V, partials, f, g, band and grid are bit-equal to the last
-    check's reuses that check's operator sample."""
+    its first grid point; numpy's floating-point warnings are off.  Given
+    a holder, a check whose V, partials, f, g, band and grid are bit-equal
+    to those of the holder's last check reuses that check's operator
+    sample, and the holder keeps this check's; without one, the check
+    samples its operators and keeps nothing."""
     if grid is None:
         grid = CheckGrid.default(t0=spec.t0)
     validate_certificate(cert, b)
     tpl = _TEMPLATES[cert.theorem]
     xs, ts = grid.xs[:, None], grid.ts[None, :]
-    m = _grid_sample(lyap, spec, b, grid)
+    m = _grid_sample(lyap, spec, b, grid, SampleHolder() if held is None else held)
     _refuse_at(m, m.V <= 0, "V must be positive away from x = 0; V <= 0")
     caveats = tuple(
         f"{name} uses abs/sign: derivatives are formal and do not "
@@ -594,13 +610,6 @@ def check_certificate(
     )
 
 
-# The last check's operator sample and the inputs it came from (_inputs);
-# a check on bit-equal inputs returns it instead of sampling again.  It is
-# module state so that every check of a process shares it, and it is a
-# pure function of its key, so no caller can see whose check left it.
-_held: tuple | None = None
-
-
 def _inputs(lyap: LyapunovFn, spec: SdeSpec, b: AmbiguityBounds,
             grid: CheckGrid) -> tuple:
     """What the grid sample depends on, in a form that is equal only for
@@ -614,18 +623,17 @@ def _inputs(lyap: LyapunovFn, spec: SdeSpec, b: AmbiguityBounds,
             *((a.shape, a.tobytes()) for a in (grid.xs, grid.ts)))
 
 
-def _grid_sample(lyap, spec, b, grid) -> OperatorSample:
-    """sample_operators on the grid axes, or the held sample when the last
-    check's inputs were bit-equal.  The sample is held with read-only
-    arrays on copies of the axes, so neither a template nor a caller
-    that writes to its grid can change it."""
-    global _held
+def _grid_sample(lyap, spec, b, grid, holder: SampleHolder) -> OperatorSample:
+    """sample_operators on the grid axes, or the holder's sample when its
+    inputs were bit-equal.  The sample is held with read-only arrays on
+    copies of the axes, so neither a template nor a caller that writes to
+    its grid can change it."""
     key = _inputs(lyap, spec, b, grid)
     # a sampling that raises holds nothing; otherwise the old sample lives
     # on in `last` until the new one replaces it
-    last, _held = _held, None
+    last, holder.last = holder.last, None
     if last is not None and last[0] == key:
-        _held = last
+        holder.last = last
         return last[1]
     m = sample_operators(lyap, spec, b, grid.xs[:, None].copy(),
                          grid.ts[None, :].copy())
@@ -633,7 +641,7 @@ def _grid_sample(lyap, spec, b, grid) -> OperatorSample:
         a = getattr(m, f.name)
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
-    _held = key, m
+    holder.last = key, m
     return m
 
 

@@ -48,3 +48,16 @@ def test_readme_library_example_runs(capsys):
     granted, bound, sup_mean = capsys.readouterr().out.split()
     assert (granted, float(bound)) == ("True", -0.5)
     assert round(float(sup_mean), 2) == -1.11
+
+
+def test_no_global_statement():
+    """No function in the package rebinds a module name: state that lives
+    across calls, such as a sweep's operator sample, lives in an object
+    the caller makes and passes."""
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+    ]
+    assert offenders == []

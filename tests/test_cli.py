@@ -12,7 +12,7 @@ import gsde
 from gsde import cli
 from gsde.cli import main
 from gsde.config import KNOWN_KEYS
-from gsde.lyapunov import CheckGrid, LyapunovFn
+from gsde.lyapunov import CheckGrid, LyapunovFn, SampleHolder
 
 CERT_GRANT = """
 ambiguity.sigma_lower = 0.5
@@ -560,6 +560,28 @@ class TestCertify:
         verdict = (out / "verdict.csv").read_text().splitlines()
         assert verdict[1].startswith("T33,false,,")
 
+    def test_each_call_samples_its_own_operators(self, tmp_path, evaluations):
+        """Two certify calls in one process evaluate V, V_t, V_x, V_xx, f
+        and g twice, as two processes do: a call holds no sample."""
+        cfg = write(tmp_path, CERT_GRANT)
+        for _ in range(2):
+            assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(evaluations) == 2 * 6
+
+
+# Euler at dt 0.1 flags almost every path of this stable SDE
+FLAGGED = """
+ambiguity.sigma_lower = 0.5
+ambiguity.sigma_upper = 1.0
+sde.f = -x - x^3
+sde.g = x
+sde.x0 = 5
+scenarios.list = constant:0.25;constant:1
+numerics.n_paths = 50
+numerics.horizon = 20
+numerics.dt = 0.1
+"""
+
 
 class TestExponent:
     def test_writes_summary_rows(self, tmp_path, capsys):
@@ -590,6 +612,54 @@ class TestExponent:
         row = (out / "exponent.csv").read_text().splitlines()[1].split(",")
         assert row[0] == "constant:1"
         assert row[5:7] == ["200", "17"]  # n_paths, n_flagged
+
+    @pytest.mark.parametrize("command", ["exponent", "sweep"])
+    def test_flagged_paths_are_reported(self, tmp_path, capsys, command):
+        """Euler at dt 0.1 flags 50 and 49 of 50 paths of f = -x - x^3 from
+        x0 = 5: one stderr line per scenario says so, says the statistics
+        cover the survivors only, and gives the rate every flagged path
+        had at its flag time, log(1e12/5)/20.  The run still exits 0 with
+        the survivors' family sup.  A sweep names the point of each line:
+        from x0 = 3 no path is flagged, from x0 = 4 six of constant:1's."""
+        text = FLAGGED
+        if command == "sweep":
+            text += ("lyapunov.v = x^2\ncertificate.theorem = T33\n"
+                     "certificate.p = 2\nsweep.parameter = a\n"
+                     "sweep.values = 3, 4, 5\nsweep.estimate = true\n")
+            text = text.replace("sde.x0 = 5", "sde.x0 = {a}")
+        cfg = write(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        out, err = capsys.readouterr()
+        tail = ("; its statistics and the family sup cover the survivors only; "
+                "a path flagged at |X| > 1e+12 had a rate of at least {} "
+                "at its flag time")
+        at_5 = [f"scenario constant:0.25 flagged 50 of 50 paths{tail.format(1.30108)}",
+                f"scenario constant:1 flagged 49 of 50 paths{tail.format(1.30108)}"]
+        if command == "exponent":
+            assert err.splitlines() == [f"note: {line}" for line in at_5]
+            assert out.startswith("family sup of mean rates -1.70337 "
+                                  "(worst scenario constant:1)")
+        else:
+            assert err.splitlines() == [
+                f"note: a=4: scenario constant:1 flagged 6 of 50 paths"
+                f"{tail.format(1.31224)}",
+                *(f"note: a=5: {line}" for line in at_5),
+            ]
+            assert "a=5: granted (bound -0.500001), estimated rate -1.70337" in out
+
+    def test_no_rate_floor_from_beyond_the_threshold(self, tmp_path, capsys):
+        """From |x0| >= 1e12 a flag gives no rate floor, so the line
+        gives none: a first step of -x dt at dt 0.5 halves the state, and
+        the noise takes 29 of 50 paths past the threshold."""
+        cfg = write(tmp_path, EXPONENT.replace("sde.x0 = 1.0", "sde.x0 = 1.5e12")
+                    .replace("scenarios.richness = 1", "scenarios.list = constant:1")
+                    .replace("numerics.dt = 0.01", "numerics.dt = 0.5")
+                    .replace("numerics.horizon = 20", "numerics.horizon = 5")
+                    .replace("numerics.n_paths = 20", "numerics.n_paths = 50"))
+        assert main(["exponent", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: scenario constant:1 flagged 29 of 50 paths; its statistics "
+            "and the family sup cover the survivors only"]
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = write(tmp_path, EXPONENT)
@@ -706,6 +776,24 @@ class TestSimulate:
         assert (len(a), len(b)) == (202, 152)
 
 
+T34_SWEEP = """
+ambiguity.sigma_lower = 0.5
+ambiguity.sigma_upper = 1.0
+sde.f = -x
+sde.g = x
+sde.x0 = 1.0
+lyapunov.v = x^2
+certificate.theorem = T34
+certificate.p = 2
+certificate.lambda = -1
+certificate.rho = {rho}
+certificate.kappa = 1
+certificate.phi = 1
+sweep.parameter = rho
+sweep.values = 2, 3, 3.5, 4, 4.5, 5
+"""
+
+
 class TestSweep:
     def test_verdict_flip(self, tmp_path, capsys):
         cfg = write(tmp_path, SWEEP)
@@ -754,8 +842,8 @@ class TestSweep:
 
     def test_each_value_is_one_check_on_its_grid(self, tmp_path, monkeypatch):
         """A sweep calls check_certificate once per value, with the grid as
-        its fifth argument: the call perfbench's tracer counts checks and
-        grid points from."""
+        its fifth argument (the call perfbench's tracer counts checks and
+        grid points from) and the sweep's one SampleHolder."""
         calls = []
         real = cli.check_certificate
 
@@ -767,8 +855,18 @@ class TestSweep:
         cfg = write(tmp_path, SWEEP)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 6
-        assert all(len(args) == 5 and not kwargs and isinstance(args[4], CheckGrid)
-                   for args, kwargs in calls)
+        held = calls[0][1]["held"]
+        assert isinstance(held, SampleHolder)
+        assert all(len(args) == 5 and isinstance(args[4], CheckGrid)
+                   and kwargs == {"held": held} for args, kwargs in calls)
+
+    def test_certificate_sweep_samples_once(self, tmp_path, evaluations, capsys):
+        """A sweep over T34's certificate.rho evaluates its six inputs at
+        the first value only; each value adds its time weight phi."""
+        cfg = write(tmp_path, T34_SWEEP)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "sweep over rho: 4/6 granted" in capsys.readouterr().out
+        assert len(evaluations) == 6 + 6
 
     def test_missing_sweep_keys(self, tmp_path):
         cfg = write(tmp_path, CERT_GRANT)

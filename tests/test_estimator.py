@@ -9,6 +9,7 @@ import ast
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -915,7 +916,7 @@ def test_family_setup_lives_in_one_place():
     callers = {"uniform_grid": [], "_run_lanes": [], "list": [], "check_x0": []}
     for module in (estimator, cli):
         name = module.__name__.rsplit(".", 1)[1]
-        for fn in ast.parse(open(module.__file__).read()).body:
+        for fn in ast.parse(Path(module.__file__).read_text()).body:
             where = f"{name}.{getattr(fn, 'name', None)}"
             for node in ast.walk(fn):
                 if isinstance(node, ast.Name) and node.id == "check_x0":

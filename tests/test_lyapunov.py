@@ -22,6 +22,7 @@ from gsde.lyapunov import (
     CertificateSpec,
     CheckGrid,
     LyapunovFn,
+    SampleHolder,
     check_certificate,
     sample_operators,
     validate_certificate,
@@ -38,25 +39,6 @@ V2 = LyapunovFn.from_expr(parse("x^2"))
 
 def linear_spec(alpha, beta):
     return SdeSpec(f=parse(f"-{alpha}*x"), g=parse(f"{beta}*x"), x0=1.0)
-
-
-@pytest.fixture(autouse=True)
-def nothing_held(monkeypatch):
-    """Each test starts with no operator sample held from an earlier check."""
-    monkeypatch.setattr(lyapunov, "_held", None)
-
-
-def count_evaluations(monkeypatch) -> list:
-    """Record each expression lyapunov evaluates, in call order."""
-    calls = []
-    real = lyapunov.evaluate
-
-    def counting(e, x, t):
-        calls.append(e)
-        return real(e, x, t)
-
-    monkeypatch.setattr(lyapunov, "evaluate", counting)
-    return calls
 
 
 class TestCheckGrid:
@@ -186,55 +168,58 @@ class TestOperators:
         ops = sample_operators(V2, spec, B1, x, t)
         np.testing.assert_array_equal(ops.drift(g_upper), ops.drift(g_lower))
 
-    def test_each_input_evaluated_once(self, monkeypatch):
+    def test_each_input_evaluated_once(self, evaluations):
         """One checked evaluation per V, g, V_t, f, V_x, V_xx, in that
         order, plus one per time weight."""
-        calls = count_evaluations(monkeypatch)
         spec = linear_spec(1.0, 1.0)
         check_certificate(V2, spec, B1, CertificateSpec("T33", 2.0), GRID)
         order = [V2.V, spec.g, V2.V_t, spec.f, V2.V_x, V2.V_xx]
-        assert [id(e) for e in calls] == [id(e) for e in order]
-        calls.clear()
+        assert [id(e) for e in evaluations] == [id(e) for e in order]
+        evaluations.clear()
         check_certificate(V2, TestT38.SPEC, B, TestT38.CERT, GRID)
-        assert len(calls) == 7
-        assert calls[-1] is TestT38.CERT.phi
+        assert len(evaluations) == 7
+        assert evaluations[-1] is TestT38.CERT.phi
 
 
 class TestHeldSample:
-    """check_certificate reuses the last check's operator sample when V, its
-    partials, f, g, the band and the grid are bit-equal."""
+    """check_certificate reuses the operator sample of its holder's last
+    check when V, its partials, f, g, the band and the grid are bit-equal;
+    a check without a holder samples every time."""
 
     SPEC = linear_spec(1.0, 1.0)
     INPUTS = (V2.V, V2.V_t, V2.V_x, V2.V_xx, SPEC.f, SPEC.g)
     RHOS = (2.0, 3.0, 3.5, 4.0, 4.5, 5.0)
 
-    def test_certificate_sweep_samples_once(self, monkeypatch):
-        calls = count_evaluations(monkeypatch)
-        reports = [
-            check_certificate(V2, self.SPEC, B, replace(TestT34.CERT, rho=rho), GRID)
-            for rho in self.RHOS
-        ]
+    def test_certificate_sweep_samples_once(self, evaluations):
+        held = SampleHolder()
+        certs = [replace(TestT34.CERT, rho=rho) for rho in self.RHOS]
+        reports = [check_certificate(V2, self.SPEC, B, c, GRID, held) for c in certs]
         assert [r.granted for r in reports] == [True] * 4 + [False] * 2
-        assert [sum(c is e for c in calls) for e in self.INPUTS] == [1] * 6
+        assert [sum(c is e for c in evaluations) for e in self.INPUTS] == [1] * 6
         # and each report is the one a fresh sample gives
-        for rho, r in zip(self.RHOS, reports):
-            monkeypatch.setattr(lyapunov, "_held", None)
-            cert = replace(TestT34.CERT, rho=rho)
-            assert check_certificate(V2, self.SPEC, B, cert, GRID) == r
+        for c, r in zip(certs, reports):
+            assert check_certificate(V2, self.SPEC, B, c, GRID) == r
 
-    def test_drift_sweep_samples_every_time(self, monkeypatch):
-        calls = count_evaluations(monkeypatch)
+    def test_checks_without_a_holder_sample_every_time(self, evaluations):
         cert = CertificateSpec("T33", 2.0)
+        reports = [check_certificate(V2, self.SPEC, B, cert, GRID) for _ in range(2)]
+        assert reports[0] == reports[1]
+        assert [sum(c is e for c in evaluations) for e in self.INPUTS] == [2] * 6
+
+    def test_drift_sweep_samples_every_time(self, evaluations):
+        cert = CertificateSpec("T33", 2.0)
+        held = SampleHolder()
         for a in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
-            check_certificate(V2, linear_spec(a, 1.0), B, cert, GRID)
-        assert len(calls) == 6 * 6
+            check_certificate(V2, linear_spec(a, 1.0), B, cert, GRID, held)
+        assert len(evaluations) == 6 * 6
 
     def test_held_arrays_are_read_only(self):
         lyap = LyapunovFn.from_expr(parse("(1+exp(-t))*x^2+x^4"))
         spec = SdeSpec(f=parse("-x"), g=parse("exp(-t)*x"), x0=1.0)
         grid = CheckGrid.default()
-        check_certificate(lyap, spec, B, CertificateSpec("T33", 2.0), grid)
-        m = lyapunov._held[1]
+        held = SampleHolder()
+        check_certificate(lyap, spec, B, CertificateSpec("T33", 2.0), grid, held)
+        m = held.last[1]
         arrays = {f.name: getattr(m, f.name) for f in fields(m) if f.name != "b"}
         assert all(a.shape == (400, 200) for a in arrays.values())
         for a in arrays.values():
@@ -243,15 +228,17 @@ class TestHeldSample:
         grid.xs[0] = -20.0  # the caller's grid is its own
         assert m.x[0, 0] == -10.0
 
-    def test_failed_sampling_holds_nothing(self, monkeypatch):
-        check_certificate(V2, self.SPEC, B, CertificateSpec("T33", 2.0), GRID)
+    def test_failed_sampling_holds_nothing(self, evaluations):
+        held = SampleHolder()
+        check_certificate(V2, self.SPEC, B, CertificateSpec("T33", 2.0), GRID, held)
         lyap = LyapunovFn.from_expr(parse("log(x)*x^2"))
-        calls = count_evaluations(monkeypatch)
+        evaluations.clear()
         for _ in range(2):
             with pytest.raises(EvalDomainError):
-                check_certificate(lyap, self.SPEC, B, CertificateSpec("T33", 2.0), GRID)
-            assert lyapunov._held is None
-        assert calls == [lyap.V, lyap.V]
+                check_certificate(lyap, self.SPEC, B, CertificateSpec("T33", 2.0),
+                                  GRID, held)
+            assert held.last is None
+        assert evaluations == [lyap.V, lyap.V]
 
     @pytest.mark.parametrize(
         "f1, f2",
@@ -263,14 +250,14 @@ class TestHeldSample:
         ],
         ids=["signed_zero", "negative_power"],
     )
-    def test_lookalike_drifts_do_not_share_a_sample(self, monkeypatch, f1, f2):
+    def test_lookalike_drifts_do_not_share_a_sample(self, evaluations, f1, f2):
         assert f1 == f2 or to_source(f1) == to_source(f2)
         specs = [SdeSpec(f=f, g=parse("x"), x0=1.0) for f in (f1, f2)]
-        calls = count_evaluations(monkeypatch)
+        held = SampleHolder()
         for spec in specs:
-            check_certificate(V2, spec, B, CertificateSpec("T33", 2.0), GRID)
-        assert len(calls) == 2 * 6
-        assert [sum(c is spec.f for c in calls) for spec in specs] == [1, 1]
+            check_certificate(V2, spec, B, CertificateSpec("T33", 2.0), GRID, held)
+        assert len(evaluations) == 2 * 6
+        assert [sum(c is spec.f for c in evaluations) for spec in specs] == [1, 1]
 
 
 def _pointwise_reference(m, name, lhs, rhs):

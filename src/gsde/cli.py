@@ -1,6 +1,6 @@
 """Command line front end.
 
-    gsde certify  --config cfg [--out DIR]            check a certificate
+    gsde certify  --config cfg [--seed N] [--out DIR] check a certificate
     gsde exponent --config cfg [--seed N] [--out DIR] estimate rates
     gsde simulate --config cfg [--seed N] [--out DIR] write driver/path CSVs
     gsde sweep    --config cfg [--seed N] [--out DIR] re-check over a grid
@@ -21,13 +21,11 @@ from pathlib import Path
 
 from .config import (
     ConfigError,
-    _refused,
     build_bounds,
     build_certificate,
     build_grid,
     build_lyapunov,
-    build_numerics,
-    build_scenarios,
+    build_run,
     build_sde,
     build_sweep,
     load_config,
@@ -35,7 +33,7 @@ from .config import (
     single_scenario,
 )
 from .csvio import float_cells, write_csv
-from .estimator import EstimationError, check_x0, estimate_exponent
+from .estimator import EstimationError, estimate_exponent
 from .expr import EvalDomainError
 from .integrator import EXPLOSION_THRESHOLD, integrate, write_path_csv
 from .lyapunov import (
@@ -45,7 +43,7 @@ from .lyapunov import (
     verdict_line,
     write_certificate_csv,
 )
-from .scenario import ScenarioError, check_streams, uniform_grid
+from .scenario import ScenarioError
 
 __all__ = ["main", "entry"]
 
@@ -57,37 +55,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "estimates, path simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("certify", "machine-check a stability/instability certificate"),
-        ("exponent", "estimate pathwise rates over a scenario family"),
-        ("simulate", "simulate driver and state paths for one scenario"),
-        ("sweep", "re-check a certificate along a parameter grid"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to key=value config")
-        sp.add_argument(
-            "--seed", type=int, default=None, help="override numerics.seed"
-        )
-        sp.add_argument(
-            "--out", default=None, help="output directory (default: output.dir or .)"
-        )
+        sp.add_argument("--seed", type=int, help="override numerics.seed")
+        sp.add_argument("--out", help="output directory (default: output.dir or .)")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.seed is not None:
-            _refused(check_streams, args.seed, message=lambda exc: f"--{exc}")
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, seed=args.seed)
         out_dir = make_output_dir(cfg, args.out)
-        handler = {
-            "certify": _cmd_certify,
-            "exponent": _cmd_exponent,
-            "simulate": _cmd_simulate,
-            "sweep": _cmd_sweep,
-        }[args.command]
-        return handler(cfg, args, out_dir)
+        return _COMMANDS[args.command][1](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -115,28 +96,14 @@ def _check(cfg, held=None):
     return check_certificate(lyap, sde, bounds, cert, grid, held=held)
 
 
-def _family(cfg):
-    """The configured band, SDE, family and numerics, and the time grid
-    they run on.  A grid or a piecewise_random level count that cannot be
-    built is a config error, found before any path array is sized."""
-    bounds = build_bounds(cfg)
-    sde = build_sde(cfg)
-    scenarios = build_scenarios(cfg, bounds)
-    num = build_numerics(cfg, scenarios)
-    grid = _refused(uniform_grid, sde.t0, num.horizon, num.dt,
-                    message=lambda exc: f"sde.t0 + numerics.horizon: the time {exc}")
-    return bounds, sde, scenarios, num, grid
-
-
-def _estimate(cfg, args, point=""):
-    """Estimate the configured family's rates; --seed overrides the
-    config's seed.  Each scenario with flagged paths gets a stderr line,
-    after point (a sweep's "param=value: ", so the line names its point):
-    its statistics, and so the family sup, cover its unflagged paths only,
-    and a path flagged at |X| > EXPLOSION_THRESHOLD had a rate of at least
+def _estimate(cfg, point=""):
+    """Estimate the configured family's rates.  Each scenario with flagged
+    paths gets a stderr line, after point (a sweep's "param=value: ", so
+    the line names its point): its statistics, and so the family sup,
+    cover its unflagged paths only, and a path flagged at |X| >
+    EXPLOSION_THRESHOLD had a rate of at least
     log(EXPLOSION_THRESHOLD/|x0|)/horizon at its flag time."""
-    bounds, sde, scenarios, num, _ = _family(cfg)
-    _refused(check_x0, sde.x0, message=lambda exc: f"sde.{exc}")
+    bounds, sde, scenarios, num, _ = build_run(cfg, rates=True)
     est = estimate_exponent(
         sde,
         scenarios,
@@ -144,7 +111,7 @@ def _estimate(cfg, args, point=""):
         horizon=num.horizon,
         dt=num.dt,
         n_paths=num.n_paths,
-        seed=num.seed if args.seed is None else args.seed,
+        seed=num.seed,
         method=num.method,
     )
     floor = ""
@@ -160,7 +127,7 @@ def _estimate(cfg, args, point=""):
     return est
 
 
-def _cmd_certify(cfg, args, out_dir: Path) -> int:
+def _cmd_certify(cfg, out_dir: Path) -> int:
     report = _check(cfg)
     write_certificate_csv(out_dir / "certificate.csv", report)
     write_csv(
@@ -175,8 +142,8 @@ def _cmd_certify(cfg, args, out_dir: Path) -> int:
     return 0 if report.granted else 1
 
 
-def _cmd_exponent(cfg, args, out_dir: Path) -> int:
-    est = _estimate(cfg, args)
+def _cmd_exponent(cfg, out_dir: Path) -> int:
+    est = _estimate(cfg)
     rows = [
         (s.label, s.mean, s.max, s.stderr, s.slope, s.n_paths, s.n_flagged,
          est.horizon)
@@ -200,16 +167,15 @@ def _cmd_exponent(cfg, args, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_simulate(cfg, args, out_dir: Path) -> int:
-    bounds, sde, scenarios, num, grid = _family(cfg)
+def _cmd_simulate(cfg, out_dir: Path) -> int:
+    bounds, sde, scenarios, num, grid = build_run(cfg)
     scenario = single_scenario(scenarios)
-    seed = num.seed if args.seed is None else args.seed
     # every path of the call runs on grid: its t column is formatted once
     time_cells = float_cells(grid)
     n_exploded = 0
     for p in range(num.n_paths):
         run = integrate(
-            sde, scenario, bounds, grid, seed, method=num.method, path_index=p
+            sde, scenario, bounds, grid, num.seed, method=num.method, path_index=p
         )
         n_exploded += int(run.exploded)
         write_path_csv(out_dir / f"path_{p:03d}.csv", run, time_cells)
@@ -221,25 +187,20 @@ def _cmd_simulate(cfg, args, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_sweep(cfg, args, out_dir: Path) -> int:
+def _cmd_sweep(cfg, out_dir: Path) -> int:
     sweep = build_sweep(cfg)
     param = sweep.parameter
     rows = []
     held = SampleHolder()  # each point's check hands its sample to the next
     for v, sub in sweep.points(cfg):
         report = _check(sub, held)
-        exponent = (_estimate(sub, args, f"{param}={v:g}: ").family_sup_mean
+        exponent = (_estimate(sub, f"{param}={v:g}: ").family_sup_mean
                     if sweep.estimate else None)
         rows.append((param, v, report.granted, report.bound, exponent))
-        print(
-            f"{param}={v:g}: "
-            + (
-                f"granted (bound {report.bound:.6g})"
-                if report.granted
-                else "withheld"
-            )
-            + (f", estimated rate {exponent:.6g}" if exponent is not None else "")
-        )
+        verdict = (f"granted (bound {report.bound:.6g})" if report.granted
+                   else "withheld")
+        rate = f", estimated rate {exponent:.6g}" if exponent is not None else ""
+        print(f"{param}={v:g}: {verdict}{rate}")
 
     write_csv(
         out_dir / "sweep.csv",
@@ -249,6 +210,15 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
     n_granted = sum(granted for _, _, granted, _, _ in rows)
     print(f"sweep over {param}: {n_granted}/{len(rows)} granted")
     return 0
+
+
+# name -> (help, handler): the parser's subcommands and main's dispatch
+_COMMANDS = {
+    "certify": ("machine-check a stability/instability certificate", _cmd_certify),
+    "exponent": ("estimate pathwise rates over a scenario family", _cmd_exponent),
+    "simulate": ("simulate driver and state paths for one scenario", _cmd_simulate),
+    "sweep": ("re-check a certificate along a parameter grid", _cmd_sweep),
+}
 
 
 if __name__ == "__main__":

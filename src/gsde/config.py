@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .estimator import check_x0
 from .expr import Expr, ParseError, free_variables, parse
 from .gcalc import AmbiguityBounds
 from .integrator import METHODS, SdeSpec
@@ -33,6 +34,7 @@ from .scenario import (
     check_streams,
     enumerate_family,
     parse_scenario,
+    uniform_grid,
 )
 
 __all__ = [
@@ -50,6 +52,7 @@ __all__ = [
     "single_scenario",
     "build_grid",
     "build_numerics",
+    "build_run",
     "Sweep",
     "build_sweep",
 ]
@@ -128,10 +131,18 @@ def parse_config_text(text: str) -> dict[str, str]:
     return cfg
 
 
-def load_config(path) -> dict[str, str]:
+def load_config(path, seed: int | None = None) -> dict[str, str]:
+    """The config file at path; seed (the --seed flag), when given, is
+    refused by the flag's name before the file is read and replaces the
+    file's numerics seed."""
+    if seed is not None:
+        _refused(check_streams, seed, message=lambda exc: f"--{exc}")
     text = _refused(Path(path).read_text,
                     message=lambda exc: f"cannot read config {path}: {exc}")
-    return parse_config_text(text)
+    cfg = parse_config_text(text)
+    if seed is not None:
+        cfg[_in_numerics("seed")] = str(seed)
+    return cfg
 
 
 def make_output_dir(cfg: dict, out: str | None) -> Path:
@@ -312,6 +323,22 @@ def build_numerics(cfg: dict, scenarios=()) -> Numerics:
     return num
 
 
+def build_run(cfg: dict, rates: bool = False):
+    """(bounds, sde, scenarios, numerics, grid): the configured run.  A grid
+    or a piecewise_random level count that cannot be built is a config
+    error, found before any path array is sized; with rates, so is an x0
+    that no rate can be normalized by."""
+    bounds = build_bounds(cfg)
+    sde = build_sde(cfg)
+    scenarios = build_scenarios(cfg, bounds)
+    num = build_numerics(cfg, scenarios)
+    grid = _refused(uniform_grid, sde.t0, num.horizon, num.dt, message=lambda exc:
+                    f"sde.t0 + {_in_numerics('horizon')}: the time {exc}")
+    if rates:
+        _refused(check_x0, sde.x0, message=lambda exc: f"sde.{exc}")
+    return bounds, sde, scenarios, num, grid
+
+
 @dataclass(frozen=True)
 class Sweep:
     """A sweep: the values of one placeholder {parameter}, each with the
@@ -324,19 +351,23 @@ class Sweep:
 
     def points(self, cfg: dict):
         """(value, config) for each value: cfg with the value's text in
-        place of the placeholder in every key outside sweep."""
+        place of the placeholder in every swept key."""
         placeholder = "{" + self.parameter + "}"
         for v, text in zip(self.values, self.texts):
-            yield v, {k: (val if k.startswith("sweep.")
-                          else val.replace(placeholder, text))
+            yield v, {k: (val.replace(placeholder, text) if _swept(k) else val)
                       for k, val in cfg.items()}
+
+
+def _swept(key: str) -> bool:
+    """Whether a sweep fills its placeholder in key; output.dir is made once."""
+    return not key.startswith("sweep.") and key != "output.dir"
 
 
 def build_sweep(cfg: dict) -> Sweep:
     """The configured sweep, refused unless both sweep keys are present,
     the parameter is nonempty, every value is a finite number,
-    sweep.estimate is true or false and some value outside sweep holds
-    the placeholder."""
+    sweep.estimate is true or false and some swept value holds the
+    placeholder."""
     if "sweep.parameter" not in cfg or "sweep.values" not in cfg:
         raise ConfigError("sweep needs sweep.parameter and sweep.values")
     param = cfg["sweep.parameter"].strip()
@@ -349,8 +380,7 @@ def build_sweep(cfg: dict) -> Sweep:
     if flag not in ("true", "false"):
         raise ConfigError("sweep.estimate must be true or false")
     placeholder = "{" + param + "}"
-    if not any(placeholder in val for k, val in cfg.items()
-               if not k.startswith("sweep.")):
+    if not any(placeholder in val for k, val in cfg.items() if _swept(k)):
         raise ConfigError(f"sweep.parameter: no config value contains {placeholder}")
     texts = tuple(c.strip() for c in cfg["sweep.values"].split(",") if c.strip())
     return Sweep(param, values, texts, flag == "true")

@@ -293,6 +293,23 @@ class TestExitCodes:
         argv = ["exponent", "--config", cfg, "--seed", str(seed)]
         assert main(argv + ["--out", str(tmp_path)]) == 2
 
+    def test_seed_flag_refused_before_the_config_is_read(self, tmp_path, capsys):
+        argv = ["exponent", "--config", str(tmp_path / "absent.cfg"), "--seed", "-1"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: --seed must lie in [0, 2^64)"]
+
+    def test_seed_flag_replaces_a_bad_config_seed(self, tmp_path):
+        """The flag replaces numerics.seed, so a file seed it replaces is
+        never read: the run writes the bytes of the flag's seed."""
+        bad = write(tmp_path, EXPONENT + "numerics.seed = -1\n", "bad.cfg")
+        good = write(tmp_path, EXPONENT + "numerics.seed = 9\n", "good.cfg")
+        assert main(["exponent", "--config", bad, "--seed", "9",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["exponent", "--config", good, "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "exponent.csv").read_bytes()
+                == (tmp_path / "b" / "exponent.csv").read_bytes())
+
     @pytest.mark.parametrize(
         "command, base, extra, flags, message",
         [
@@ -366,6 +383,11 @@ class TestExitCodes:
              "the time grid must be finite and strictly increasing"),
             ("sweep", SWEEP, "sweep.parameter = zz", [],
              "sweep.parameter: no config value contains {zz}"),
+            # output.dir is made once, before any point: it sweeps nothing
+            ("sweep", CERT_GRANT.replace("-1.5*x", "-x").replace(
+                "lambda = 1.0", "lambda = 0.5"), "output.dir = out_{a}\n"
+             "sweep.parameter = a\nsweep.values = 1, 2, 3", [],
+             "sweep.parameter: no config value contains {a}"),
             ("certify", CERT_GRANT, "grid.x_points = -1", [],
              "grid.x_points must be >= 1"),
             ("certify", CERT_GRANT, "grid.t_points = -1", [],
@@ -839,6 +861,21 @@ class TestSweep:
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         assert [r.split(",")[:3] for r in rows] == [
             ["n", v.strip(), "true"] for v in values.split(",")]
+
+    def test_seed_flag_leaves_a_seed_sweep_nothing_to_sweep(self, tmp_path, capsys):
+        """--seed replaces numerics.seed before the sweep is built, so a
+        sweep whose only placeholder is the seed has none left."""
+        cfg = write(tmp_path, SWEEP.replace("{alpha}", "0.7").replace(
+            "sweep.values = 0.3, 0.4, 0.5, 0.6, 0.7, 0.8",
+            "sweep.values = 1, 2, 3\nnumerics.seed = {alpha}\nsweep.estimate = true\n"
+            "scenarios.list = constant:1\nnumerics.horizon = 1\nnumerics.dt = 0.1\n"
+            "numerics.n_paths = 4"))
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--seed", "5"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: sweep.parameter: no config value contains {alpha}"]
 
     def test_each_value_is_one_check_on_its_grid(self, tmp_path, monkeypatch):
         """A sweep calls check_certificate once per value, with the grid as

@@ -910,11 +910,11 @@ def test_family_setup_lives_in_one_place():
     and calls uniform_grid only in the prologue _run_grid, and calls
     _run_lanes only in the group loop _scenario_rows.  Only a rate divides
     by log|x0|, so in the package check_x0 is named only by
-    _ExponentObserver and by cli._estimate's exit-2 pre-check."""
-    from gsde import cli
+    _ExponentObserver and by config.build_run's exit-2 pre-check."""
+    from gsde import config
 
     callers = {"uniform_grid": [], "_run_lanes": [], "list": [], "check_x0": []}
-    for module in (estimator, cli):
+    for module in (estimator, config):
         name = module.__name__.rsplit(".", 1)[1]
         for fn in ast.parse(Path(module.__file__).read_text()).body:
             where = f"{name}.{getattr(fn, 'name', None)}"
@@ -929,5 +929,5 @@ def test_family_setup_lives_in_one_place():
         "uniform_grid": ["estimator._run_grid"],
         "_run_lanes": ["estimator._scenario_rows"],
         "list": ["estimator._run_grid"],
-        "check_x0": ["estimator._ExponentObserver", "cli._estimate"],
+        "check_x0": ["estimator._ExponentObserver", "config.build_run"],
     }

@@ -354,9 +354,10 @@ def test_input_rules_have_one_owner():
     """scenario alone spells the run-grid rule and the Philox key and step
     limits, lyapunov's check grid has no time rule of its own, config
     spells no certificate key that lyapunov's table names and no grid or
-    numerics key, in the package only estimator._run_grid and cli._family use
-    uniform_grid, and a refusal becomes a ConfigError in one place: in
-    config only the helper _refused catches, in cli only main."""
+    numerics key, in the package only estimator._run_grid and config.build_run
+    use uniform_grid, and a refusal becomes a ConfigError in one place: in
+    config only the helper _refused catches, in cli only main.  cli spells
+    no input rule: it names no rule of scenario or estimator, nor _refused."""
     src = Path(gsde.__file__).resolve().parent
     modules = {p.stem: p.read_text() for p in sorted(src.glob("*.py"))}
     offenders = [
@@ -380,8 +381,10 @@ def test_input_rules_have_one_owner():
                     users.append(where)
                 if isinstance(node, ast.ExceptHandler) and name in ("config", "cli"):
                     catchers.append(where)
-    assert sorted(users) == ["cli._family", "estimator._run_grid"]
+    assert sorted(users) == ["config.build_run", "estimator._run_grid"]
     assert sorted(set(catchers)) == ["cli.main", "config._refused"]
+    assert re.findall(r"\b(?:_refused|check_streams|uniform_grid|check_x0)\b",
+                      modules["cli"]) == []
 
 
 def test_each_kind_is_one_class():

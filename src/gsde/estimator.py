@@ -5,9 +5,10 @@ question of one family run, many paths of the same SDE under each
 volatility scenario: the pathwise exponential rate and its family
 supremum (estimate_exponent), the worst-case mean of a path functional,
 an empirical sublinear expectation (estimate_sublinear_expectation), the
-scenario with the largest mean rate (adversarial_search), and the
-exponential martingale inequality of the pathwise arguments
-(martingale_bound_check, on a one-scenario family).
+scenario with the largest mean rate, searched for beyond the family
+(adversarial_search), and the exponential martingale inequality of the
+pathwise arguments (martingale_bound_check, on a one-scenario family).
+Every entry point runs the family it is given; none builds one.
 
 A run has one prologue, _run_grid, which lists the family and checks the
 seed, the path count and the run grid.  It has one engine call: the group
@@ -15,8 +16,8 @@ loop _scenario_rows steps at most 4000 lanes (one scenario at least) per
 integrator._run_lanes call, so its step-major Wiener block (256 steps by
 the call's lanes) stays within 8 MB, beside a 256 KB draw stage, unless a
 single scenario has more than 4000 paths.  One rule, _worst, picks the
-worst scenario.  Only a rate divides by log|x0|, so only the exponent
-observer refuses x0 = 0.
+worst scenario, and the search's start phase and result.  Only a rate
+divides by log|x0|, so only the exponent observer refuses x0 = 0.
 
 All paths of all scenarios reuse the same per-path Wiener streams, so
 scenario comparisons are common-random-number comparisons, enlarging the
@@ -38,7 +39,6 @@ from .scenario import (
     BangBangInTime,
     VolatilityScenario,
     check_streams,
-    enumerate_family,
     uniform_grid,
 )
 
@@ -383,13 +383,13 @@ def _run_grid(spec, scenarios, horizon, dt, n_paths, seed):
     return scenarios, uniform_grid(spec.t0, horizon, dt)
 
 
-def _worst(means, labels, refusal: str) -> tuple[float, str]:
-    """The largest non-nan mean and the first label that has it; a family
-    without one is refused with `refusal`."""
-    value = max((m for m in means if not math.isnan(m)), default=math.nan)
+def _worst(values, refusal: str) -> tuple[float, int]:
+    """The largest non-nan value and the first index that has it; values
+    without one are refused with `refusal`."""
+    value = max((v for v in values if not math.isnan(v)), default=math.nan)
     if math.isnan(value):
         raise EstimationError(refusal)
-    return value, labels[means.index(value)]
+    return value, values.index(value)
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +441,15 @@ def estimate_exponent(
     per = _scenario_exponents(
         spec, scenarios, b, grid, seed, n_paths, method, horizon
     )
-    sup_mean, argmax = _worst(
-        [s.mean for s in per], [s.label for s in per],
+    sup_mean, k = _worst(
+        [s.mean for s in per],
         "every path of every scenario was flagged; no rate estimate",
     )
     return ExponentEstimate(
         scenarios=tuple(per),
         family_sup=max(s.max for s in per if not math.isnan(s.max)),
         family_sup_mean=sup_mean,
-        argmax_label=argmax,
+        argmax_label=per[k].label,
         n_paths=n_paths,
         horizon=horizon,
         dt=dt,
@@ -500,10 +500,10 @@ def estimate_sublinear_expectation(
                 lambda X, obs: of_path(X, obs, p),
             )
         ))
-    value, argmax = _worst(means, labels, "every scenario was fully flagged")
+    value, k = _worst(means, "every scenario was fully flagged")
     return SublinearEstimate(
         value=value,
-        argmax_label=argmax,
+        argmax_label=labels[k],
         functional=functional,
         labels=labels,
         means=means,
@@ -516,96 +516,81 @@ def estimate_sublinear_expectation(
 # ---------------------------------------------------------------------------
 # adversarial scenario search
 
+def _objectives(cands, spec, b, grid, seed, n_paths, method, horizon):
+    """The search's objective of each candidate: +inf when any of its paths
+    was flagged (an escape to the integration boundary is the worst
+    outcome for stability), otherwise its mean rate."""
+    return [math.inf if s.n_flagged else s.mean for s in _scenario_exponents(
+        spec, cands, b, grid, seed, n_paths, method, horizon)]
+
+
 def adversarial_search(
     spec: SdeSpec,
+    scenarios,
     b: AmbiguityBounds,
     budget: int,
     horizon: float,
     dt: float,
     n_paths: int,
     seed: int,
-    richness: int = 3,
     max_switches: int = 3,
     method: str = "euler",
 ) -> SearchResult:
     """Search for the scenario with the largest mean pathwise rate.
 
-    Phase one evaluates the deterministic family from enumerate_family;
-    phase two runs coordinate descent on the switch times of an
-    alternating band-edge schedule (both starting phases), spending the
-    remaining budget.  Every evaluation reuses the same Wiener streams, so
-    objective comparisons are noise-free and the result can never fall
-    below the best family member actually evaluated.  A scenario with any
-    flagged path scores +inf (an escape to the integration boundary is the
-    worst outcome for stability).
+    Phase one evaluates the family `scenarios`, up to its first `budget`
+    members.  Once the whole family is evaluated, phase two spends the rest
+    of the budget on the alternating band-edge schedule with max_switches
+    switch times in the run's window [t0, t0 + horizon]: equally spaced,
+    from the upper edge and then the lower, the better start kept, and
+    then coordinate descent on the times.  Every evaluation reuses the
+    same Wiener streams, so objective comparisons are noise-free.  The
+    result is the first candidate with the highest objective, picked by
+    _worst, so it never falls below the best family member evaluated.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if not (1 <= max_switches <= 4):
         raise ValueError("max_switches must be in 1..4")
-    family, grid = _run_grid(
-        spec, enumerate_family(b, richness), horizon, dt, n_paths, seed
-    )
-    evaluations = 0
-    best: tuple[float, VolatilityScenario] | None = None
-
-    def score(cands) -> list[float]:
-        """Objective of each candidate, counted against the budget; the
-        first candidate to reach the highest score so far becomes best."""
-        nonlocal evaluations, best
-        vals = [
-            float("inf") if est.n_flagged > 0 else est.mean
-            for est in _scenario_exponents(
-                spec, cands, b, grid, seed, n_paths, method, horizon
-            )
-        ]
-        evaluations += len(cands)
-        for s, val in zip(cands, vals):
-            if best is None or val > best[0]:
-                best = (val, s)
-        return vals
-
-    score(family[:budget])
-    baseline_complete = evaluations >= len(family)
-
-    def schedule(times, start_high):
-        edges = (b.v_upper, b.v_lower) if start_high else (b.v_lower, b.v_upper)
-        levels = tuple(edges[j % 2] for j in range(len(times)))
-        return BangBangInTime(tuple(times), levels)
-
-    if baseline_complete and evaluations < budget:
-        m = max_switches
-        current = [horizon * (j + 1) / (m + 1) for j in range(m)]
-        # the band-edge schedule on equal switch times, high start first
-        starts = (True, False)[:budget - evaluations]
-        vals = score([schedule(current, h) for h in starts])
-        current_val = max(vals)
-        start_high = starts[vals.index(current_val)]
-        improving = True
-        while improving and evaluations < budget:
-            improving = False
-            for ci in range(m):
-                left = current[ci - 1] if ci > 0 else 0.0
-                right = current[ci + 1] if ci + 1 < m else horizon
-                span = right - left
-                for frac in (0.25, 0.5, 0.75):
-                    if evaluations >= budget:
-                        break
-                    t_new = left + frac * span
-                    if abs(t_new - current[ci]) < dt or t_new <= left:
-                        continue
-                    trial = current.copy()
-                    trial[ci] = t_new
-                    val, = score([schedule(sorted(trial), start_high)])
-                    if val > current_val:
-                        current = sorted(trial)
-                        current_val = val
-                        improving = True
-
+    family, grid = _run_grid(spec, scenarios, horizon, dt, n_paths, seed)
+    run = (spec, b, grid, seed, n_paths, method, horizon)
+    refusal = "every candidate scored nan"
+    cands = family[:budget]
+    vals = _objectives(cands, *run)
+    baseline_complete = len(cands) == len(family)
+    if baseline_complete and len(cands) < budget:
+        m, t0 = max_switches, spec.t0
+        times = [t0 + horizon * (j + 1) / (m + 1) for j in range(m)]
+        starts = (True, False)[:budget - len(cands)]
+        cands += [BangBangInTime.band_edges(b, times, h) for h in starts]
+        vals += _objectives(cands[len(family):], *run)
+        current, k = _worst(vals[len(family):], refusal)
+        high_first = starts[k]
+        # a pass moves each switch in turn to the quarter points of the gap
+        # between its neighbours and keeps each move that raises the
+        # objective; passes repeat until one moves nothing
+        moves = [(j, frac) for j in range(m) for frac in (0.25, 0.5, 0.75)]
+        moved = True
+        while moved and len(cands) < budget:
+            moved = False
+            for j, frac in moves:
+                if len(cands) >= budget:
+                    break
+                left = times[j - 1] if j > 0 else t0
+                right = times[j + 1] if j + 1 < m else t0 + horizon
+                t_new = left + frac * (right - left)
+                if abs(t_new - times[j]) < dt or t_new <= left:
+                    continue
+                trial = sorted([*times[:j], t_new, *times[j + 1:]])
+                cands.append(BangBangInTime.band_edges(b, trial, high_first))
+                vals += _objectives(cands[-1:], *run)
+                if vals[-1] > current:
+                    times, current, moved = trial, vals[-1], True
+    exponent, k = _worst(vals, refusal)
     return SearchResult(
-        scenario=best[1],
-        exponent=best[0],
-        evaluations=evaluations,
+        scenario=cands[k],
+        exponent=exponent,
+        evaluations=len(cands),
         baseline_complete=baseline_complete,
         family_size=len(family),
     )

@@ -211,6 +211,13 @@ class BangBangInTime(VolatilityScenario):
             times.append(float(tm))
         return cls(tuple(times), tuple(levels))
 
+    @classmethod
+    def band_edges(cls, b, times, high_first=True):
+        """The schedule that alternates between b's edges, switching at
+        times, from the upper edge when high_first and else the lower."""
+        edges = (b.v_upper, b.v_lower) if high_first else (b.v_lower, b.v_upper)
+        return cls(tuple(times), tuple(edges[j % 2] for j in range(len(times))))
+
     def stream(self, b, grid, seed, paths):
         per_step = b.clamp(self.value_at(np.asarray(grid[:-1], dtype=float)))
         return lambda i, t, x: per_step[i]
@@ -367,10 +374,8 @@ def enumerate_family(
     fam += [
         Constant(lo + j * (hi - lo) / (richness + 1)) for j in range(1, richness + 1)
     ]
-    for k in range(2, richness + 1):
-        times = tuple(5.0 * j for j in range(1, k + 1))
-        levels = tuple(hi if j % 2 == 0 else lo for j in range(k))
-        fam.append(BangBangInTime(times, levels))
+    fam += [BangBangInTime.band_edges(b, [5.0 * j for j in range(1, k + 1)])
+            for k in range(2, richness + 1)]
     if lyapunov is not None:
         fam.append(FeedbackSignVxx(lyapunov))
     unique: dict[str, VolatilityScenario] = {}

@@ -51,13 +51,15 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_no_global_statement():
-    """No function in the package rebinds a module name: state that lives
-    across calls, such as a sweep's operator sample, lives in an object
-    the caller makes and passes."""
+    """No function in the package rebinds a module or an enclosing
+    function's name: state that lives across calls, such as a sweep's
+    operator sample, lives in an object the caller makes and passes, and
+    state that lives through one call, such as the search's candidates,
+    in that call's own variables."""
     offenders = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Global)
+        if isinstance(node, (ast.Global, ast.Nonlocal))
     ]
     assert offenders == []

@@ -1,18 +1,28 @@
 """End-to-end CLI checks driven through main()."""
 
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gsde
 from gsde import cli
 from gsde.cli import main
 from gsde.config import KNOWN_KEYS
-from gsde.lyapunov import CheckGrid, LyapunovFn, SampleHolder
+from gsde.expr import to_source
+from gsde.lyapunov import (
+    _TEMPLATES, CERT_PARAMS, CheckGrid, LyapunovFn, SampleHolder,
+)
+
+from conftest import any_exprs
 
 CERT_GRANT = """
 ambiguity.sigma_lower = 0.5
@@ -1241,3 +1251,119 @@ class TestBytePin:
             for p in out.iterdir()
         }
         assert got == digests
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on random configs
+
+
+def _number(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _count(hi):
+    return st.integers(1, hi).map(str)
+
+
+_EXPRS = st.one_of(st.sampled_from(["-x", "x", "x^2", "1"]),
+                   any_exprs().map(to_source))
+_ENERGY = st.one_of(st.sampled_from(["x^2", "x^2*(2 + sin(t))", "abs(x)^1.5"]),
+                    any_exprs().map(to_source))
+_TIME_WEIGHT = st.sampled_from(["1", "1 + t", "exp(-t)", "2 - sin(t)"])
+
+# a template field's values; the time weights take t only
+_FIELD = {
+    "p": _number(0.5, 3.0),
+    "lam": _number(-2.0, 2.0),
+    "rho": _number(0.0, 4.0),
+    "kappa": _number(0.1, 3.0),
+    "eta": _number(0.1, 3.0),
+    "q": _number(0.1, 3.0),
+    "beta_exp": _number(0.0, 0.9),
+    "phi": _TIME_WEIGHT,
+    "phi1": _TIME_WEIGHT,
+    "phi2": _TIME_WEIGHT,
+    "nu_coeffs": st.lists(_number(-1.0, 2.0), min_size=2, max_size=3).map(", ".join),
+}
+
+_SCENARIO = st.one_of(
+    _number(-1.0, 2.0).map("constant:{}".format),
+    st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 12.0)), min_size=1,
+             max_size=3).map(lambda pairs: "bangbang_t:" + ",".join(
+                 f"{v!r}@{t!r}" for v, t in sorted(pairs, key=lambda p: p[1]))),
+    st.tuples(_number(-2.0, 2.0), _number(0.0, 2.0), _number(0.0, 2.0)).map(
+        lambda p: "bangbang_x:" + ",".join(p)),
+    st.just("feedback_vxx"),
+    _number(1e-3, 1.0).map("piecewise_random:dwell={}".format),
+)
+
+
+@st.composite
+def any_configs(draw):
+    """(command, config text, --seed flag or None): a config for one of the
+    four subcommands, with up to two of its keys set to FAULT_VALUES.  A
+    run has at most 4 paths over a horizon of at most 1 in steps of at
+    least 1e-3, and a check grid at most 50 x 20; no fault value sizes a
+    large array."""
+    command = draw(st.sampled_from(["certify", "exponent", "simulate", "sweep"]))
+    theorem = draw(st.sampled_from(sorted(_TEMPLATES)))
+    keys = {
+        "ambiguity.sigma_lower": draw(_number(0.1, 1.0)),
+        "ambiguity.sigma_upper": draw(_number(1.0, 2.0)),
+        "sde.f": draw(_EXPRS),
+        "sde.g": draw(_EXPRS),
+        "sde.x0": draw(_number(-2.0, 2.0)),
+        "sde.t0": draw(_number(0.0, 10.0)),
+        "lyapunov.v": draw(_ENERGY),
+        "certificate.theorem": theorem,
+        **{f"certificate.{CERT_PARAMS.get(name, (name,))[0]}": draw(_FIELD[name])
+           for name in ("p", *_TEMPLATES[theorem].fields)},
+        "numerics.horizon": draw(_number(1e-3, 1.0)),
+        "numerics.n_paths": draw(_count(4)),
+        "numerics.seed": draw(st.integers(0, 3).map(str)),
+        "numerics.method": draw(st.sampled_from(["euler", "milstein"])),
+        "grid.x_points": draw(_count(50)),
+        "grid.t_points": draw(st.integers(2, 20).map(str)),
+        "grid.x_min": draw(_number(1e-3, 1.0)),
+        "grid.x_max": draw(_number(1.0, 10.0)),
+        "grid.t_span": draw(_number(0.1, 10.0)),
+    }
+    keys["numerics.dt"] = draw(_number(1e-3, float(keys["numerics.horizon"])))
+    if command == "simulate" or draw(st.booleans()):
+        keys["scenarios.list"] = "; ".join(draw(st.lists(
+            _SCENARIO, min_size=1, max_size=1 if command == "simulate" else 3)))
+    else:
+        keys["scenarios.richness"] = draw(_count(3))
+    if command == "sweep":
+        swept = draw(st.sampled_from(["sde.f", "certificate.p"]))
+        keys[swept] = "{a}" if swept == "certificate.p" else f"{{a}}*({keys[swept]})"
+        keys["sweep.parameter"] = "a"
+        keys["sweep.values"] = draw(st.lists(_number(0.1, 3.0), min_size=1,
+                                             max_size=3).map(", ".join))
+        keys["sweep.estimate"] = draw(st.sampled_from(["true", "false"]))
+    keys.update(draw(st.lists(st.tuples(st.sampled_from(sorted(KNOWN_KEYS)),
+                                        st.sampled_from(FAULT_VALUES)),
+                              max_size=2)))
+    seed = draw(st.sampled_from([None, None, None, 0, 1, 2, -1, 2**64]))
+    return command, "".join(f"{k} = {v}\n" for k, v in keys.items()), seed
+
+
+@given(case=any_configs())
+@settings(max_examples=300, deadline=None)
+def test_random_configs_keep_the_exit_code_contract(case):
+    """On every drawn config, main returns 0, 1, 2 or 3 and raises nothing
+    (a warning, which the suite makes an error, counts as raising), and a
+    second run of the same config in the same process returns the same
+    code and writes the same bytes."""
+    command, text, seed = case
+    flags = [] if seed is None else ["--seed", str(seed)]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(Path(tmp), text)
+        runs = []
+        for name in ("first", "second"):
+            out = Path(tmp) / name
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main([command, "--config", cfg, "--out", str(out)] + flags)
+            assert code in (0, 1, 2, 3)
+            runs.append((code, {p.name: p.read_bytes() for p in out.glob("*")}))
+    assert runs[0] == runs[1]

@@ -335,8 +335,8 @@ class TestExponent:
             estimate_exponent(at_zero, [Constant(1.0)], B, horizon=1.0,
                               dt=0.1, n_paths=2, seed=0)
         with pytest.raises(ValueError, match="x0"):
-            adversarial_search(at_zero, B, budget=3, horizon=1.0, dt=0.1,
-                               n_paths=2, seed=0)
+            adversarial_search(at_zero, enumerate_family(B, 3), B, budget=3,
+                               horizon=1.0, dt=0.1, n_paths=2, seed=0)
         with pytest.raises(ScenarioError, match="n_paths must be >= 1"):
             estimate_exponent(
                 spec, [Constant(1.0)], B, horizon=1.0, dt=0.1, n_paths=0,
@@ -360,7 +360,8 @@ class TestExponent:
             lambda: estimate_sublinear_expectation(
                 "constant", spec, [Constant(1.0)], B, **run),
             lambda: estimate_exponent(spec, [Constant(1.0)], B, **run),
-            lambda: adversarial_search(spec, B, budget=3, **run),
+            lambda: adversarial_search(
+                spec, enumerate_family(B, 3), B, budget=3, **run),
             lambda: martingale_bound_check(
                 MartingaleCheckSpec(eta=parse("1"), k_max=1), spec,
                 Constant(1.0), B, n_paths=3, seed=0, dt=0.1),
@@ -390,7 +391,8 @@ class TestExponent:
             lambda: estimate_sublinear_expectation(
                 "constant", spec, [Constant(1.0)], B, **run),
             lambda: estimate_exponent(spec, [Constant(1.0)], B, **run),
-            lambda: adversarial_search(spec, B, budget=3, **run),
+            lambda: adversarial_search(
+                spec, enumerate_family(B, 3), B, budget=3, **run),
         ]
         if horizon == 1.0:
             calls.append(lambda: martingale_bound_check(
@@ -415,7 +417,8 @@ class TestExponent:
             lambda: estimate_sublinear_expectation(
                 "constant", spec, [Constant(1.0)], B, **run),
             lambda: estimate_exponent(spec, [Constant(1.0)], B, **run),
-            lambda: adversarial_search(spec, B, budget=3, **run),
+            lambda: adversarial_search(
+                spec, enumerate_family(B, 3), B, budget=3, **run),
             lambda: martingale_bound_check(
                 MartingaleCheckSpec(eta=parse("1"), k_max=1), spec,
                 Constant(1.0), B, n_paths=2**56 + 1, seed=0, dt=0.1),
@@ -670,16 +673,16 @@ class TestAdversarialSearch:
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="budget"):
             adversarial_search(
-                linear_spec(1.0, 1.0), B, budget=0, horizon=5.0, dt=0.1,
-                n_paths=5, seed=0,
+                linear_spec(1.0, 1.0), enumerate_family(B, 3), B, budget=0,
+                horizon=5.0, dt=0.1, n_paths=5, seed=0,
             )
 
     def test_finds_band_floor_for_stable_linear(self):
         """For dX = -X dt + X dB the rate -1 - v/2 is maximized at the
         band floor; the family pass alone must already land there."""
         res = adversarial_search(
-            linear_spec(1.0, 1.0), B, budget=20, horizon=20.0, dt=0.01,
-            n_paths=50, seed=4, richness=2,
+            linear_spec(1.0, 1.0), enumerate_family(B, 2), B, budget=20,
+            horizon=20.0, dt=0.01, n_paths=50, seed=4,
         )
         assert res.baseline_complete
         assert res.scenario == Constant(B.v_lower)
@@ -687,8 +690,8 @@ class TestAdversarialSearch:
 
     def test_budget_caps_evaluations(self):
         res = adversarial_search(
-            linear_spec(1.0, 1.0), B, budget=2, horizon=5.0, dt=0.1,
-            n_paths=10, seed=4, richness=3,
+            linear_spec(1.0, 1.0), enumerate_family(B, 3), B, budget=2,
+            horizon=5.0, dt=0.1, n_paths=10, seed=4,
         )
         assert res.evaluations == 2
         assert not res.baseline_complete
@@ -700,12 +703,12 @@ class TestAdversarialSearch:
         must never fall below the family baseline."""
         spec = SdeSpec(f=parse("-x*sign(7 - t)"), g=parse("x"), x0=1.0)
         base = adversarial_search(
-            spec, B, budget=7, horizon=20.0, dt=0.02, n_paths=30, seed=8,
-            richness=2,
+            spec, enumerate_family(B, 2), B, budget=7, horizon=20.0, dt=0.02,
+            n_paths=30, seed=8,
         )
         more = adversarial_search(
-            spec, B, budget=30, horizon=20.0, dt=0.02, n_paths=30, seed=8,
-            richness=2, max_switches=2,
+            spec, enumerate_family(B, 2), B, budget=30, horizon=20.0, dt=0.02,
+            n_paths=30, seed=8, max_switches=2,
         )
         assert base.baseline_complete
         assert more.exponent >= base.exponent
@@ -761,8 +764,8 @@ def test_search_pinned(max_switches, budget):
     schedule over every constant once max_switches >= 2."""
     spec = SdeSpec(f=parse("-x*sign(7 - t)"), g=parse("x + 1"), x0=1.0)
     res = adversarial_search(
-        spec, B, budget=budget, horizon=14.0, dt=0.05, n_paths=6, seed=8,
-        richness=2, max_switches=max_switches,
+        spec, enumerate_family(B, 2), B, budget=budget, horizon=14.0, dt=0.05,
+        n_paths=6, seed=8, max_switches=max_switches,
     )
     got = (res.evaluations, repr(res.exponent), res.scenario)
     assert got == SEARCH_PINS[max_switches, budget]
@@ -775,8 +778,8 @@ def test_search_beats_the_family_out_of_sample():
     errors, so the search finds what the family lacks."""
     spec = SdeSpec(f=parse("-x*sign(7 - t)"), g=parse("x + 1"), x0=1.0)
     found = adversarial_search(
-        spec, B, budget=20, horizon=14.0, dt=0.05, n_paths=6, seed=8,
-        richness=2, max_switches=3,
+        spec, enumerate_family(B, 2), B, budget=20, horizon=14.0, dt=0.05,
+        n_paths=6, seed=8, max_switches=3,
     ).scenario
     est = estimate_exponent(
         spec, [found, *enumerate_family(B, 2)], B, horizon=14.0, dt=0.05,
@@ -786,6 +789,26 @@ def test_search_beats_the_family_out_of_sample():
     assert est.argmax_label == best.label == found.label()
     for s in family:
         assert best.mean - s.mean > 3 * math.hypot(best.stderr, s.stderr), s.label
+
+
+def test_search_switches_inside_its_run():
+    """The switch times are clock times, and the run covers [t0, t0 +
+    horizon]: the m3-budget20 search shifted to t0 = 100, drift and all,
+    spends the same evaluations and finds the same schedule 100 later."""
+    found = []
+    for t0 in (0.0, 100.0):
+        spec = SdeSpec(f=parse(f"-x*sign(7 - (t - {t0}))"), g=parse("x + 1"),
+                       x0=1.0, t0=t0)
+        found.append(adversarial_search(
+            spec, enumerate_family(B, 2), B, budget=20, horizon=14.0, dt=0.05,
+            n_paths=6, seed=8, max_switches=3,
+        ))
+    at_zero, later = found
+    assert later.evaluations == at_zero.evaluations == 20
+    assert later.scenario.levels == at_zero.scenario.levels
+    assert later.scenario.times == pytest.approx(
+        [t + 100.0 for t in at_zero.scenario.times], abs=1e-9)
+    assert later.exponent == pytest.approx(at_zero.exponent, abs=1e-9)
 
 
 class TestMartingaleBound:
@@ -906,14 +929,16 @@ class TestMartingaleBound:
 
 
 def test_family_setup_lives_in_one_place():
-    """Every entry point is one family run: estimator.py lists the family
-    and calls uniform_grid only in the prologue _run_grid, and calls
-    _run_lanes only in the group loop _scenario_rows.  Only a rate divides
+    """Every entry point is one run of the family it is given: estimator.py
+    calls no enumerate_family, lists the family and calls uniform_grid
+    only in the prologue _run_grid, and calls _run_lanes only in the
+    group loop _scenario_rows.  Only a rate divides
     by log|x0|, so in the package check_x0 is named only by
     _ExponentObserver and by config.build_run's exit-2 pre-check."""
     from gsde import config
 
-    callers = {"uniform_grid": [], "_run_lanes": [], "list": [], "check_x0": []}
+    called = ("uniform_grid", "_run_lanes", "list", "enumerate_family")
+    callers = {name: [] for name in (*called, "check_x0")}
     for module in (estimator, config):
         name = module.__name__.rsplit(".", 1)[1]
         for fn in ast.parse(Path(module.__file__).read_text()).body:
@@ -922,12 +947,13 @@ def test_family_setup_lives_in_one_place():
                 if isinstance(node, ast.Name) and node.id == "check_x0":
                     callers["check_x0"].append(where)
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                        and node.func.id in ("uniform_grid", "_run_lanes", "list")
+                        and node.func.id in called
                         and name == "estimator"):
                     callers[node.func.id].append(where)
     assert callers == {
         "uniform_grid": ["estimator._run_grid"],
         "_run_lanes": ["estimator._scenario_rows"],
         "list": ["estimator._run_grid"],
+        "enumerate_family": [],
         "check_x0": ["estimator._ExponentObserver", "config.build_run"],
     }

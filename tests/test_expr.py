@@ -28,6 +28,8 @@ from gsde.expr import (
 )
 from gsde.expr import _BINARY, _UNARY, _d, _domain_free, _simplify
 
+from conftest import any_exprs
+
 
 class TestParsing:
     def test_structure_of_product(self):
@@ -329,33 +331,6 @@ def test_print_parse_round_trip(e):
                 continue
             v2 = evaluate(e2, x, t)
             assert v1 == v2 or (math.isnan(v1) and math.isnan(v2))
-
-
-@st.composite
-def any_exprs(draw, depth=0):
-    """Random trees over every operator, domain-restricted ones included
-    (div, log, sqrt, fractional and negative powers)."""
-    if depth >= 3 or draw(st.booleans()):
-        leaf = draw(st.sampled_from(["x", "t", "const"]))
-        if leaf == "const":
-            return Const(draw(st.floats(-3.0, 3.0, allow_nan=False)))
-        return Var(leaf, 0)
-    op = draw(st.sampled_from(
-        ["neg", "abs", "sign", "exp", "log", "sin", "cos", "sqrt",
-         "add", "sub", "mul", "div", "pow"]
-    ))
-    if op == "pow":
-        c = draw(st.one_of(
-            st.integers(-3, 4).map(float),
-            st.sampled_from([0.5, 1.5, -0.5]),
-            st.floats(-3.0, 3.0, allow_nan=False),
-        ))
-        return Binary("pow", draw(any_exprs(depth=depth + 1)), Const(c), 0)
-    if op in ("add", "sub", "mul", "div"):
-        return Binary(
-            op, draw(any_exprs(depth=depth + 1)), draw(any_exprs(depth=depth + 1)), 0
-        )
-    return Unary(op, draw(any_exprs(depth=depth + 1)), 0)
 
 
 def _bits(v):

@@ -21,12 +21,8 @@ from pathlib import Path
 
 from .config import (
     ConfigError,
-    build_bounds,
-    build_certificate,
-    build_grid,
-    build_lyapunov,
+    build_check,
     build_run,
-    build_sde,
     build_sweep,
     load_config,
     make_output_dir,
@@ -86,14 +82,9 @@ def entry() -> None:
 
 def _check(cfg, held=None):
     """Check the configured certificate and return its report; held, the
-    SampleHolder of a sweep, lets the check reuse its last point's
-    operator sample."""
-    bounds = build_bounds(cfg)
-    sde = build_sde(cfg)
-    lyap = build_lyapunov(cfg)
-    cert = build_certificate(cfg, bounds)
-    grid = build_grid(cfg, sde.t0)
-    return check_certificate(lyap, sde, bounds, cert, grid, held=held)
+    SampleHolder of a sweep, lets the check reuse what its last point
+    built and sampled from inputs that did not change."""
+    return check_certificate(*build_check(cfg, held), held=held)
 
 
 def _estimate(cfg, point=""):

@@ -25,6 +25,7 @@ from .lyapunov import (
     CertificateSpec,
     CheckGrid,
     LyapunovFn,
+    SampleHolder,
     validate_certificate,
 )
 from .scenario import (
@@ -51,6 +52,7 @@ __all__ = [
     "build_scenarios",
     "single_scenario",
     "build_grid",
+    "build_check",
     "build_numerics",
     "build_run",
     "Sweep",
@@ -267,8 +269,10 @@ def build_certificate(cfg: dict, bounds: AmbiguityBounds) -> CertificateSpec:
     return cert
 
 
-def build_scenarios(cfg: dict, bounds: AmbiguityBounds):
-    """The configured family; feedback_vxx reads V from lyapunov.v."""
+def build_scenarios(cfg: dict, bounds: AmbiguityBounds, t0: float = 0.0):
+    """The configured family; feedback_vxx reads V from lyapunov.v, and the
+    built-in family's switchers count their switch times from t0, the
+    run's sde.t0."""
     lyapunov = _opt_expr(cfg, "lyapunov.v", {"x", "t"})
     has_list = "scenarios.list" in cfg
     has_richness = "scenarios.richness" in cfg
@@ -284,7 +288,7 @@ def build_scenarios(cfg: dict, bounds: AmbiguityBounds):
             raise ConfigError("scenarios.list: no scenarios given")
         return out
     richness = _value(cfg, "scenarios.richness", int, 3)
-    return _refused(enumerate_family, bounds, richness, lyapunov=lyapunov)
+    return _refused(enumerate_family, bounds, richness, lyapunov=lyapunov, t0=t0)
 
 
 def single_scenario(scenarios):
@@ -304,6 +308,43 @@ def build_grid(cfg: dict, t0: float) -> CheckGrid:
             f"the time {exc}" if isinstance(exc, ScenarioError)
             else re.sub(rf"^({'|'.join(_GRID)})\b", r"grid.\1", str(exc))),
     )
+
+
+def build_check(cfg: dict, held: SampleHolder | None = None) -> tuple:
+    """(lyapunov, sde, bounds, certificate, grid), check_certificate's
+    arguments, built in the order bounds, sde, lyapunov, certificate,
+    grid.  Given a holder, a builder whose inputs are bit-equal to those
+    of the holder's last build returns that build's product: its inputs
+    are the text of the keys it reads and the built values it takes.
+    Only a product built without error is held."""
+    built = {} if held is None else held.built
+    bounds = _build_once(built, _text(cfg, "ambiguity."), build_bounds, cfg)
+    sde = _build_once(built, _text(cfg, "sde."), build_sde, cfg)
+    lyap = _build_once(built, _text(cfg, "lyapunov.v"), build_lyapunov, cfg)
+    cert = _build_once(built, (_text(cfg, "certificate."), bounds),
+                       build_certificate, cfg, bounds)
+    grid = _build_once(built, _text(cfg, "grid.", "sde.t0"), build_grid, cfg, sde.t0)
+    return lyap, sde, bounds, cert, grid
+
+
+def _text(cfg: dict, *prefixes: str) -> tuple:
+    """The (key, text) pairs of the keys that start with a prefix, in key
+    order."""
+    return tuple(sorted(item for item in cfg.items() if item[0].startswith(prefixes)))
+
+
+def _build_once(built: dict, inputs, build, cfg: dict, *args):
+    """build(cfg, *args), or what built holds for build when it was built
+    from equal inputs; a held product that will not be reused is let go
+    first."""
+    last = built.pop(build, None)
+    if last is not None and last[0] == inputs:
+        product = last[1]
+    else:
+        last = None
+        product = build(cfg, *args)
+    built[build] = inputs, product
+    return product
 
 
 def _in_numerics(exc: Exception) -> str:
@@ -330,7 +371,7 @@ def build_run(cfg: dict, rates: bool = False):
     that no rate can be normalized by."""
     bounds = build_bounds(cfg)
     sde = build_sde(cfg)
-    scenarios = build_scenarios(cfg, bounds)
+    scenarios = build_scenarios(cfg, bounds, sde.t0)
     num = build_numerics(cfg, scenarios)
     grid = _refused(uniform_grid, sde.t0, num.horizon, num.dt, message=lambda exc:
                     f"sde.t0 + {_in_numerics('horizon')}: the time {exc}")

@@ -24,7 +24,8 @@ __all__ = ["AmbiguityBounds", "g_upper", "g_lower"]
 
 @dataclass(frozen=True)
 class AmbiguityBounds:
-    """Volatility band 0 < sigma_lower <= sigma_upper < inf.
+    """Volatility band 0 < sigma_lower <= sigma_upper < inf, with a finite
+    variance edge sigma_upper^2.
 
     Stores standard deviations; the variance edges are exposed as
     v_lower / v_upper.
@@ -41,6 +42,8 @@ class AmbiguityBounds:
             raise ValueError(
                 f"need 0 < sigma_lower <= sigma_upper, got ({sl}, {su})"
             )
+        if not math.isfinite(su * su):
+            raise ValueError(f"sigma_upper^2 overflows, got sigma_upper = {su}")
 
     @property
     def v_lower(self) -> float:

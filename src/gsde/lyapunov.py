@@ -12,9 +12,12 @@ L_lower is dominated by it, so pointwise inequalities on these operators
 certify pathwise decay (or growth) bounds that hold across the whole
 ambiguity band at once.  All three come from one sample_operators pass.
 A caller that checks many certificates, such as a sweep, passes
-check_certificate one SampleHolder, which keeps the last check's pass and
-hands it to a check whose inputs are bit-equal, so a sweep over a
-certificate parameter samples once; a check without a holder samples.
+check_certificate one SampleHolder, which keeps the last check's pass: a
+check whose inputs are bit-equal reuses it whole, so a sweep over a
+certificate parameter samples once, and one on the same band and grid
+recomputes only the operators that read a changed input; a check without
+a holder samples.  A sample computes its drifts, its envelope verdicts
+and its V > 0 refusal once, however many checks read it.
 
 check_certificate machine-checks the hypothesis set of one of six
 certificate templates (ids T33..T38) on a deterministic grid and, when
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -178,10 +182,41 @@ class OperatorSample:
     g2: np.ndarray
     V_xx: np.ndarray
 
+    @cached_property
+    def known(self) -> dict:
+        """What once() computed from this sample, by its key."""
+        return {}
+
+    def once(self, key, compute):
+        """compute(), computed once per sample for key; one that raises is
+        computed again when asked again."""
+        if key not in self.known:
+            self.known[key] = compute()
+        return self.known[key]
+
     def drift(self, envelope) -> np.ndarray:
         """V_t + f V_x + g^2 envelope(V_xx): the worst-case drift L with
-        g_upper, the best-case drift L_lower with g_lower."""
-        return self.first_order + self.g2 * envelope(self.V_xx, self.b)
+        g_upper, the best-case drift L_lower with g_lower.  It is computed
+        once per envelope and is read-only."""
+        return self.once(envelope, lambda: _read_only(
+            self.first_order + self.g2 * envelope(self.V_xx, self.b)))
+
+
+# the inputs a sample evaluates, in evaluation order
+_INPUTS = ("V", "g", "V_t", "f", "V_x", "V_xx")
+# each operator field of OperatorSample: the inputs it reads, and its value
+# from their evaluations
+_OPERATORS = {
+    "V": (("V",), lambda v: v["V"]),
+    "H": (("g", "V_x"), lambda v: v["g"] * v["g"] * v["V_x"] * v["V_x"]),
+    "first_order": (("V_t", "f", "V_x"), lambda v: v["V_t"] + v["f"] * v["V_x"]),
+    "g2": (("g",), lambda v: v["g"] * v["g"]),
+    "V_xx": (("V_xx",), lambda v: v["V_xx"]),
+}
+
+
+def _input_exprs(lyap: LyapunovFn, spec: SdeSpec) -> dict:
+    return dict(zip(_INPUTS, (lyap.V, spec.g, lyap.V_t, spec.f, lyap.V_x, lyap.V_xx)))
 
 
 def sample_operators(
@@ -191,13 +226,20 @@ def sample_operators(
     points (x, t); the first domain violation raises.  On grid axes (a
     column of states, a row of times) a subtree is evaluated at the shape
     of its own variables, and only subtrees mixing x and t are full-size."""
-    V, g, V_t, f, V_x, V_xx = (
-        evaluate(e, x, t)
-        for e in (lyap.V, spec.g, lyap.V_t, spec.f, lyap.V_x, lyap.V_xx)
-    )
+    return _sample(lyap, spec, b, x, t, {})
+
+
+def _sample(lyap, spec, b, x, t, kept: dict) -> OperatorSample:
+    """sample_operators with the operators of kept: each other operator is
+    computed from the inputs it reads, and only those inputs are
+    evaluated, in _INPUTS order."""
+    stale = [name for name in _OPERATORS if name not in kept]
+    needed = {i for name in stale for i in _OPERATORS[name][0]}
+    exprs = _input_exprs(lyap, spec)
+    vals = {i: evaluate(exprs[i], x, t) for i in _INPUTS if i in needed}
     x, t = np.broadcast_arrays(x, t)
-    g2 = g * g
-    return OperatorSample(x, t, b, V, g2 * V_x * V_x, V_t + f * V_x, g2, V_xx)
+    return OperatorSample(x, t, b, **kept,
+                          **{name: _OPERATORS[name][1](vals) for name in stale})
 
 
 @dataclass(eq=False)
@@ -205,9 +247,12 @@ class SampleHolder:
     """One slot for the operator sample of a run of checks, such as one
     sweep: last is the last check's inputs (_inputs) and sample, or None.
     The sample is a pure function of those inputs, so no check can see
-    whose check left it."""
+    whose check left it.  built is the caller's own slot for what it built
+    the last check's arguments from (config.build_check keeps its builders'
+    products there)."""
 
     last: tuple[tuple, OperatorSample] | None = None
+    built: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -585,17 +630,18 @@ def check_certificate(
         grid = CheckGrid.default(t0=spec.t0)
     validate_certificate(cert, b)
     tpl = _TEMPLATES[cert.theorem]
-    xs, ts = grid.xs[:, None], grid.ts[None, :]
     m = _grid_sample(lyap, spec, b, grid, SampleHolder() if held is None else held)
-    _refuse_at(m, m.V <= 0, "V must be positive away from x = 0; V <= 0")
+    m.once("V > 0", lambda: _refuse_at(
+        m, m.V <= 0, "V must be positive away from x = 0; V <= 0"))
     caveats = tuple(
         f"{name} uses abs/sign: derivatives are formal and do not "
         f"exist at the kink (x = 0 caveat)"
         for name, e in (("V", lyap.V), ("f", spec.f), ("g", spec.g))
         if contains_nonsmooth(e)
     )
-    xp = np.abs(xs) ** cert.p * (np.exp(cert.lam * ts) if tpl.grows else 1.0)
-    envelope = _pointwise(m, "envelope", *((m.V, xp) if tpl.unstable else (xp, m.V)))
+    lam_in_force = cert.lam if tpl.grows else None
+    envelope = m.once(("envelope", cert.p, lam_in_force, tpl.unstable),
+                      lambda: _envelope(m, grid, cert.p, lam_in_force, tpl.unstable))
     lam, rest = tpl.hypotheses(m, cert, grid.ts)
     hyps = (envelope, *rest)
     granted = all(h.passed for h in hyps)
@@ -610,39 +656,67 @@ def check_certificate(
     )
 
 
+def _envelope(m, grid, p, lam, unstable) -> HypothesisVerdict:
+    """|x|^p e^{lambda t} <= V (or V <= |x|^p when unstable), the growth
+    factor left out when lambda is None."""
+    xs, ts = grid.xs[:, None], grid.ts[None, :]
+    xp = np.abs(xs) ** p * (np.exp(lam * ts) if lam is not None else 1.0)
+    return _pointwise(m, "envelope", *((m.V, xp) if unstable else (xp, m.V)))
+
+
 def _inputs(lyap: LyapunovFn, spec: SdeSpec, b: AmbiguityBounds,
-            grid: CheckGrid) -> tuple:
+            grid: CheckGrid) -> tuple[dict, tuple]:
     """What the grid sample depends on, in a form that is equal only for
-    bit-equal inputs.  Each expression is held as its source text, which
-    tells Const(-0.0) from Const(0.0) where tree equality does not, and as
-    its tree, which tells x^-c from 1/x^c where to_source does not.  The
+    bit-equal inputs: each input expression by name, and the band with
+    the grid.  An expression is held as its source text, which tells
+    Const(-0.0) from Const(0.0) where tree equality does not, and as its
+    tree, which tells x^-c from 1/x^c where to_source does not.  The
     band's floats are positive and finite, so their equality is bit
     equality; the grid is compared by shape and bytes."""
-    exprs = (lyap.V, lyap.V_t, lyap.V_x, lyap.V_xx, spec.f, spec.g)
-    return (*((to_source(e), e) for e in exprs), b,
-            *((a.shape, a.tobytes()) for a in (grid.xs, grid.ts)))
+    exprs = {name: (to_source(e), e) for name, e in _input_exprs(lyap, spec).items()}
+    return exprs, (b, *((a.shape, a.tobytes()) for a in (grid.xs, grid.ts)))
 
 
 def _grid_sample(lyap, spec, b, grid, holder: SampleHolder) -> OperatorSample:
     """sample_operators on the grid axes, or the holder's sample when its
-    inputs were bit-equal.  The sample is held with read-only arrays on
-    copies of the axes, so neither a template nor a caller that writes to
-    its grid can change it."""
+    inputs were bit-equal.  On the holder's band and grid, the operators
+    that read no changed input are the holder's, and only the inputs the
+    others read are evaluated.  The sample is held with read-only arrays
+    on copies of the axes, so neither a template nor a caller that writes
+    to its grid can change it."""
     key = _inputs(lyap, spec, b, grid)
-    # a sampling that raises holds nothing; otherwise the old sample lives
-    # on in `last` until the new one replaces it
+    # a sampling that raises holds nothing; the held operators that are not
+    # kept are let go before the new ones are computed
     last, holder.last = holder.last, None
     if last is not None and last[0] == key:
         holder.last = last
         return last[1]
-    m = sample_operators(lyap, spec, b, grid.xs[:, None].copy(),
-                         grid.ts[None, :].copy())
+    kept = _kept(last, *key)
+    last = None
+    m = _sample(lyap, spec, b, grid.xs[:, None].copy(), grid.ts[None, :].copy(), kept)
     for f in fields(m):
-        a = getattr(m, f.name)
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
+        _read_only(getattr(m, f.name))
     holder.last = key, m
     return m
+
+
+def _kept(last, exprs: dict, where: tuple) -> dict:
+    """The operators of the held (inputs, sample) last that read no input
+    that differs from exprs, when last was sampled on where's band and
+    grid; none otherwise."""
+    if last is None or last[0][1] != where:
+        return {}
+    held = last[0][0]
+    changed = {i for i in _INPUTS if held[i] != exprs[i]}
+    return {name: getattr(last[1], name) for name, (reads, _) in _OPERATORS.items()
+            if changed.isdisjoint(reads)}
+
+
+def _read_only(a):
+    """a, made read-only if it is an array."""
+    if isinstance(a, np.ndarray):
+        a.flags.writeable = False
+    return a
 
 
 def _point(m: OperatorSample, shape, k) -> tuple[float, float]:

@@ -355,14 +355,16 @@ def variance_stream(s: VolatilityScenario, b: AmbiguityBounds,
 # scenario families
 
 def enumerate_family(
-    b: AmbiguityBounds, richness: int, lyapunov: Expr | None = None
+    b: AmbiguityBounds, richness: int, lyapunov: Expr | None = None,
+    t0: float = 0.0,
 ) -> list[VolatilityScenario]:
     """Deterministic scenario family of increasing coverage.
 
     richness >= 1.  The recipe: both constant band edges, `richness`
     equally spaced interior constants, alternating band-edge switching
-    scenarios with 2..richness switches (at t = 5, 10, ...), and the
-    curvature-feedback policy when an energy function is supplied.
+    scenarios with 2..richness switches (at t = t0 + 5, t0 + 10, ..., for
+    a run that starts at t0), and the curvature-feedback policy when an
+    energy function is supplied.
     richness=1 therefore yields [lower edge, upper edge, midpoint].  A
     label is listed once, at its first place: on a degenerate band the
     constants coincide.
@@ -374,7 +376,7 @@ def enumerate_family(
     fam += [
         Constant(lo + j * (hi - lo) / (richness + 1)) for j in range(1, richness + 1)
     ]
-    fam += [BangBangInTime.band_edges(b, [5.0 * j for j in range(1, k + 1)])
+    fam += [BangBangInTime.band_edges(b, [t0 + 5.0 * j for j in range(1, k + 1)])
             for k in range(2, richness + 1)]
     if lyapunov is not None:
         fam.append(FeedbackSignVxx(lyapunov))

@@ -1,11 +1,13 @@
 """End-to-end CLI checks driven through main()."""
 
+import gc
 import hashlib
 import io
 import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsde
-from gsde import cli
+from gsde import cli, config
 from gsde.cli import main
-from gsde.config import KNOWN_KEYS
+from gsde.config import KNOWN_KEYS, build_check, build_sweep, load_config
 from gsde.expr import to_source
 from gsde.lyapunov import (
-    _TEMPLATES, CERT_PARAMS, CheckGrid, LyapunovFn, SampleHolder,
+    _TEMPLATES, CERT_PARAMS, CheckGrid, LyapunovFn, OperatorSample, SampleHolder,
+    check_certificate,
 )
 
 from conftest import any_exprs
@@ -333,6 +336,9 @@ class TestExitCodes:
              "sde.f: unknown identifier 'y' (offset 3)"),
             ("exponent", EXPONENT, "ambiguity.sigma_lower = 2", [],
              "need 0 < sigma_lower <= sigma_upper, got (2.0, 1.0)"),
+            ("simulate", SIMULATE, "ambiguity.sigma_upper = 1e300\n"
+             "scenarios.list = piecewise_random:dwell=1", [],
+             "sigma_upper^2 overflows, got sigma_upper = 1e+300"),
             ("certify", CERT_GRANT,
              "certificate.theorem = T35\ncertificate.nu_coeffs = 400,abc", [],
              "certificate.nu_coeffs: could not convert string to float: 'abc'"),
@@ -616,6 +622,23 @@ numerics.dt = 0.1
 
 
 class TestExponent:
+    def test_family_switches_count_from_t0(self, tmp_path):
+        """The built-in switchers switch at t0 + 5, t0 + 10, ...: a run from
+        t0 = 100 sees both levels of bangbang_t:1@105,0.25@110, not only the
+        last level of a schedule at clock times 5 and 10."""
+        cfg = write(tmp_path, EXPONENT.replace("sde.x0 = 1.0", "sde.x0 = 1\nsde.t0 = 100")
+                    .replace("richness = 1", "richness = 3")
+                    .replace("n_paths = 20", "n_paths = 50"))
+        out = tmp_path / "out"
+        assert main(["exponent", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "exponent.csv").read_text().splitlines()[1:-2]
+        means = {r.rsplit(",", 7)[0].strip('"'): float(r.rsplit(",", 7)[1]) for r in rows}
+        assert list(means)[5:] == ["bangbang_t:1@105,0.25@110",
+                                   "bangbang_t:1@105,0.25@110,1@115"]
+        assert means["constant:0.25"] == -1.1156142028683218
+        assert means["bangbang_t:1@105,0.25@110"] != means["constant:0.25"]
+        assert means["bangbang_t:1@105,0.25@110,1@115"] != means["constant:1"]
+
     def test_writes_summary_rows(self, tmp_path, capsys):
         cfg = write(tmp_path, EXPONENT)
         out = tmp_path / "out"
@@ -1251,6 +1274,157 @@ class TestBytePin:
             for p in out.iterdir()
         }
         assert got == digests
+
+
+# The six sweeps of the benchmark's certify_templates workload, on the pin
+# grid, and one over a growing envelope's lambda: name -> (config with its
+# placeholder, parameter, values).
+REUSE_SWEEPS = {
+    "T33": ("""
+ambiguity.sigma_lower = 0.5
+ambiguity.sigma_upper = 1.0
+sde.f = -{a}*x-x^3
+sde.g = x
+sde.x0 = 1
+lyapunov.v = (1+exp(-t))*x^2+x^4
+certificate.theorem = T33
+certificate.p = 2
+""" + PIN_GRID, "a", "0.3, 0.4, 0.5, 0.55, 0.6, 0.7, 0.8, 1.0"),
+    "T34": (PIN_T34_WITHHELD.replace("rho = 5", "rho = {rho}"), "rho",
+            "2.0, 3.0, 3.5, 4.0, 4.5, 5.0"),
+    "T35": (PIN_T35.replace("400,1.0", "400,{c}"), "c", "0.5, 0.75, 0.9, 1.0, 1.25, 1.5"),
+    "T36": (PIN_T36.replace("phi = 20050.0", "phi = {c}"), "c",
+            "10000.0, 15000.0, 20000.0, 20050.0, 21000.0, 30000.0"),
+    "T37": (PIN_T37.replace("40100.0*exp", "{c}*exp"), "c",
+            "20000.0, 30000.0, 40000.0, 40100.0, 41000.0, 50000.0"),
+    "T38": (PIN_T38.replace("lambda = 2.0625", "lambda = {lam}"), "lam",
+            "1.5, 1.75, 2.0, 2.0625, 2.1, 2.5"),
+    # T36's envelope e^(lambda t) x^2 <= e^t x^2 holds up to lambda = 1
+    "T36_lambda": (PIN_T36.replace("lambda = 1", "lambda = {lam}"), "lam", "0.5, 1, 1.5"),
+}
+
+# CERT_GRANT on a small grid, with each section's key swept in turn
+REUSE_BASE = CERT_GRANT + "grid.x_points = 20\ngrid.t_points = 10\n"
+# swept key -> (its line with the placeholder, values, the builders that run
+# at every value; the others run at the first value only)
+SECTION_SWEEPS = {
+    "ambiguity": ("ambiguity.sigma_lower = {s}", "0.5, 0.7, 0.9",
+                  {"build_bounds", "build_certificate"}),
+    "sde.t0": ("sde.t0 = {s}", "0, 1, 2.5", {"build_sde", "build_grid"}),
+    "lyapunov": ("lyapunov.v = {s}*x^2", "1, 2, 3", {"build_lyapunov"}),
+    "certificate": ("certificate.p = {s}", "1, 2, 3", {"build_certificate"}),
+    "grid": ("grid.x_points = {s}", "10, 20, 30", {"build_grid"}),
+}
+CHECK_BUILDERS = ("build_bounds", "build_sde", "build_lyapunov", "build_certificate",
+                  "build_grid")
+
+
+def _sweep_config(base, param, values):
+    return base + f"sweep.parameter = {param}\nsweep.values = {values}\n"
+
+
+def _with_line(base, line):
+    """base with line in place of the line of its key, or added."""
+    key = line.split(" = ")[0]
+    lines = [ln for ln in base.splitlines() if not ln.startswith(key + " ")]
+    return "\n".join(lines + [line]) + "\n"
+
+
+def _counted(runs, name, build):
+    """build, appending name to runs at each call."""
+    def counted(*args, **kwargs):
+        runs.append(name)
+        return build(*args, **kwargs)
+    return counted
+
+
+class TestSweepReuse:
+    """What a sweep reuses from its last point, built products and operators
+    alike, is invisible: every point reports what a fresh build and a
+    holder-less check of its config report."""
+
+    @staticmethod
+    def _sweep(tmp_path, monkeypatch, text):
+        """Run text as a sweep; (its config, each point's report, the
+        sweep's holder)."""
+        reports, holders = [], []
+        real = cli.check_certificate
+
+        def spy(*args, **kwargs):
+            holders.append(kwargs["held"])
+            reports.append(real(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "check_certificate", spy)
+        cfg = write(tmp_path, text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        return load_config(cfg), reports, holders[0]
+
+    @staticmethod
+    def _fresh(cfg):
+        return [repr(check_certificate(*build_check(sub)))
+                for _, sub in build_sweep(cfg).points(cfg)]
+
+    @pytest.mark.parametrize("name", sorted(REUSE_SWEEPS))
+    def test_template_sweep_reports_what_fresh_checks_report(
+            self, tmp_path, monkeypatch, capsys, name):
+        text, param, values = REUSE_SWEEPS[name]
+        cfg, reports, _ = self._sweep(tmp_path, monkeypatch,
+                                      _sweep_config(text, param, values))
+        assert [repr(r) for r in reports] == self._fresh(cfg)
+        assert {r.granted for r in reports} == {True, False}
+
+    @pytest.mark.parametrize("section", sorted(SECTION_SWEEPS))
+    def test_swept_section_is_rebuilt_and_the_rest_reused(
+            self, tmp_path, monkeypatch, capsys, section):
+        line, values, rebuilt = SECTION_SWEEPS[section]
+        runs = []
+        for name in CHECK_BUILDERS:
+            monkeypatch.setattr(config, name, _counted(runs, name, getattr(config, name)))
+        text = _sweep_config(_with_line(REUSE_BASE, line), "s", values)
+        cfg, reports, _ = self._sweep(tmp_path, monkeypatch, text)
+        n = len(reports)
+        assert {name: runs.count(name) for name in CHECK_BUILDERS} == {
+            name: n if name in rebuilt else 1 for name in CHECK_BUILDERS}
+        assert [repr(r) for r in reports] == self._fresh(cfg)
+
+    def test_first_refusal_is_unchanged(self, tmp_path, capsys):
+        """A bad unswept lyapunov.v is refused after a bad swept sde.f at the
+        first point, as sde is built before lyapunov."""
+        text = _sweep_config(REUSE_BASE.replace("sde.f = -1.5*x", "sde.f = -x*1e30{a}")
+                             .replace("lyapunov.v = x^2", "lyapunov.v = y^2"), "a", "9, 0")
+        cfg = write(tmp_path, text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: sde.f: number 1e309 is not finite (offset 3)"]
+
+    def test_holder_keeps_one_point(self, tmp_path, monkeypatch, capsys):
+        """After a sweep over grid.x_points, the holder refers to the last
+        point's grid and sample only: the others are freed."""
+        grids, samples, holders = [], [], []
+        real = cli.check_certificate
+
+        def spy(*args, **kwargs):
+            report = real(*args, **kwargs)
+            grids.append(weakref.ref(args[4]))
+            samples.append(weakref.ref(kwargs["held"].last[1]))
+            holders.append(kwargs["held"])
+            return report
+
+        monkeypatch.setattr(cli, "check_certificate", spy)
+        text = _sweep_config(_with_line(REUSE_BASE, "grid.x_points = {s}"), "s",
+                             "5, 10, 15, 20, 25")
+        cfg = write(tmp_path, text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        gc.collect()
+        assert len(grids) == len(samples) == 5
+        assert [r() is not None for r in grids] == [False] * 4 + [True]
+        assert [r() is not None for r in samples] == [False] * 4 + [True]
+        held = holders[-1]
+        assert held.last[1] is samples[-1]() and held.last[1].x.shape == (50, 10)
+        assert [product for _, product in held.built.values()
+                if isinstance(product, CheckGrid)] == [grids[-1]()]
+        assert isinstance(held.last[1], OperatorSample)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,13 @@ class TestAmbiguityBounds:
         with pytest.raises(ValueError):
             AmbiguityBounds(1.0, float("inf"))
 
+    def test_variance_edge_must_be_finite(self):
+        """A sigma_upper whose square overflows is refused: a band edge of
+        inf would reach the level draws of piecewise_random."""
+        with pytest.raises(ValueError, match="overflows"):
+            AmbiguityBounds(1.0, 1e300)
+        assert AmbiguityBounds(1.0, 1e154).v_upper == 1e308
+
     def test_degenerate_band_allowed(self):
         b = AmbiguityBounds(2.0, 2.0)
         assert b.v_lower == b.v_upper == 4.0

@@ -206,12 +206,21 @@ class TestHeldSample:
         assert reports[0] == reports[1]
         assert [sum(c is e for c in evaluations) for e in self.INPUTS] == [2] * 6
 
-    def test_drift_sweep_samples_every_time(self, evaluations):
+    def test_drift_sweep_evaluates_what_f_reaches(self, evaluations):
+        """A new f re-evaluates V_t, f and V_x, the inputs of V_t + f V_x,
+        and keeps the held V, H, g^2 and V_xx."""
         cert = CertificateSpec("T33", 2.0)
         held = SampleHolder()
-        for a in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
-            check_certificate(V2, linear_spec(a, 1.0), B, cert, GRID, held)
-        assert len(evaluations) == 6 * 6
+        specs = [linear_spec(a, 1.0) for a in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8)]
+        for spec in specs:
+            check_certificate(V2, spec, B, cert, GRID, held)
+        assert len(evaluations) == 6 + 5 * 3 == 21
+        assert evaluations[6:] == [e for spec in specs[1:]
+                                   for e in (V2.V_t, spec.f, V2.V_x)]
+        # and each report is the one a fresh sample gives
+        for spec in specs:
+            assert (check_certificate(V2, spec, B, cert, GRID, held)
+                    == check_certificate(V2, spec, B, cert, GRID))
 
     def test_held_arrays_are_read_only(self):
         lyap = LyapunovFn.from_expr(parse("(1+exp(-t))*x^2+x^4"))
@@ -256,7 +265,8 @@ class TestHeldSample:
         held = SampleHolder()
         for spec in specs:
             check_certificate(V2, spec, B, CertificateSpec("T33", 2.0), GRID, held)
-        assert len(evaluations) == 2 * 6
+        assert len(evaluations) == 6 + 3 == 9
+        assert evaluations[6:] == [V2.V_t, specs[1].f, V2.V_x]
         assert [sum(c is spec.f for c in evaluations) for spec in specs] == [1, 1]
 
 

@@ -259,6 +259,16 @@ class TestFamily:
         assert switches[1].times == (5.0, 10.0, 15.0)
         assert switches[1].levels == (1.0, 0.25, 1.0)
 
+    def test_switches_count_from_t0(self):
+        """The switchers of a run from t0 switch at t0 + 5, t0 + 10, ...;
+        from t0 = 0 the family is the default one."""
+        switches = [s for s in enumerate_family(B, 3, t0=100.0)
+                    if isinstance(s, BangBangInTime)]
+        assert [s.times for s in switches] == [(105.0, 110.0), (105.0, 110.0, 115.0)]
+        assert [s.label() for s in switches] == [
+            "bangbang_t:1@105,0.25@110", "bangbang_t:1@105,0.25@110,1@115"]
+        assert enumerate_family(B, 3, t0=0.0) == enumerate_family(B, 3)
+
     def test_family_includes_feedback_when_energy_given(self):
         fam = enumerate_family(B, 1, lyapunov=parse("x^2"))
         assert isinstance(fam[-1], FeedbackSignVxx)
@@ -357,7 +367,9 @@ def test_input_rules_have_one_owner():
     numerics key, in the package only estimator._run_grid and config.build_run
     use uniform_grid, and a refusal becomes a ConfigError in one place: in
     config only the helper _refused catches, in cli only main.  cli spells
-    no input rule: it names no rule of scenario or estimator, nor _refused."""
+    no input rule: it names no rule of scenario or estimator, nor _refused,
+    and builds a check with config.build_check, naming none of the
+    builders it runs, since config alone knows which keys each reads."""
     src = Path(gsde.__file__).resolve().parent
     modules = {p.stem: p.read_text() for p in sorted(src.glob("*.py"))}
     offenders = [
@@ -384,6 +396,9 @@ def test_input_rules_have_one_owner():
     assert sorted(users) == ["config.build_run", "estimator._run_grid"]
     assert sorted(set(catchers)) == ["cli.main", "config._refused"]
     assert re.findall(r"\b(?:_refused|check_streams|uniform_grid|check_x0)\b",
+                      modules["cli"]) == []
+    assert "build_check(" in modules["cli"]
+    assert re.findall(r"\bbuild_(?:bounds|sde|lyapunov|certificate|grid)\b",
                       modules["cli"]) == []
 
 

@@ -415,7 +415,10 @@ def _pointwise(m: OperatorSample, name, lhs, rhs) -> HypothesisVerdict:
                              *_point(m, lhs.shape, at))
 
 
-def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _cumtrapz(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The trapezoid integrals from t[0] to each time t of the weight w, a
+    _time_weight (one value or a row of them)."""
+    y = np.broadcast_to(w[0], t.shape)
     out = np.zeros_like(y)
     out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
     return out
@@ -510,10 +513,9 @@ def _t33(m, c, ts):
 
 def _t34(m, c, ts):
     phi = _time_weight(c.phi, ts)
-    w = phi[None, :]
     return c.lam, [
-        _pointwise(m, "drift", m.drift(g_upper), c.lam * w * m.V),
-        _pointwise(m, "noise_floor", c.rho * w * m.V * m.V, m.H),
+        _pointwise(m, "drift", m.drift(g_upper), c.lam * phi * m.V),
+        _pointwise(m, "noise_floor", c.rho * phi * m.V * m.V, m.H),
         _cesaro_lower("time_average", phi, ts, c.kappa),
     ]
 
@@ -533,7 +535,7 @@ def _t36(m, c, ts):
     weight = c.eta * (1.0 + ts[None, :]) ** (-c.q)
     drift = m.drift(g_upper) + weight * m.H
     return c.lam, [
-        _pointwise(m, "drift", drift, phi[None, :] * (1.0 + m.V**c.beta_exp)),
+        _pointwise(m, "drift", drift, phi * (1.0 + m.V**c.beta_exp)),
         _loggrowth_cap("weight_growth", phi, ts, 0.0),
     ]
 
@@ -543,7 +545,7 @@ def _t37(m, c, ts):
     phi2 = _time_weight(c.phi2, ts)
     weight = m.b.v_upper * c.eta * np.exp(-c.q * ts[None, :])
     drift = m.drift(g_upper) + weight * m.H
-    cap = phi1[None, :] + phi2[None, :] * m.V**c.beta_exp
+    cap = phi1 + phi2 * m.V**c.beta_exp
     return c.lam, [
         _pointwise(m, "drift", drift, cap),
         _loggrowth_cap("weight1_growth", phi1, ts, c.q),
@@ -553,10 +555,9 @@ def _t37(m, c, ts):
 
 def _t38(m, c, ts):
     phi = _time_weight(c.phi, ts)
-    w = phi[None, :]
     return c.lam, [
-        _pointwise(m, "drift", c.lam * w * m.V, m.drift(g_lower)),
-        _pointwise(m, "noise_ceiling", m.H, c.rho * w * m.V * m.V),
+        _pointwise(m, "drift", c.lam * phi * m.V, m.drift(g_lower)),
+        _pointwise(m, "noise_ceiling", m.H, c.rho * phi * m.V * m.V),
         _cesaro_lower("time_average", phi, ts, c.kappa),
     ]
 
@@ -747,7 +748,10 @@ def _polyval(coeffs, t):
 
 
 def _time_weight(e: Expr, ts: np.ndarray) -> np.ndarray:
-    vals = np.broadcast_to(evaluate(e, 0.0, ts), ts.shape)
+    """The weight e on the grid times ts, at the shape it evaluates to on
+    the time row: (1, 1) for a weight without t, (1, ts.size) otherwise.
+    A weight negative at some grid time is refused."""
+    vals = np.atleast_2d(evaluate(e, 0.0, ts[None, :]))
     if np.any(vals < 0):
         raise CertificateError(
             f"time weight {to_source(e)!r} must be nonnegative on the grid"

@@ -439,6 +439,10 @@ class TestExitCodes:
             ("certify", CERT_GRANT, "certificate.theorem = T34\ncertificate.rho = 10"
              "\ncertificate.kappa = 1\ncertificate.phi = sin(t)", [],
              "error: time weight 'sin(t)' must be nonnegative on the grid"),
+            # a weight without t is one value, refused the same way
+            ("certify", CERT_GRANT, "certificate.theorem = T34\ncertificate.rho = 10"
+             "\ncertificate.kappa = 1\ncertificate.phi = -1", [],
+             "error: time weight '-1.0' must be nonnegative on the grid"),
             ("certify", CERT_GRANT.replace("certificate.lambda = 1.0\n", ""),
              "sde.g = 1e300", [], "error: decay: -LV/V is not finite at x=-10, t=0"),
             ("certify", CERT_GRANT, "sde.g = 1e200*x", [],

@@ -107,6 +107,12 @@ def test_float_columns_across_block_edges(n):
     assert _same_bytes_as_cell_writer(columns, cells_first=True)
 
 
+def test_float_columns_of_unequal_length_refused(tmp_path):
+    with pytest.raises(ValueError, match="columns must have equal length"):
+        write_float_columns(tmp_path / "t.csv", ("a", "b"),
+                            [np.zeros(3), np.zeros(2)])
+
+
 def test_format_lives_in_one_module():
     """Only csvio builds a csv.writer or spells the float format: any
     `.17g` (format spec, f-string or % template) elsewhere fails."""

@@ -671,11 +671,14 @@ class TestSublinearExpectation:
 
 class TestAdversarialSearch:
     def test_budget_validation(self):
-        with pytest.raises(ValueError, match="budget"):
-            adversarial_search(
-                linear_spec(1.0, 1.0), enumerate_family(B, 3), B, budget=0,
-                horizon=5.0, dt=0.1, n_paths=5, seed=0,
-            )
+        for limits, message in ((dict(budget=0), "budget must be >= 1"),
+                                (dict(budget=3, max_switches=5),
+                                 "max_switches must be in 1..4")):
+            with pytest.raises(ValueError, match=message):
+                adversarial_search(
+                    linear_spec(1.0, 1.0), enumerate_family(B, 3), B, **limits,
+                    horizon=5.0, dt=0.1, n_paths=5, seed=0,
+                )
 
     def test_finds_band_floor_for_stable_linear(self):
         """For dX = -X dt + X dB the rate -1 - v/2 is maximized at the
@@ -870,6 +873,8 @@ class TestMartingaleBound:
             MartingaleCheckSpec(eta=parse("1"), k_max=2, gamma=(0.0, 1.0))
         with pytest.raises(ValueError, match="tau"):
             MartingaleCheckSpec(eta=parse("1"), k_max=2, tau=(2.0, 1.0))
+        with pytest.raises(ValueError, match="tau needs k_max entries"):
+            MartingaleCheckSpec(eta=parse("1"), k_max=2, tau=(1.0, 2.0, 3.0))
         with pytest.raises(ValueError, match="growth"):
             MartingaleCheckSpec(eta=parse("1"), growth="log")
         with pytest.raises(ValueError, match="k_max"):

@@ -175,6 +175,11 @@ class TestEvaluation:
             evaluate(parse("log(x)"), -1.0, 0.0)
         with pytest.raises(EvalDomainError):
             evaluate(parse("log(x)"), 0.0, 0.0)
+        # a long subexpression is named by its first 57 characters
+        with pytest.raises(EvalDomainError) as info:
+            evaluate(parse("log(" + " + ".join(["x"] * 30) + ")"), -1.0, 0.0)
+        assert str(info.value) == ("log of a non-positive value in 'log("
+                                   + "x + " * 13 + "x...' at offset 0")
 
     def test_domain_error_sqrt(self):
         with pytest.raises(EvalDomainError):
@@ -250,12 +255,17 @@ class TestDifferentiation:
             ("cos(x)", ("x", 0.0, 0.0, 0.0)),
             ("log(x)", ("x", 2.0, 0.0, 0.5)),
             ("exp(2*x)", ("x", 0.0, 0.0, 2.0)),
+            ("x^0", ("x", 3.0, 0.0, 0.0)),
         ],
     )
     def test_known_derivatives(self, text, dx_at):
         var, x, t, expected = dx_at
         d = differentiate(parse(text), var)
         assert evaluate(d, x, t) == pytest.approx(expected, rel=1e-12)
+
+    def test_unknown_variable_is_refused(self):
+        with pytest.raises(ValueError, match="unknown variable 'y'"):
+            differentiate(parse("x"), "y")
 
     def test_abs_derivative_is_sign(self):
         d = differentiate(parse("abs(x)"), "x")
@@ -556,8 +566,10 @@ class TestOperatorTable:
             lambda: Const(math.inf),
             lambda: Const(-math.inf),
             lambda: Const(math.nan),
+            lambda: Var("y"),
+            lambda: Binary("pow", Var("x"), Var("t")),
         ],
-        ids=["tan", "mod", "inf", "-inf", "nan"],
+        ids=["tan", "mod", "inf", "-inf", "nan", "y", "pow-t"],
     )
     def test_nodes_the_table_cannot_print_are_refused(self, build):
         with pytest.raises(ValueError):

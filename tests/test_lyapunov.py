@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 
 from gsde import lyapunov
-from gsde.expr import Binary, Const, EvalDomainError, Var, parse, to_source
+from gsde.expr import (
+    Binary,
+    Const,
+    EvalDomainError,
+    Var,
+    free_variables,
+    parse,
+    to_source,
+)
 from gsde.gcalc import AmbiguityBounds, g_lower, g_upper
 from gsde.integrator import SdeSpec
 from gsde.lyapunov import (
@@ -60,6 +68,8 @@ class TestCheckGrid:
             CheckGrid(xs=np.array([]), ts=np.array([0.0]))
         with pytest.raises(ValueError):
             CheckGrid.default(x_min=0.0)
+        with pytest.raises(ValueError, match="grid must be finite"):
+            CheckGrid(xs=np.array([-1.0, np.inf]), ts=np.array([0.0, 1.0]))
 
     @pytest.mark.parametrize(
         "ts, message",
@@ -366,6 +376,45 @@ class TestComparisonShapes:
                             for c in certs])
         assert all(r == reports[-1] for r in reports)
         assert ["granted=True" in r for r in reports[-1]] == [True, False]
+
+    @pytest.mark.parametrize("theorem", sorted(TEMPLATE_CASES))
+    def test_weight_without_t_reports_as_a_time_row(self, theorem):
+        """A weight without t is checked as one value; w*sign(t+1) equals
+        it on the grid but is checked as a row of times, with the same
+        reports."""
+        v, f, g, band, *certs = TEMPLATE_CASES[theorem]
+        lyap = LyapunovFn.from_expr(parse(v))
+        spec = SdeSpec(f=parse(f), g=parse(g), x0=1.0)
+        for cert in certs:
+            per_time = {name: parse(f"({to_source(w)})*sign(t+1)")
+                        for name in ("phi", "phi1", "phi2")
+                        if (w := getattr(cert, name)) is not None
+                        and "t" not in free_variables(w)}
+            assert per_time or theorem in ("T33", "T35")
+            assert (repr(check_certificate(lyap, spec, band, cert, GRID))
+                    == repr(check_certificate(lyap, spec, band,
+                                              replace(cert, **per_time), GRID)))
+
+    @pytest.mark.parametrize("theorem", ["T34", "T38"])
+    def test_constant_weight_keeps_comparisons_on_the_state_column(
+            self, monkeypatch, theorem):
+        """With phi = 1 on V = x^2, every pointwise comparison of T34 and
+        T38 (envelope, drift, noise) runs at the shape of the state column."""
+        v, f, g, band, cert, _ = TEMPLATE_CASES[theorem]
+        assert v == "x^2" and cert.phi == Const(1.0)
+        spec = SdeSpec(f=parse(f), g=parse(g), x0=1.0)
+        shapes = {}
+        pointwise = lyapunov._pointwise
+
+        def recorded(m, name, lhs, rhs):
+            shapes[name] = np.broadcast_shapes(np.shape(np.atleast_2d(lhs)),
+                                               np.shape(np.atleast_2d(rhs)))
+            return pointwise(m, name, lhs, rhs)
+
+        monkeypatch.setattr(lyapunov, "_pointwise", recorded)
+        assert check_certificate(V2, spec, band, cert, GRID).granted
+        assert set(shapes.values()) == {(GRID.xs.size, 1)}
+        assert len(shapes) == 3
 
     def test_operators_keep_the_shape_of_their_expressions(self):
         m = sample_operators(V2, linear_spec(1.0, 1.0), B, GRID.xs[:, None],
@@ -821,3 +870,5 @@ class TestReports:
         assert all(r[1] == "true" for r in rows[1:])
         # horizon flag set only on the time-average row
         assert [r[5] for r in rows[1:]] == ["false", "false", "false", "true"]
+        with pytest.raises(KeyError, match="absent"):
+            rep.hypothesis("absent")

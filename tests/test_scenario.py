@@ -404,8 +404,9 @@ def test_input_rules_have_one_owner():
 
 def test_each_kind_is_one_class():
     """KINDS lists every VolatilityScenario subclass once, under the prefix
-    of its label(), and scenario.py tests no kind with isinstance except
-    check_levels: a kind's parse and variance stream live on its class."""
+    of its label() (which the base only declares), and scenario.py tests no
+    kind with isinstance except check_levels: a kind's parse and variance
+    stream live on its class."""
     import gsde.scenario as sc
 
     samples = [
@@ -419,6 +420,8 @@ def test_each_kind_is_one_class():
     assert len(set(kinds.values())) == len(kinds)
     assert set(kinds.values()) == set(sc.VolatilityScenario.__subclasses__())
     assert {s.label().partition(":")[0]: type(s) for s in samples} == kinds
+    with pytest.raises(NotImplementedError):
+        sc.VolatilityScenario().label()
     users = [
         fn.name
         for fn in ast.parse(Path(sc.__file__).read_text()).body

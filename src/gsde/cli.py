@@ -182,7 +182,7 @@ def _cmd_sweep(cfg, out_dir: Path) -> int:
     sweep = build_sweep(cfg)
     param = sweep.parameter
     rows = []
-    held = SampleHolder()  # each point's check hands its sample to the next
+    held = SampleHolder()  # each point hands what it built and checked to the next
     for v, sub in sweep.points(cfg):
         report = _check(sub, held)
         exponent = (_estimate(sub, f"{param}={v:g}: ").family_sup_mean

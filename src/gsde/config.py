@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .estimator import check_x0
-from .expr import Expr, ParseError, free_variables, parse
+from .expr import _NUMBER, Expr, ParseError, free_variables, parse
 from .gcalc import AmbiguityBounds
 from .integrator import METHODS, SdeSpec
 from .lyapunov import (
@@ -313,17 +313,17 @@ def build_grid(cfg: dict, t0: float) -> CheckGrid:
 def build_check(cfg: dict, held: SampleHolder | None = None) -> tuple:
     """(lyapunov, sde, bounds, certificate, grid), check_certificate's
     arguments, built in the order bounds, sde, lyapunov, certificate,
-    grid.  Given a holder, a builder whose inputs are bit-equal to those
-    of the holder's last build returns that build's product: its inputs
-    are the text of the keys it reads and the built values it takes.
-    Only a product built without error is held."""
-    built = {} if held is None else held.built
-    bounds = _build_once(built, _text(cfg, "ambiguity."), build_bounds, cfg)
-    sde = _build_once(built, _text(cfg, "sde."), build_sde, cfg)
-    lyap = _build_once(built, _text(cfg, "lyapunov.v"), build_lyapunov, cfg)
-    cert = _build_once(built, (_text(cfg, "certificate."), bounds),
-                       build_certificate, cfg, bounds)
-    grid = _build_once(built, _text(cfg, "grid.", "sde.t0"), build_grid, cfg, sde.t0)
+    grid.  Each builder is one slot of the holder, held.once keyed by the
+    text of the keys it reads and the built values it takes: a sweep point
+    rebuilds only what its swept text reaches."""
+    held = SampleHolder() if held is None else held
+    bounds = held.once(build_bounds, _text(cfg, "ambiguity."), lambda: build_bounds(cfg))
+    sde = held.once(build_sde, _text(cfg, "sde."), lambda: build_sde(cfg))
+    lyap = held.once(build_lyapunov, _text(cfg, "lyapunov.v"), lambda: build_lyapunov(cfg))
+    cert = held.once(build_certificate, (_text(cfg, "certificate."), bounds),
+                     lambda: build_certificate(cfg, bounds))
+    grid = held.once(build_grid, _text(cfg, "grid.", "sde.t0"),
+                     lambda: build_grid(cfg, sde.t0))
     return lyap, sde, bounds, cert, grid
 
 
@@ -331,20 +331,6 @@ def _text(cfg: dict, *prefixes: str) -> tuple:
     """The (key, text) pairs of the keys that start with a prefix, in key
     order."""
     return tuple(sorted(item for item in cfg.items() if item[0].startswith(prefixes)))
-
-
-def _build_once(built: dict, inputs, build, cfg: dict, *args):
-    """build(cfg, *args), or what built holds for build when it was built
-    from equal inputs; a held product that will not be reused is let go
-    first."""
-    last = built.pop(build, None)
-    if last is not None and last[0] == inputs:
-        product = last[1]
-    else:
-        last = None
-        product = build(cfg, *args)
-    built[build] = inputs, product
-    return product
 
 
 def _in_numerics(exc: Exception) -> str:
@@ -406,9 +392,10 @@ def _swept(key: str) -> bool:
 
 def build_sweep(cfg: dict) -> Sweep:
     """The configured sweep, refused unless both sweep keys are present,
-    the parameter is nonempty, every value is a finite number,
-    sweep.estimate is true or false and some swept value holds the
-    placeholder."""
+    the parameter is nonempty, every value is a finite number written as
+    the expression grammar's number literal, optionally after one '-' (so
+    that it reads as its value wherever it is substituted), sweep.estimate
+    is true or false and some swept value holds the placeholder."""
     if "sweep.parameter" not in cfg or "sweep.values" not in cfg:
         raise ConfigError("sweep needs sweep.parameter and sweep.values")
     param = cfg["sweep.parameter"].strip()
@@ -417,11 +404,15 @@ def build_sweep(cfg: dict) -> Sweep:
     values = _floats(cfg, "sweep.values", "no values given")
     if not all(map(math.isfinite, values)):
         raise ConfigError("sweep.values: every value must be finite")
+    texts = tuple(c.strip() for c in cfg["sweep.values"].split(",") if c.strip())
+    for text in texts:
+        if not re.fullmatch(rf"-?{_NUMBER}", text):
+            raise ConfigError(f"sweep.values: {text!r} must be a decimal literal, "
+                              "optionally after one '-'")
     flag = cfg.get("sweep.estimate", "false").strip().lower()
     if flag not in ("true", "false"):
         raise ConfigError("sweep.estimate must be true or false")
     placeholder = "{" + param + "}"
     if not any(placeholder in val for k, val in cfg.items() if _swept(k)):
         raise ConfigError(f"sweep.parameter: no config value contains {placeholder}")
-    texts = tuple(c.strip() for c in cfg["sweep.values"].split(",") if c.strip())
     return Sweep(param, values, texts, flag == "true")

@@ -323,8 +323,10 @@ _SYMBOLS = "".join(row.sym.strip() for row in (*_UNARY.values(), *_BINARY.values
 _INFIX = {row.sym.strip(): op for op, row in _BINARY.items() if op != "pow"}
 _LEVELS = sorted({_BINARY[op].prec for op in _INFIX.values()})
 
+# the number token; config reads a sweep value by it too
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    rf"(?P<num>{_NUMBER})"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     rf"|(?P<op>[{re.escape(_SYMBOLS)}(),])"
 )

@@ -12,12 +12,14 @@ L_lower is dominated by it, so pointwise inequalities on these operators
 certify pathwise decay (or growth) bounds that hold across the whole
 ambiguity band at once.  All three come from one sample_operators pass.
 A caller that checks many certificates, such as a sweep, passes
-check_certificate one SampleHolder, which keeps the last check's pass: a
-check whose inputs are bit-equal reuses it whole, so a sweep over a
-certificate parameter samples once, and one on the same band and grid
-recomputes only the operators that read a changed input; a check without
-a holder samples.  A sample computes its drifts, its envelope verdicts
-and its V > 0 refusal once, however many checks read it.
+check_certificate one SampleHolder, whose one rule is once(name, inputs,
+compute): a product is computed again only when the inputs it reads
+differ from those it was held with.  So a check whose inputs are
+bit-equal to the last one's reuses its sample whole, a sweep point
+recomputes only the operators that read a changed input, and the V > 0
+refusal and the envelope verdict are recomputed only when V, the band,
+the grid or the certificate fields they read change; a check without a
+holder computes everything.  A sample computes each drift once.
 
 check_certificate machine-checks the hypothesis set of one of six
 certificate templates (ids T33..T38) on a deterministic grid and, when
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -168,10 +170,10 @@ class CheckGrid:
 @dataclass(frozen=True)
 class OperatorSample:
     """V and its operators at the points (x, t), from a single evaluation
-    of each input: V, H = g^2 V_x^2 and the parts that drift() combines
-    into L or L_lower, each at the shape its expression evaluates to (a
-    column on the grid axes when it depends on x alone); x and t are the
-    broadcast points."""
+    of each input: V, H = g^2 V_x^2 and the parts of the drifts L and
+    L_lower, each at the shape its expression evaluates to (a column on
+    the grid axes when it depends on x alone); x and t are the broadcast
+    points."""
 
     x: np.ndarray
     t: np.ndarray
@@ -183,40 +185,36 @@ class OperatorSample:
     V_xx: np.ndarray
 
     @cached_property
-    def known(self) -> dict:
-        """What once() computed from this sample, by its key."""
-        return {}
+    def L(self) -> np.ndarray:
+        """V_t + f V_x + g^2 g_upper(V_xx), the worst-case drift; read-only."""
+        return _read_only(self.first_order + self.g2 * g_upper(self.V_xx, self.b))
 
-    def once(self, key, compute):
-        """compute(), computed once per sample for key; one that raises is
-        computed again when asked again."""
-        if key not in self.known:
-            self.known[key] = compute()
-        return self.known[key]
-
-    def drift(self, envelope) -> np.ndarray:
-        """V_t + f V_x + g^2 envelope(V_xx): the worst-case drift L with
-        g_upper, the best-case drift L_lower with g_lower.  It is computed
-        once per envelope and is read-only."""
-        return self.once(envelope, lambda: _read_only(
-            self.first_order + self.g2 * envelope(self.V_xx, self.b)))
+    @cached_property
+    def L_lower(self) -> np.ndarray:
+        """V_t + f V_x + g^2 g_lower(V_xx), the best-case drift; read-only."""
+        return _read_only(self.first_order + self.g2 * g_lower(self.V_xx, self.b))
 
 
-# the inputs a sample evaluates, in evaluation order
-_INPUTS = ("V", "g", "V_t", "f", "V_x", "V_xx")
 # each operator field of OperatorSample: the inputs it reads, and its value
-# from their evaluations
+# from their evaluations; in this order the inputs are first read in the
+# order V, g, V_t, f, V_x, V_xx
 _OPERATORS = {
-    "V": (("V",), lambda v: v["V"]),
-    "H": (("g", "V_x"), lambda v: v["g"] * v["g"] * v["V_x"] * v["V_x"]),
-    "first_order": (("V_t", "f", "V_x"), lambda v: v["V_t"] + v["f"] * v["V_x"]),
-    "g2": (("g",), lambda v: v["g"] * v["g"]),
-    "V_xx": (("V_xx",), lambda v: v["V_xx"]),
+    "V": (("V",), lambda V: V),
+    "g2": (("g",), lambda g: g * g),
+    "first_order": (("V_t", "f", "V_x"), lambda V_t, f, V_x: V_t + f * V_x),
+    "H": (("g", "V_x"), lambda g, V_x: g * g * V_x * V_x),
+    "V_xx": (("V_xx",), lambda V_xx: V_xx),
 }
 
 
 def _input_exprs(lyap: LyapunovFn, spec: SdeSpec) -> dict:
-    return dict(zip(_INPUTS, (lyap.V, spec.g, lyap.V_t, spec.f, lyap.V_x, lyap.V_xx)))
+    """Each input expression by name, as (source text, tree): equal only
+    for bit-equal expressions.  The text tells Const(-0.0) from Const(0.0)
+    where tree equality does not, and the tree tells x^-c from 1/x^c where
+    to_source does not."""
+    return {name: (to_source(e), e) for name, e in zip(
+        ("V", "g", "V_t", "f", "V_x", "V_xx"),
+        (lyap.V, spec.g, lyap.V_t, spec.f, lyap.V_x, lyap.V_xx))}
 
 
 def sample_operators(
@@ -226,33 +224,45 @@ def sample_operators(
     points (x, t); the first domain violation raises.  On grid axes (a
     column of states, a row of times) a subtree is evaluated at the shape
     of its own variables, and only subtrees mixing x and t are full-size."""
-    return _sample(lyap, spec, b, x, t, {})
+    return _sample(_input_exprs(lyap, spec), b, x, t, SampleHolder(), ())
 
 
-def _sample(lyap, spec, b, x, t, kept: dict) -> OperatorSample:
-    """sample_operators with the operators of kept: each other operator is
-    computed from the inputs it reads, and only those inputs are
-    evaluated, in _INPUTS order."""
-    stale = [name for name in _OPERATORS if name not in kept]
-    needed = {i for name in stale for i in _OPERATORS[name][0]}
-    exprs = _input_exprs(lyap, spec)
-    vals = {i: evaluate(exprs[i], x, t) for i in _INPUTS if i in needed}
+def _sample(exprs, b, x, t, held, where) -> OperatorSample:
+    """sample_operators of the input expressions exprs, with each operator
+    taken from held when held computed it from the same inputs on where,
+    the band and grid of (x, t): only the inputs of the other operators
+    are evaluated, each at most once."""
+    value = cache(lambda name: evaluate(exprs[name][1], x, t))
+    ops = {name: held.once(name, (where, *(exprs[i] for i in reads)),
+                           lambda: op(*map(value, reads)))
+           for name, (reads, op) in _OPERATORS.items()}
     x, t = np.broadcast_arrays(x, t)
-    return OperatorSample(x, t, b, **kept,
-                          **{name: _OPERATORS[name][1](vals) for name in stale})
+    return OperatorSample(x, t, b, **ops)
 
 
 @dataclass(eq=False)
 class SampleHolder:
-    """One slot for the operator sample of a run of checks, such as one
-    sweep: last is the last check's inputs (_inputs) and sample, or None.
-    The sample is a pure function of those inputs, so no check can see
-    whose check left it.  built is the caller's own slot for what it built
-    the last check's arguments from (config.build_check keeps its builders'
-    products there)."""
+    """What a run of checks, such as one sweep, reuses: one slot per name,
+    holding a product with the inputs it was computed from.  Every product
+    is a pure function of its inputs, so no check can see whose check left
+    it.  config.build_check holds its builders' products here, and
+    check_certificate its operator sample, each operator, the V > 0
+    refusal and the envelope verdict."""
 
-    last: tuple[tuple, OperatorSample] | None = None
-    built: dict = field(default_factory=dict)
+    slots: dict = field(default_factory=dict)
+
+    def once(self, name, inputs, compute):
+        """compute(), or the product held under name when it was computed
+        from equal inputs.  A held product that will not be reused is let
+        go before compute runs, and a compute that raises holds nothing."""
+        slot = self.slots.pop(name, None)
+        if slot is not None and slot[0] == inputs:
+            self.slots[name] = slot
+            return slot[1]
+        slot = None
+        product = compute()
+        self.slots[name] = inputs, product
+        return product
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +504,7 @@ def _loggrowth_cap(name, phi_vals, ts, cap) -> HypothesisVerdict:
 # the rate lambda in force with the verdicts after the envelope.
 
 def _t33(m, c, ts):
-    L = m.drift(g_upper)
+    L = m.L
     if c.lam is not None:
         return c.lam, [_pointwise(m, "decay", L, -c.lam * m.V)]
     ratios = np.atleast_2d(-L / m.V)
@@ -514,7 +524,7 @@ def _t33(m, c, ts):
 def _t34(m, c, ts):
     phi = _time_weight(c.phi, ts)
     return c.lam, [
-        _pointwise(m, "drift", m.drift(g_upper), c.lam * phi * m.V),
+        _pointwise(m, "drift", m.L, c.lam * phi * m.V),
         _pointwise(m, "noise_floor", c.rho * phi * m.V * m.V, m.H),
         _cesaro_lower("time_average", phi, ts, c.kappa),
     ]
@@ -524,7 +534,7 @@ def _t35(m, c, ts):
     nu = _polyval(c.nu_coeffs, ts)
     nu_decay = nu[None, :] * np.exp(-c.lam * ts)[None, :]
     return c.lam, [
-        _pointwise(m, "drift", m.drift(g_upper), -c.lam * m.V + nu_decay),
+        _pointwise(m, "drift", m.L, -c.lam * m.V + nu_decay),
         _pointwise(m, "noise_ceiling", m.H, nu_decay * m.V),
         _nu_dominates_t(c.nu_coeffs, nu, ts),
     ]
@@ -533,7 +543,7 @@ def _t35(m, c, ts):
 def _t36(m, c, ts):
     phi = _time_weight(c.phi, ts)
     weight = c.eta * (1.0 + ts[None, :]) ** (-c.q)
-    drift = m.drift(g_upper) + weight * m.H
+    drift = m.L + weight * m.H
     return c.lam, [
         _pointwise(m, "drift", drift, phi * (1.0 + m.V**c.beta_exp)),
         _loggrowth_cap("weight_growth", phi, ts, 0.0),
@@ -544,7 +554,7 @@ def _t37(m, c, ts):
     phi1 = _time_weight(c.phi1, ts)
     phi2 = _time_weight(c.phi2, ts)
     weight = m.b.v_upper * c.eta * np.exp(-c.q * ts[None, :])
-    drift = m.drift(g_upper) + weight * m.H
+    drift = m.L + weight * m.H
     cap = phi1 + phi2 * m.V**c.beta_exp
     return c.lam, [
         _pointwise(m, "drift", drift, cap),
@@ -556,7 +566,7 @@ def _t37(m, c, ts):
 def _t38(m, c, ts):
     phi = _time_weight(c.phi, ts)
     return c.lam, [
-        _pointwise(m, "drift", c.lam * phi * m.V, m.drift(g_lower)),
+        _pointwise(m, "drift", c.lam * phi * m.V, m.L_lower),
         _pointwise(m, "noise_ceiling", m.H, c.rho * phi * m.V * m.V),
         _cesaro_lower("time_average", phi, ts, c.kappa),
     ]
@@ -623,16 +633,25 @@ def check_certificate(
     iff every hypothesis passes on the grid.  A hypothesis whose comparison
     is not finite raises CertificateError naming it and, where it has one,
     its first grid point; numpy's floating-point warnings are off.  Given
-    a holder, a check whose V, partials, f, g, band and grid are bit-equal
-    to those of the holder's last check reuses that check's operator
-    sample, and the holder keeps this check's; without one, the check
-    samples its operators and keeps nothing."""
+    a holder, the check reuses what it holds: the operator sample when V,
+    its partials, f, g, the band and the grid are bit-equal to its last
+    check's, else each operator whose inputs are, and the V > 0 refusal
+    and the envelope verdict when V, the band, the grid and the
+    certificate fields they read are; the holder keeps this check's.
+    Without one, the check computes everything and keeps nothing."""
     if grid is None:
         grid = CheckGrid.default(t0=spec.t0)
     validate_certificate(cert, b)
     tpl = _TEMPLATES[cert.theorem]
-    m = _grid_sample(lyap, spec, b, grid, SampleHolder() if held is None else held)
-    m.once("V > 0", lambda: _refuse_at(
+    held = SampleHolder() if held is None else held
+    exprs = _input_exprs(lyap, spec)
+    # the band's floats are positive and finite, so their equality is bit
+    # equality; the grid is compared by shape and bytes
+    where = (b, *((a.shape, a.tobytes()) for a in (grid.xs, grid.ts)))
+    m = held.once("sample", (exprs, where),
+                  lambda: _grid_sample(exprs, b, grid, held, where))
+    on_V = (where, exprs["V"])
+    held.once("V > 0", on_V, lambda: _refuse_at(
         m, m.V <= 0, "V must be positive away from x = 0; V <= 0"))
     caveats = tuple(
         f"{name} uses abs/sign: derivatives are formal and do not "
@@ -641,8 +660,8 @@ def check_certificate(
         if contains_nonsmooth(e)
     )
     lam_in_force = cert.lam if tpl.grows else None
-    envelope = m.once(("envelope", cert.p, lam_in_force, tpl.unstable),
-                      lambda: _envelope(m, grid, cert.p, lam_in_force, tpl.unstable))
+    envelope = held.once("envelope", (on_V, cert.p, lam_in_force, tpl.unstable),
+                         lambda: _envelope(m, grid, cert.p, lam_in_force, tpl.unstable))
     lam, rest = tpl.hypotheses(m, cert, grid.ts)
     hyps = (envelope, *rest)
     granted = all(h.passed for h in hyps)
@@ -665,52 +684,14 @@ def _envelope(m, grid, p, lam, unstable) -> HypothesisVerdict:
     return _pointwise(m, "envelope", *((m.V, xp) if unstable else (xp, m.V)))
 
 
-def _inputs(lyap: LyapunovFn, spec: SdeSpec, b: AmbiguityBounds,
-            grid: CheckGrid) -> tuple[dict, tuple]:
-    """What the grid sample depends on, in a form that is equal only for
-    bit-equal inputs: each input expression by name, and the band with
-    the grid.  An expression is held as its source text, which tells
-    Const(-0.0) from Const(0.0) where tree equality does not, and as its
-    tree, which tells x^-c from 1/x^c where to_source does not.  The
-    band's floats are positive and finite, so their equality is bit
-    equality; the grid is compared by shape and bytes."""
-    exprs = {name: (to_source(e), e) for name, e in _input_exprs(lyap, spec).items()}
-    return exprs, (b, *((a.shape, a.tobytes()) for a in (grid.xs, grid.ts)))
-
-
-def _grid_sample(lyap, spec, b, grid, holder: SampleHolder) -> OperatorSample:
-    """sample_operators on the grid axes, or the holder's sample when its
-    inputs were bit-equal.  On the holder's band and grid, the operators
-    that read no changed input are the holder's, and only the inputs the
-    others read are evaluated.  The sample is held with read-only arrays
-    on copies of the axes, so neither a template nor a caller that writes
-    to its grid can change it."""
-    key = _inputs(lyap, spec, b, grid)
-    # a sampling that raises holds nothing; the held operators that are not
-    # kept are let go before the new ones are computed
-    last, holder.last = holder.last, None
-    if last is not None and last[0] == key:
-        holder.last = last
-        return last[1]
-    kept = _kept(last, *key)
-    last = None
-    m = _sample(lyap, spec, b, grid.xs[:, None].copy(), grid.ts[None, :].copy(), kept)
+def _grid_sample(exprs, b, grid, held, where) -> OperatorSample:
+    """_sample on the grid axes, with read-only arrays on copies of the
+    axes, so neither a template nor a caller that writes to its grid can
+    change it."""
+    m = _sample(exprs, b, grid.xs[:, None].copy(), grid.ts[None, :].copy(), held, where)
     for f in fields(m):
         _read_only(getattr(m, f.name))
-    holder.last = key, m
     return m
-
-
-def _kept(last, exprs: dict, where: tuple) -> dict:
-    """The operators of the held (inputs, sample) last that read no input
-    that differs from exprs, when last was sampled on where's band and
-    grid; none otherwise."""
-    if last is None or last[0][1] != where:
-        return {}
-    held = last[0][0]
-    changed = {i for i in _INPUTS if held[i] != exprs[i]}
-    return {name: getattr(last[1], name) for name, (reads, _) in _OPERATORS.items()
-            if changed.isdisjoint(reads)}
 
 
 def _read_only(a):

@@ -63,3 +63,36 @@ def test_no_global_statement():
         if isinstance(node, (ast.Global, ast.Nonlocal))
     ]
     assert offenders == []
+
+
+def test_one_reuse_rule():
+    """What a run of checks reuses is held in one place: `slots` is named
+    only inside lyapunov.SampleHolder, whose once method is the one reuse
+    rule, and config keeps no memo of its own: no function there is
+    decorated, and each mapping a function writes to is one it made."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        holder = {id(n) for c in ast.walk(tree)
+                  if isinstance(c, ast.ClassDef) and c.name == "SampleHolder"
+                  for n in ast.walk(c)}
+        offenders += [
+            f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+            if id(n) not in holder and "slots" in (
+                getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "arg", None))
+        ]
+    for fn in ast.walk(ast.parse((SRC / "config.py").read_text())):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        made = {t.id for n in ast.walk(fn) if isinstance(n, (ast.Assign, ast.AnnAssign))
+                for t in getattr(n, "targets", [getattr(n, "target", None)])
+                if isinstance(t, ast.Name)}
+        written = [n.value for n in ast.walk(fn)
+                   if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)]
+        written += [n.func.value for n in ast.walk(fn)
+                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in ("pop", "popitem", "setdefault", "update", "clear")]
+        offenders += [f"config.py:{n.lineno}" for n in fn.decorator_list]
+        offenders += [f"config.py:{n.lineno}" for n in written
+                      if not (isinstance(n, ast.Name) and n.id in made)]
+    assert offenders == []

@@ -426,6 +426,13 @@ class TestExitCodes:
              "sweep.values: every value must be finite"),
             ("sweep", SWEEP, "sweep.values = 1,1e400", [],
              "sweep.values: every value must be finite"),
+            # a value replaces its placeholder as written, so it is read
+            # as the expression grammar reads a number
+            ("sweep", SWEEP, "sweep.values = +1", [],
+             "sweep.values: '+1' must be a decimal literal, optionally after one '-'"),
+            ("sweep", CERT_GRANT, "grid.x_points = {s}\nsweep.parameter = s\n"
+             "sweep.values = 1_0", [],
+             "sweep.values: '1_0' must be a decimal literal, optionally after one '-'"),
             ("certify", CERT_GRANT, "certificate.rho = 1\ncertificate.kappa = 1"
              "\ncertificate.phi = 1", [], "T33 does not use rho, kappa, phi"),
             ("certify", CERT_GRANT, "certificate.theorem = T35\n"
@@ -1411,7 +1418,7 @@ class TestSweepReuse:
         def spy(*args, **kwargs):
             report = real(*args, **kwargs)
             grids.append(weakref.ref(args[4]))
-            samples.append(weakref.ref(kwargs["held"].last[1]))
+            samples.append(weakref.ref(kwargs["held"].slots["sample"][1]))
             holders.append(kwargs["held"])
             return report
 
@@ -1424,11 +1431,11 @@ class TestSweepReuse:
         assert len(grids) == len(samples) == 5
         assert [r() is not None for r in grids] == [False] * 4 + [True]
         assert [r() is not None for r in samples] == [False] * 4 + [True]
-        held = holders[-1]
-        assert held.last[1] is samples[-1]() and held.last[1].x.shape == (50, 10)
-        assert [product for _, product in held.built.values()
+        sample = holders[-1].slots["sample"][1]
+        assert sample is samples[-1]() and sample.x.shape == (50, 10)
+        assert [product for _, product in holders[-1].slots.values()
                 if isinstance(product, CheckGrid)] == [grids[-1]()]
-        assert isinstance(held.last[1], OperatorSample)
+        assert isinstance(sample, OperatorSample)
 
 
 # ---------------------------------------------------------------------------

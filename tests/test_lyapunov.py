@@ -23,7 +23,7 @@ from gsde.expr import (
     parse,
     to_source,
 )
-from gsde.gcalc import AmbiguityBounds, g_lower, g_upper
+from gsde.gcalc import AmbiguityBounds
 from gsde.integrator import SdeSpec
 from gsde.lyapunov import (
     CertificateError,
@@ -124,8 +124,8 @@ class TestOperators:
         expected_hi = (-2 * alpha + beta**2 * B.v_upper) * x * x
         expected_lo = (-2 * alpha + beta**2 * B.v_lower) * x * x
         ops = sample_operators(V2, spec, B, x, t)
-        np.testing.assert_allclose(ops.drift(g_upper), expected_hi, rtol=1e-12)
-        np.testing.assert_allclose(ops.drift(g_lower), expected_lo, rtol=1e-12)
+        np.testing.assert_allclose(ops.L, expected_hi, rtol=1e-12)
+        np.testing.assert_allclose(ops.L_lower, expected_lo, rtol=1e-12)
 
     def test_negative_curvature_charges_band_floor(self):
         lyap = LyapunovFn.from_expr(parse("0 - x^2"))
@@ -135,7 +135,7 @@ class TestOperators:
         # V_xx = -2: g_upper(-2) = -v_lower
         expected = 2.0 * x * x - B.v_lower * x * x
         np.testing.assert_allclose(
-            sample_operators(lyap, spec, B, x, t).drift(g_upper),
+            sample_operators(lyap, spec, B, x, t).L,
             expected,
             rtol=1e-12,
         )
@@ -157,8 +157,8 @@ class TestOperators:
         ts = np.linspace(0, 5, 7)
         XX, TT = np.meshgrid(xs, ts, indexing="ij")
         ops = sample_operators(lyap, spec, B, XX, TT)
-        lo = ops.drift(g_lower)
-        hi = ops.drift(g_upper)
+        lo = ops.L_lower
+        hi = ops.L
         from gsde.expr import evaluate
 
         vt = evaluate(lyap.V_t, XX, TT)
@@ -176,7 +176,7 @@ class TestOperators:
         x = np.linspace(-5, 5, 21)
         t = np.zeros(21)
         ops = sample_operators(V2, spec, B1, x, t)
-        np.testing.assert_array_equal(ops.drift(g_upper), ops.drift(g_lower))
+        np.testing.assert_array_equal(ops.L, ops.L_lower)
 
     def test_each_input_evaluated_once(self, evaluations):
         """One checked evaluation per V, g, V_t, f, V_x, V_xx, in that
@@ -238,7 +238,7 @@ class TestHeldSample:
         grid = CheckGrid.default()
         held = SampleHolder()
         check_certificate(lyap, spec, B, CertificateSpec("T33", 2.0), grid, held)
-        m = held.last[1]
+        m = held.slots["sample"][1]
         arrays = {f.name: getattr(m, f.name) for f in fields(m) if f.name != "b"}
         assert all(a.shape == (400, 200) for a in arrays.values())
         for a in arrays.values():
@@ -256,8 +256,42 @@ class TestHeldSample:
             with pytest.raises(EvalDomainError):
                 check_certificate(lyap, self.SPEC, B, CertificateSpec("T33", 2.0),
                                   GRID, held)
-            assert held.last is None
+            assert "sample" not in held.slots
         assert evaluations == [lyap.V, lyap.V]
+
+    def test_failed_operator_holds_nothing_and_keeps_the_rest(self, evaluations):
+        """A check whose f cannot be evaluated holds neither a sample nor
+        first_order, the operator that reads f, and keeps the held V, g^2, H
+        and V_xx: checking it again evaluates exactly V_t and f again."""
+        cert = CertificateSpec("T33", 2.0)
+        held = SampleHolder()
+        check_certificate(V2, self.SPEC, B, cert, GRID, held)
+        kept = {name: held.slots[name][1] for name in ("V", "g2", "H", "V_xx")}
+        spec = SdeSpec(f=parse("-x + log(x)"), g=self.SPEC.g, x0=1.0)
+        for _ in range(2):
+            evaluations.clear()
+            with pytest.raises(EvalDomainError):
+                check_certificate(V2, spec, B, cert, GRID, held)
+            assert evaluations == [V2.V_t, spec.f]
+            assert "sample" not in held.slots and "first_order" not in held.slots
+            assert all(held.slots[name][1] is a for name, a in kept.items())
+
+    def test_drift_sweep_checks_the_envelope_once(self, monkeypatch):
+        """The envelope verdict reads V, the band, the grid and p, which a
+        sweep over f does not change: it is computed at the first point and
+        reused at the others."""
+        calls = []
+        real = lyapunov._envelope
+        monkeypatch.setattr(lyapunov, "_envelope",
+                            lambda *args: calls.append(args) or real(*args))
+        cert = CertificateSpec("T33", 2.0)
+        held = SampleHolder()
+        specs = [linear_spec(a, 1.0) for a in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8)]
+        reports = [check_certificate(V2, spec, B, cert, GRID, held) for spec in specs]
+        assert len(calls) == 1
+        assert all(r.hypotheses[0] is reports[0].hypotheses[0] for r in reports)
+        for spec, report in zip(specs, reports):
+            assert check_certificate(V2, spec, B, cert, GRID) == report
 
     @pytest.mark.parametrize(
         "f1, f2",
@@ -421,7 +455,7 @@ class TestComparisonShapes:
                              GRID.ts[None, :])
         column = (GRID.xs.size, 1)
         assert np.shape(m.V) == np.shape(m.H) == column
-        assert m.drift(g_upper).shape == column
+        assert m.L.shape == column
         assert m.x.shape == m.t.shape == (GRID.xs.size, GRID.ts.size)
 
 
